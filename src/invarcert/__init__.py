@@ -68,10 +68,10 @@ from .tight import (
     rho_so2,
     rho_so3,
     so2_problem_from_params,
+    so3_log_beta,
     so3_log_beta_hat,
     tight_translation,
     upper_bound_rotation_tight,
-    zeta,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -142,8 +142,7 @@ def cmd_certify(args) -> int:
             outcome = tight_translation(clean, perturbed, p_lower, args.sigma)
         else:
             outcome = certify_rotation_tight(
-                group, clean, perturbed, p_lower, args.sigma, mc, args.seed,
-                quad_degree=args.quad_degree,
+                group, clean, perturbed, p_lower, args.sigma, mc, args.seed
             )
         results["tight"] = _outcome_dict(outcome)
     if args.multiclass:
@@ -151,8 +150,7 @@ def cmd_certify(args) -> int:
             raise UsageError("--multiclass: requires --p-upper")
         results["multiclass"] = _outcome_dict(
             certify_multiclass(
-                group, clean, perturbed, p_lower, args.p_upper, args.sigma,
-                mc, args.seed, quad_degree=args.quad_degree,
+                group, clean, perturbed, p_lower, args.p_upper, args.sigma, mc, args.seed
             )
         )
     parameters = {
@@ -167,7 +165,6 @@ def cmd_certify(args) -> int:
         "n3": args.n3,
         "seed": args.seed,
         "method": args.method,
-        "quad_degree": args.quad_degree,
         "multiclass": args.multiclass,
         "p_upper": args.p_upper,
     }
@@ -367,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--n3", type=int, default=10000)
     certify.add_argument("--seed", type=int, required=True)
     certify.add_argument("--method", choices=["orbit", "tight", "both"], default="both")
-    certify.add_argument("--quad-degree", type=int, default=20)
     certify.add_argument("--multiclass", action="store_true")
     certify.add_argument("--p-upper", type=float, default=None)
     certify.add_argument("--out", default=None)

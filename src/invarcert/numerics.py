@@ -1,4 +1,4 @@
-"""Special functions, quadrature and binomial confidence machinery.
+"""Special functions, quadrature, sampling and binomial confidence machinery.
 
 Everything here is pure and thread-safe; random sampling takes an explicit
 seed and owns a private generator.
@@ -10,10 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-
-# Power series below, asymptotic expansion above.  In double precision the
-# two branches agree to ~1e-13 at the switch point.
-_BESSEL_SWITCH = 50.0
 
 # Relative tolerance for negative eigenvalues of nominally-PSD covariances.
 _PSD_REL_TOL = 1e-9
@@ -53,50 +49,16 @@ def clamp_probability(p: float) -> tuple[float, bool]:
     return p, False
 
 
-def _log_i0_series(x):
-    # sum_k (x/2)^(2k) / (k!)^2, summed in the linear domain; safe for x <= ~700
-    # and fully converged long before k=60 for x <= _BESSEL_SWITCH.
-    total = np.zeros_like(x)
-    term = np.ones_like(x)
-    q = 0.25 * x * x
-    total += term
-    for k in range(1, 60):
-        term = term * q / (k * k)
-        total += term
-    return np.log(total)
-
-# Coefficients a_k = prod_{j<=k} (2j-1)^2 / (8^k k!) of the large-x expansion
-# I0(x) ~ e^x / sqrt(2 pi x) * sum_k a_k x^-k.
-_I0_ASYMPT = [1.0]
-for _k in range(1, 9):
-    _I0_ASYMPT.append(_I0_ASYMPT[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
-
-
-def _log_i0_asymptotic(x):
-    s = np.zeros_like(x)
-    for k in range(len(_I0_ASYMPT) - 1, -1, -1):
-        s = s / x + _I0_ASYMPT[k]
-    return x - 0.5 * np.log(2.0 * np.pi * x) + np.log(s)
-
-
 def log_bessel_i0(x):
-    """log I0(x) for x >= 0, evaluated in the log domain (no overflow).
+    """log I0(x) for x >= 0, as log(i0e(x)) + x (no overflow).
 
-    Power series below ``_BESSEL_SWITCH``, asymptotic expansion above.
     Accepts scalars or arrays.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("log_bessel_i0: x must be finite and >= 0")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = x < _BESSEL_SWITCH
-    if np.any(small):
-        out[small] = _log_i0_series(x[small])
-    if np.any(~small):
-        out[~small] = _log_i0_asymptotic(x[~small])
-    return float(out[0]) if scalar else out
+    out = np.log(special.i0e(x)) + x
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -293,7 +255,3 @@ def binomial_test_p_value(successes: int, trials: int, direction: str, p0: float
         return 1.0
     return float(np.exp(binomial_log_cdf_all(n, 1.0 - p0)[n - k]))
 
-
-def log_sum_exp(values: np.ndarray, axis=None):
-    """Thin wrapper so callers do not import scipy directly."""
-    return special.logsumexp(values, axis=axis)

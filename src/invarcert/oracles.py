@@ -12,9 +12,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .geometry import GroupKind, GroupSpec, PointCloud, rot2, rot3_zyx
-from .numerics import log_sum_exp
+
+# Size of one pairwise-difference array of _distance_profile.  Batches are
+# profiled in row chunks of this size, so that the arrays alive at once (two
+# gathers, their difference, the distances and their sorted copy) stay near
+# 64 MB.
+_PROFILE_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,13 @@ class SyntheticClassifier:
             feat = np.linalg.norm(centered, axis=(1, 2))
             return (feat <= self.tau).astype(int)
         if self.kind == "pairwise-centroid":
-            profile = _distance_profile(batch)
-            dist = np.linalg.norm(profile - self.signature[None, :], axis=1)
+            n, d = batch.shape[1:]
+            row_bytes = 8 * d * (n * (n - 1) // 2)   # one cloud's pairwise differences
+            rows = max(1, _PROFILE_BYTES // max(1, row_bytes))
+            chunks = [batch[i : i + rows] for i in range(0, len(batch), rows)] or [batch]
+            dist = np.concatenate([
+                np.linalg.norm(_distance_profile(c) - self.signature, axis=1) for c in chunks
+            ])
             return (dist <= self.tau).astype(int)
         raise ValueError(f"SyntheticClassifier: unknown kind {self.kind!r}")
 
@@ -171,7 +182,7 @@ def haar_oracle_so2(x: PointCloud, z: PointCloud, sigma: float, grid: int) -> fl
     logw = np.full(grid + 1, math.log(2.0 * math.pi / grid))
     logw[0] -= math.log(2.0)
     logw[-1] -= math.log(2.0)
-    return float(log_sum_exp(exponents + logw))
+    return float(logsumexp(exponents + logw))
 
 
 def haar_oracle_so3(m: np.ndarray, sigma: float, grid: int) -> float:
@@ -224,8 +235,8 @@ def haar_oracle_so3(m: np.ndarray, sigma: float, grid: int) -> float:
         t = np.einsum("ab,kbc,dc->kad", ry, rx, msc)
         exponents = np.einsum("iab,kba->ik", rz, t)
         vals = exponents + logw1[:, None] + logw3[None, :]
-        slice_logs[idx] = log_sum_exp(vals, axis=None)
-    return float(log_sum_exp(slice_logs + logw2 + logcos2))
+        slice_logs[idx] = logsumexp(vals, axis=None)
+    return float(logsumexp(slice_logs + logw2 + logcos2))
 
 
 def brute_force_procrustes_2d(x: PointCloud, x_prime: PointCloud, grid: int) -> float:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from . import mc as mc_engine
 from .geometry import (
@@ -29,11 +30,9 @@ from .geometry import (
 from .mc import McConfig
 from .numerics import (
     GaussianSpec,
-    QuadratureRule,
+    NumericalFailure,
     clamp_probability,
-    clenshaw_curtis,
     log_bessel_i0,
-    log_sum_exp,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -53,7 +52,6 @@ class RotationCertProblem:
     mean_clean: np.ndarray
     covariance: np.ndarray
     sigma: float
-    quadrature_degree: int | None = None
 
     @property
     def perturbed_spec(self) -> GaussianSpec:
@@ -166,123 +164,170 @@ def rho_so2() -> LikelihoodStatistic:
     return LikelihoodStatistic(dim=4, evaluator=evaluator)
 
 
-class So3BetaHat:
-    """Quadrature evaluator of the reduced rotation-averaging integral.
+# Gauss-Kronrod pair on [-1, 1] (QUADPACK qk15): the 15 Kronrod abscissae,
+# listed from 1 down to 0, with their weights.  The odd entries are the
+# 7-point Gauss-Legendre abscissae.
+_K15_NODES = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_K15_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_G7_ON_K15 = np.zeros(8)
+_G7_ON_K15[1::2] = np.polynomial.legendre.leggauss(7)[1][:4]
+# The same pair on [0, 1]: nodes ascending, K15 weights, K15 minus G7 weights.
+_UNIT_NODES = 0.5 + 0.5 * np.concatenate([-_K15_NODES[:-1], _K15_NODES[::-1]])
+_UNIT_WEIGHTS = 0.5 * np.concatenate([_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1]])
+_UNIT_ERROR_WEIGHTS = _UNIT_WEIGHTS - 0.5 * np.concatenate(
+    [_G7_ON_K15[:-1], _G7_ON_K15[::-1]]
+)
 
-    For a 3 x 3 cross matrix M (the inner products between input columns and
-    sample columns), the integral over the z-angle is a Bessel function and
-    the remaining double integral over [-pi/2, pi/2] x [0, 2 pi] with weight
-    cos(w2) is evaluated by a tensor-product Clenshaw-Curtis rule, entirely in
-    the log domain.
+# Widest panel of the graded parts, in tau where p = h sinh(tau).
+_MF_GRADED_WIDTH = 1.5
+# Widest panel of the middle part, in units of the Gaussian scale 1/sqrt(2k).
+_MF_MIDDLE_WIDTH = 2.0
+# exp(-2k sin^2 p) is cut off where it falls to exp(-_MF_TAIL).
+_MF_TAIL = 45.0
+# Largest accepted error estimate of log beta (relative error of beta).
+_MF_MAX_ERROR = 1e-6
+# Matrices per batch of node evaluations, bounding the temporaries.
+_MF_CHUNK = 2048
+
+
+def proper_singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values s1 >= s2 >= |s3| of a batch of 3 x 3 matrices (n, 3, 3),
+    with s3 carrying the sign of det m, so M = U diag(s) V^T with U, V in SO(3)."""
+    s = np.linalg.svd(m, compute_uv=False)
+    s[:, 2] *= np.sign(np.linalg.det(m))
+    return s
+
+
+def _panels(span: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Enough equal panels on [0, 1] that each row's ``span`` spreads at most
+    ``width`` over one: nodes, K15 weights and K15 - G7 weights."""
+    count = max(1, math.ceil(float(np.max(span, initial=0.0)) / width))
+    nodes = ((np.arange(count)[:, None] + _UNIT_NODES) / count).ravel()
+    weights = np.tile(_UNIT_WEIGHTS, count) / count
+    return nodes, weights, np.tile(_UNIT_ERROR_WEIGHTS, count) / count
+
+
+def _graded(h: np.ndarray, length: np.ndarray):
+    """Nodes on [0, length] graded geometrically toward 0 from scale h:
+    p = h sinh(tau) on equal tau panels.  Returns nodes and both weights."""
+    tau_max = np.arcsinh(length / h)
+    t, w, dw = _panels(tau_max, _MF_GRADED_WIDTH)
+    e = np.exp(tau_max * t)
+    jac = 0.5 * h * tau_max * (e + 1.0 / e)
+    return 0.5 * h * (e - 1.0 / e), jac * w, jac * dw
+
+
+def _mf_sum(sin2, cos2, a, b, k, w, dw) -> tuple[np.ndarray, np.ndarray]:
+    """K15 sum of sin 2p i0e(2a sin^2 p) i0e(2b cos^2 p) exp(-2k sin^2 p) and
+    the per-panel |K15 - G7| differences, summed."""
+    f = (
+        2.0 * np.sqrt(sin2 * cos2)
+        * special.i0e(2.0 * a * sin2) * special.i0e(2.0 * b * cos2) * np.exp(-2.0 * k * sin2)
+    )
+    diff = (f * dw).reshape(f.shape[0], -1, _UNIT_NODES.size).sum(axis=2)
+    return np.sum(f * w, axis=1), np.abs(diff).sum(axis=1)
+
+
+def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log of int_0^pi 1/2 sin t i0e(a(1 - cos t)) i0e(b(1 + cos t)) exp(-k(1 - cos t)) dt
+    for proper singular values s (n, 3), and the estimated error of that log.
+
+    With t = 2p the integrand has a Bessel knee at p ~ 1/sqrt(2a) near 0, a
+    Gaussian exp(-2k sin^2 p) of scale 1/sqrt(2k), and a Bessel knee at
+    pi/2 - p ~ 1/sqrt(2b).  Three parts resolve them: [0, p1] graded toward
+    0, equal panels on [p1, p2] for the Gaussian, and [p2, pi/2] graded
+    toward pi/2 -- dropped when the Gaussian is cut off at p2 (theta = 2 p2
+    is then about 9.5/sqrt(k)).  Panel counts follow the largest spread in
+    the batch.
     """
+    a = 0.5 * (s[:, 0:1] - s[:, 1:2])
+    b = 0.5 * (s[:, 0:1] + s[:, 1:2])
+    k = np.maximum(s[:, 1:2] + s[:, 2:3], 0.0)
+    with np.errstate(divide="ignore"):
+        gauss = 1.0 / np.sqrt(2.0 * k)
+        p1 = np.minimum(0.25 * math.pi, gauss)
+        cutoff = np.arcsin(np.sqrt(np.minimum(1.0, 0.5 * _MF_TAIL / k)))
+        near_h = np.minimum(p1, 1.0 / np.sqrt(2.0 * a))
+        far_h = np.minimum(p1, 1.0 / np.sqrt(2.0 * b))
+    cut = cutoff < 0.5 * math.pi
+    p2 = np.where(cut, cutoff, 0.5 * math.pi - p1)
 
-    def __init__(self, degree: int):
-        if degree < 4:
-            raise ValueError("So3BetaHat: degree must be >= 4")
-        self.degree = degree
-        rule2: QuadratureRule = clenshaw_curtis(degree, -0.5 * math.pi, 0.5 * math.pi)
-        rule3: QuadratureRule = clenshaw_curtis(degree, 0.0, 2.0 * math.pi)
-        w2 = rule2.nodes[:, None]
-        w3 = rule3.nodes[None, :]
-        self._c2 = np.cos(w2) * np.ones_like(w3)
-        self._s2 = np.sin(w2) * np.ones_like(w3)
-        self._c3 = np.ones_like(w2) * np.cos(w3)
-        self._s3 = np.ones_like(w2) * np.sin(w3)
-        with np.errstate(divide="ignore"):
-            logw = (
-                np.log(rule2.weights[:, None])
-                + np.log(rule3.weights[None, :])
-                + np.log(np.clip(np.cos(w2), 0.0, None)) * np.ones_like(w3)
+    p, w, dw = _graded(near_h, p1)
+    sin2 = np.sin(p) ** 2
+    value, error = _mf_sum(sin2, 1.0 - sin2, a, b, k, w, dw)
+
+    width = p2 - p1
+    t, w, dw = _panels(width / gauss, _MF_MIDDLE_WIDTH)
+    p = p1 + width * t
+    mid_value, mid_error = _mf_sum(np.sin(p) ** 2, np.cos(p) ** 2, a, b, k, width * w, width * dw)
+    value += mid_value
+    error += mid_error
+
+    whole = ~cut[:, 0]
+    if np.any(whole):
+        psi, w, dw = _graded(far_h[whole], p1[whole])   # psi = pi/2 - p
+        cos2 = np.sin(psi) ** 2
+        far_value, far_error = _mf_sum(1.0 - cos2, cos2, a[whole], b[whole], k[whole], w, dw)
+        value[whole] += far_value
+        error[whole] += far_error
+    return np.log(value), error / value
+
+
+def so3_log_beta(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log beta(M) = log(4 pi E_R exp(<R, M>)) over Haar-random R in SO(3), with
+    its estimated absolute error, for a batch of 3 x 3 matrices (n, 3, 3).
+
+    beta is the normalizing constant of the matrix Fisher distribution; after
+    a proper SVD it is a one-dimensional integral (Wood 1993, Aust. J. Stat.;
+    Lee 2018, IEEE TAC):
+    log 4 pi + s1 + s2 + s3 + log int_0^pi 1/2 sin t i0e(a(1 - cos t))
+    i0e(b(1 + cos t)) exp(-k(1 - cos t)) dt, with a = (s1 - s2)/2,
+    b = (s1 + s2)/2 and k = s2 + s3.  Raises NumericalFailure when the
+    error estimate exceeds _MF_MAX_ERROR.
+    """
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise NumericalFailure("so3_log_beta: non-finite matrix entries")
+    log_beta = np.empty(m.shape[0])
+    error = np.empty(m.shape[0])
+    for start in range(0, m.shape[0], _MF_CHUNK):
+        rows = slice(start, start + _MF_CHUNK)
+        s = proper_singular_values(m[rows])
+        log_int, error[rows] = _log_mf_integral(s)
+        log_beta[rows] = math.log(4.0 * math.pi) + s.sum(axis=1) + log_int
+        worst = int(np.argmax(error[rows]))
+        if not error[rows][worst] <= _MF_MAX_ERROR:
+            raise NumericalFailure(
+                f"so3_log_beta: error estimate {error[rows][worst]:.3g} exceeds"
+                f" {_MF_MAX_ERROR:g} at proper singular values {s[worst].tolist()}"
             )
-        self._c2 = self._c2.ravel()
-        self._s2 = self._s2.ravel()
-        self._c3 = self._c3.ravel()
-        self._s3 = self._s3.ravel()
-        self._logw = logw.ravel()
-
-    def log_beta(self, m: np.ndarray) -> np.ndarray:
-        """log of the double integral for a batch of 3 x 3 matrices (n, 3, 3)."""
-        m = np.asarray(m, dtype=float)
-        squeeze = m.ndim == 2
-        if squeeze:
-            m = m[None]
-        n_nodes = self._logw.size
-        chunk = max(1, 4_000_000 // n_nodes)
-        out = np.empty(m.shape[0])
-        for start in range(0, m.shape[0], chunk):
-            out[start : start + chunk] = self._log_beta_chunk(m[start : start + chunk])
-        return out[0] if squeeze else out
-
-    def _log_beta_chunk(self, m: np.ndarray) -> np.ndarray:
-        c2, s2, c3, s3 = self._c2, self._s2, self._c3, self._s3
-        def e(i, j):
-            return m[:, i, j][:, None]
-        chi1 = c2 * e(0, 0) + s2 * s3 * e(0, 1) + c3 * s2 * e(0, 2) + c3 * e(1, 1) - s3 * e(1, 2)
-        chi2 = c2 * e(1, 0) + s2 * s3 * e(1, 1) + c3 * s2 * e(1, 2) - c3 * e(0, 1) + s3 * e(0, 2)
-        chi3 = -s2 * e(2, 0) + c2 * s3 * e(2, 1) + c2 * c3 * e(2, 2)
-        vals = self._logw[None, :] + chi3 + log_bessel_i0(np.hypot(chi1, chi2))
-        return log_sum_exp(vals, axis=1)
+    return log_beta, error
 
 
-_BETA_HAT_CACHE: dict[int, So3BetaHat] = {}
+def so3_log_beta_hat(m: np.ndarray, sigma: float) -> float:
+    """log beta(m / sigma^2) for one cross matrix m at noise sigma.
 
-
-def _beta_hat(degree: int) -> So3BetaHat:
-    if degree not in _BETA_HAT_CACHE:
-        _BETA_HAT_CACHE[degree] = So3BetaHat(degree)
-    return _BETA_HAT_CACHE[degree]
-
-
-def so3_log_beta_hat(m: np.ndarray, sigma: float, degree: int) -> float:
-    """log of the reduced rotation integral for cross matrix m at noise sigma.
-
-    The value is defined up to an additive constant shared by the numerator
-    and denominator of the likelihood ratio (the z-angle integral contributes
-    a common 2 pi).
+    This is the rotation average up to the additive constant that the
+    numerator and denominator of the likelihood ratio share: the full
+    three-angle Haar integral of ``oracles.haar_oracle_so3`` is larger by
+    log 2 pi.
     """
     if sigma <= 0:
         raise ValueError("so3_log_beta_hat: sigma must be > 0")
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("so3_log_beta_hat: m must be 3 x 3")
-    return float(_beta_hat(degree).log_beta(m / (sigma * sigma)))
-
-
-def so3_refinement_drift(m: np.ndarray, sigma: float, degree: int) -> float:
-    """Relative change of the rotation integral when doubling the degree.
-
-    The integrand sharpens with the magnitude of m / sigma^2, so a fixed
-    degree is only accurate up to some argument scale; a drift well above
-    1e-6 signals that the degree is too low for the data at hand.
-    """
-    a = so3_log_beta_hat(m, sigma, degree)
-    b = so3_log_beta_hat(m, sigma, 2 * degree)
-    return abs(a - b) / max(abs(b), 1.0)
-
-
-def zeta(q: np.ndarray) -> np.ndarray:
-    """Zero-pad 8-vectors into 3 x 3 matrices with a structural zero at (2, 1).
-
-    This is the published devectorization of the 16-dim reduction.  The
-    certificate does not use it: the rotation-averaging integrand provably
-    depends on the padded entry (the sin-angle form reads the (2,1) cross
-    term), so dropping it changes the law of the statistic and breaks the
-    rotation invariance of the certificate.  The projection used here keeps
-    all nine cross terms per half; see ``devec9``.
-    """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if q.shape[1] != 8:
-        raise ValueError("zeta: expects 8 components")
-    m = np.zeros((q.shape[0], 3, 3))
-    m[:, 0, 0] = q[:, 0]
-    m[:, 2, 0] = q[:, 1]
-    m[:, 0, 1] = q[:, 2]
-    m[:, 1, 1] = q[:, 3]
-    m[:, 2, 1] = q[:, 4]
-    m[:, 0, 2] = q[:, 5]
-    m[:, 1, 2] = q[:, 6]
-    m[:, 2, 2] = q[:, 7]
-    return m
+    return float(so3_log_beta(m[None] / (sigma * sigma))[0][0])
 
 
 def devec9(q: np.ndarray) -> np.ndarray:
@@ -293,16 +338,15 @@ def devec9(q: np.ndarray) -> np.ndarray:
     return q.reshape(-1, 3, 3).transpose(0, 2, 1)
 
 
-def rho_so3(degree: int) -> LikelihoodStatistic:
-    """log beta-hat ratio on the two 3 x 3 cross matrices of an 18-dim sample.
+def rho_so3() -> LikelihoodStatistic:
+    """log beta ratio on the two 3 x 3 cross matrices of an 18-dim sample.
 
     Samples already carry the 1/sigma^2 scaling through the projection, so
-    the integrand is evaluated at unit sigma.
+    beta is evaluated at unit sigma.
     """
-    beta = _beta_hat(degree)
 
     def evaluator(q: np.ndarray) -> np.ndarray:
-        return beta.log_beta(devec9(q[:, :9])) - beta.log_beta(devec9(q[:, 9:]))
+        return so3_log_beta(devec9(q[:, :9]))[0] - so3_log_beta(devec9(q[:, 9:]))[0]
 
     return LikelihoodStatistic(dim=18, evaluator=evaluator)
 
@@ -324,9 +368,7 @@ def so3_projection_matrix(x: PointCloud, x_prime: PointCloud, sigma: float) -> n
     return w / (sigma * sigma)
 
 
-def build_so3_problem(
-    x: PointCloud, x_prime: PointCloud, sigma: float, degree: int = 20
-) -> RotationCertProblem:
+def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> RotationCertProblem:
     if x.dim != 3 or x_prime.dim != 3:
         raise ValueError("build_so3_problem: requires D = 3")
     if x.data.shape != x_prime.data.shape:
@@ -340,7 +382,6 @@ def build_so3_problem(
         mean_clean=w @ vec_clean,
         covariance=(sigma * sigma) * (w @ w.T),
         sigma=sigma,
-        quadrature_degree=degree,
     )
 
 
@@ -349,7 +390,6 @@ def _rotation_problem(
     x: PointCloud,
     x_prime: PointCloud,
     sigma: float,
-    degree: int,
 ) -> tuple[RotationCertProblem, LikelihoodStatistic]:
     if group.kind not in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
         raise ValueError(f"tight rotation certificate: unsupported group {group.kind}")
@@ -359,7 +399,7 @@ def _rotation_problem(
         x, x_prime = center(x), center(x_prime)
     if group.dim == 2:
         return build_so2_problem(x, x_prime, sigma), rho_so2()
-    return build_so3_problem(x, x_prime, sigma, degree), rho_so3(degree)
+    return build_so3_problem(x, x_prime, sigma), rho_so3()
 
 
 def certify_rotation_tight(
@@ -370,11 +410,10 @@ def certify_rotation_tight(
     sigma: float,
     mc: McConfig,
     seed: int,
-    quad_degree: int = 20,
 ) -> CertificateOutcome:
     """Probabilistic lower bound on the worst-case prediction probability of a
     rotation (or roto-translation) invariant classifier."""
-    problem, statistic = _rotation_problem(group, x, x_prime, sigma, quad_degree)
+    problem, statistic = _rotation_problem(group, x, x_prime, sigma)
     outcome = mc_engine.prob_certify_reduced(problem, statistic, mc, seed, p_lower=p_lower)
     tag = f"tight-{group.kind.value}{group.dim}"
     return replace(outcome, method=tag)
@@ -388,11 +427,10 @@ def upper_bound_rotation_tight(
     sigma: float,
     mc: McConfig,
     seed: int,
-    quad_degree: int = 20,
 ) -> float:
     """Probabilistic upper bound on the perturbed probability of a competing
     class with clean probability at most p_upper."""
-    problem, statistic = _rotation_problem(group, x, x_prime, sigma, quad_degree)
+    problem, statistic = _rotation_problem(group, x, x_prime, sigma)
     return mc_engine.prob_certify_upper_reduced(problem, statistic, mc, seed, p_upper=p_upper)
 
 
@@ -422,7 +460,6 @@ def inverse_certificate(
     sigma: float,
     mc: McConfig,
     seed: int,
-    quad_degree: int = 20,
 ) -> float:
     """Smallest clean prediction probability for which the perturbation can
     still be certified; closed form where available, otherwise Monte Carlo
@@ -433,7 +470,7 @@ def inverse_certificate(
     if group.kind is GroupKind.TRANSLATION:
         return std_normal_cdf(project_translation(x, x_prime).residual / sigma)
     if group.kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
-        problem, statistic = _rotation_problem(group, x, x_prime, sigma, quad_degree)
+        problem, statistic = _rotation_problem(group, x, x_prime, sigma)
         return mc_engine.inverse_certify_reduced(problem, statistic, mc, seed)
     # remaining orbit groups: certified iff residual < sigma Phi^-1(p)
     return std_normal_cdf(project(group, x, x_prime).residual / sigma)
@@ -462,7 +499,6 @@ def certify_multiclass(
     sigma: float,
     mc: McConfig,
     seed: int,
-    quad_degree: int = 20,
 ) -> CertificateOutcome:
     """Certified iff the lower bound for the top class beats the upper bound
     for the runner-up.  Closed forms collapse to the radius comparison
@@ -505,7 +541,7 @@ def certify_multiclass(
     if group.kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
         ss = np.random.SeedSequence(seed)
         seed_lower, seed_upper = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
-        problem, statistic = _rotation_problem(group, x, x_prime, sigma, quad_degree)
+        problem, statistic = _rotation_problem(group, x, x_prime, sigma)
         outcome = mc_engine.prob_certify_reduced(
             problem, statistic, mc, seed_lower, p_lower=pa
         )

@@ -41,6 +41,7 @@ from invarcert.tight import (
     linear_statistic,
     multiclass_radius,
     rho_so2,
+    so3_log_beta,
     so3_log_beta_hat,
     tight_translation,
 )
@@ -225,17 +226,18 @@ def test_criterion_07_so3_quadrature():
     for _ in range(50):
         m = rng.standard_normal((3, 3))
         sigma = float(rng.uniform(0.8, 1.2))
-        quad = so3_log_beta_hat(m, sigma, 20)
+        quad = so3_log_beta_hat(m, sigma)
         oracle = haar_oracle_so3(m, sigma, 200)
         worst_oracle = max(worst_oracle, abs(oracle - (quad + shift)) / abs(oracle))
-        refined = so3_log_beta_hat(m, sigma, 40)
-        worst_drift = max(worst_drift, abs(quad - refined) / abs(refined))
+        # error estimate: drift from the Gauss rule to its Kronrod refinement
+        error = so3_log_beta(m[None] / sigma**2)[1][0]
+        worst_drift = max(worst_drift, error / abs(quad))
     assert worst_oracle < 1e-5
     assert worst_drift < 1e-6
     _report(
         7,
-        f"degree-20 quadrature vs 200^3 oracle rel err {worst_oracle:.2e}, "
-        f"refinement drift {worst_drift:.2e}",
+        f"closed-form SO(3) statistic vs 200^3 oracle rel err {worst_oracle:.2e}, "
+        f"error estimate {worst_drift:.2e}",
     )
 
 

@@ -132,7 +132,7 @@ class TestCertify:
         args = [
             "certify", "--group", "SO", "--clean", clean, "--perturbed", perturbed,
             "--sigma", "0.4", "--p-lower", "0.8", "--seed", "21", "--method", "tight",
-            "--quad-degree", "20", "--n2", "500", "--n3", "500", "--alpha", "0.01",
+            "--n2", "500", "--n3", "500", "--alpha", "0.01",
         ]
         _, doc_a = _run(capsys, *args)
         _, doc_b = _run(capsys, *args)

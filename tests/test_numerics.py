@@ -1,4 +1,4 @@
-"""Special functions, quadrature and binomial machinery.
+"""Special functions, quadrature, Gaussian sampling and binomial machinery.
 
 Expected values marked "oracle:" were computed with the named independent
 reference (mpmath erf/bessel at 40 digits, exact-fraction binomial tails,
@@ -15,8 +15,6 @@ import pytest
 from invarcert.numerics import (
     BinomialBoundRequest,
     GaussianSpec,
-    _log_i0_asymptotic,
-    _log_i0_series,
     binomial_test_p_value,
     clenshaw_curtis,
     clopper_pearson_lower,
@@ -109,11 +107,13 @@ class TestLogBesselI0:
             )
             assert log_bessel_i0(x) == pytest.approx(ref, rel=1e-6)
 
-    def test_branches_agree_at_switch(self):
-        x = np.array([50.0])
-        a = float(_log_i0_series(x)[0])
-        b = float(_log_i0_asymptotic(x)[0])
-        assert abs(a - b) <= 1e-8 * abs(a)
+    def test_against_mpmath_full_range(self):
+        xs = np.concatenate([np.linspace(0.0, 60.0, 121), np.geomspace(60.0, 1e5, 60)])
+        ours = log_bessel_i0(xs)
+        with mpmath.workdps(30):
+            for x, v in zip(xs, ours):
+                ref = float(mpmath.log(mpmath.besseli(0, mpmath.mpf(float(x)))))
+                assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_no_overflow_far_out(self):
         v = log_bessel_i0(1e12)

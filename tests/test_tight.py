@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from invarcert import tight
 from invarcert.geometry import (
     GroupKind,
     GroupSpec,
@@ -16,10 +17,9 @@ from invarcert.geometry import (
     rot3_zyx,
 )
 from invarcert.mc import McConfig
-from invarcert.numerics import std_normal_cdf, std_normal_quantile
+from invarcert.numerics import NumericalFailure, std_normal_cdf, std_normal_quantile
 from invarcert.orbit import certify_orbit, project_rotation
 from invarcert.tight import (
-    So3BetaHat,
     blackbox_reduced_problem,
     build_so2_problem,
     build_so3_problem,
@@ -33,11 +33,12 @@ from invarcert.tight import (
     rho_so2,
     rho_so3,
     so2_projection_matrix,
+    proper_singular_values,
+    so3_log_beta,
     so3_log_beta_hat,
     so3_projection_matrix,
     tight_translation,
     upper_bound_rotation_tight,
-    zeta,
 )
 
 SO2 = GroupSpec(GroupKind.ROTATION, 2)
@@ -136,33 +137,130 @@ class TestRhoSo2:
         assert got == pytest.approx(ref, abs=1e-10)
 
 
+def _random_rotation(rng):
+    return rot3_zyx(rng.uniform(-math.pi, math.pi, 3))
+
+
+def _mpmath_log_beta(m):
+    """log(4 pi E exp<R, M>) from 30-digit singular values and Wood's integral
+    int_0^1 I0(2a u) I0(2b(1-u)) exp(-2k u) du times exp(s1 + s2 + s3), split
+    at multiples of the scales 1/a, 1/k near u = 0 and 1/b near u = 1."""
+    with mpmath.workdps(30):
+        mm = mpmath.matrix(m.tolist())
+        sv = sorted(mpmath.svd_r(mm, compute_uv=False), reverse=True)
+        s1, s2 = sv[0], sv[1]
+        s3 = sv[2] * mpmath.sign(mpmath.det(mm))
+        a, b, k = (s1 - s2) / 2, (s1 + s2) / 2, s2 + s3
+
+        def f(u):
+            x, y = 2 * a * u, 2 * b * (1 - u)
+            return (
+                mpmath.besseli(0, x) * mpmath.exp(-x)
+                * mpmath.besseli(0, y) * mpmath.exp(-y) * mpmath.exp(-2 * k * u)
+            )
+
+        cuts = {mpmath.mpf(0), mpmath.mpf(0.5), mpmath.mpf(1)}
+        for scale, near_zero in ((a, True), (k, True), (b, False)):
+            for c in (0.01, 0.1, 1, 10, 100, 1000):
+                if scale > 0 and c / scale < 0.5:
+                    cuts.add(c / scale if near_zero else 1 - c / scale)
+        integral = mpmath.quad(f, sorted(cuts))
+        return float(mpmath.log(4 * mpmath.pi) + s1 + s2 + s3 + mpmath.log(integral))
+
+
+def _scaled_case(kind, norm, rng):
+    """General M, rank-1 M (collinear clouds, a >> k) or s3 = -s2 (k = 0)."""
+    if kind == "general":
+        m = rng.standard_normal((3, 3))
+    elif kind == "rank1":
+        m = np.outer(rng.standard_normal(3), rng.standard_normal(3))
+    else:
+        m = _random_rotation(rng) @ np.diag([1.0, 0.6, -0.6]) @ _random_rotation(rng)
+    return m * (norm / np.linalg.norm(m))
+
+
 class TestSo3BetaHat:
     def test_zero_matrix_constant_integrand(self):
-        assert so3_log_beta_hat(np.zeros((3, 3)), 1.0, 20) == pytest.approx(
+        assert so3_log_beta_hat(np.zeros((3, 3)), 1.0) == pytest.approx(
             math.log(4.0 * math.pi), abs=1e-12
         )
 
     def test_refinement_drift(self):
+        # the error estimate is the drift from the 7-point Gauss rule to its
+        # 15-point Kronrod refinement on the same panels
         rng = np.random.default_rng(5)
         m = rng.standard_normal((3, 3))
-        a = so3_log_beta_hat(m, 0.8, 20)
-        b = so3_log_beta_hat(m, 0.8, 40)
-        assert abs(a - b) < 1e-6 * abs(b)
+        value, error = so3_log_beta(m[None] / 0.8**2)
+        assert value[0] == so3_log_beta_hat(m, 0.8)
+        assert error[0] < 1e-6 * abs(value[0])
 
     def test_ratio_of_zero_matrices(self):
-        stat = rho_so3(8)
+        stat = rho_so3()
         assert stat(np.zeros((1, 18)))[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_low_degree(self):
+    def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            so3_log_beta_hat(np.zeros((3, 3)), 1.0, 3)
+            so3_log_beta_hat(np.zeros((3, 3)), 0.0)
+        with pytest.raises(ValueError):
+            so3_log_beta_hat(np.zeros((2, 2)), 1.0)
+        with pytest.raises(NumericalFailure):
+            so3_log_beta(np.full((1, 3, 3), np.nan))
 
-    def test_zeta_layout(self):
-        m = zeta(np.arange(1.0, 9.0)[None])[0]
-        assert m[1, 0] == 0.0  # structural zero of the published padding
-        assert m[0, 0] == 1.0 and m[2, 0] == 2.0
-        assert np.array_equal(m[:, 1], [3.0, 4.0, 5.0])
-        assert np.array_equal(m[:, 2], [6.0, 7.0, 8.0])
+    @pytest.mark.parametrize("norm", [0.0, 1.0, 20.0, 1e3, 1e5])
+    @pytest.mark.parametrize("kind", ["general", "rank1", "k0"])
+    def test_against_mpmath(self, kind, norm):
+        rng = np.random.default_rng(int(norm) + len(kind))
+        m = _scaled_case(kind, norm, rng)
+        assert abs(so3_log_beta_hat(m, 1.0) - _mpmath_log_beta(m)) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["general", "rank1", "k0"])
+    def test_at_1e7_accurate_or_detected(self, kind):
+        # log beta is near 1e7 there, where float64 spacing alone is 1.9e-9;
+        # beyond that spacing the 1e-10 tolerance of smaller scales applies
+        m = _scaled_case(kind, 1e7, np.random.default_rng(7))
+        try:
+            got = so3_log_beta_hat(m, 1.0)
+        except NumericalFailure:
+            return
+        ref = _mpmath_log_beta(m)
+        assert abs(got - ref) <= 1e-10 + 4 * np.spacing(abs(ref))
+
+    def test_error_estimate_above_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(tight, "_MF_MAX_ERROR", 0.0)
+        m = _scaled_case("general", 20.0, np.random.default_rng(3))
+        with pytest.raises(NumericalFailure, match="error estimate .* singular values"):
+            so3_log_beta_hat(m, 1.0)
+
+    @pytest.mark.parametrize("norm", [1e9, 1e12])
+    @pytest.mark.parametrize("kind", ["general", "rank1", "k0"])
+    def test_error_estimate_small_at_extreme_scales(self, kind, norm):
+        # panel counts grow with the logarithm of the scale
+        m = _scaled_case(kind, norm, np.random.default_rng(4))
+        assert so3_log_beta(m[None])[1][0] < 1e-6
+
+    def test_invariant_under_rotations(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m = 5.0 * rng.standard_normal((3, 3))
+            moved = _random_rotation(rng) @ m @ _random_rotation(rng)
+            assert abs(so3_log_beta_hat(m, 0.7) - so3_log_beta_hat(moved, 0.7)) <= 1e-12
+
+    def test_proper_singular_values(self):
+        rng = np.random.default_rng(12)
+        u, v = _random_rotation(rng), _random_rotation(rng)
+        for diag in ([3.0, 2.0, 1.0], [3.0, 2.0, -1.0], [3.0, 2.0, 0.0]):
+            s = proper_singular_values((u @ np.diag(diag) @ v)[None])[0]
+            assert s == pytest.approx(diag, abs=1e-12)
+
+    def test_rule_integrates_polynomials_exactly(self):
+        # four panels on [0, 1]: Kronrod exact to degree 22, Gauss to 13
+        nodes, weights, error_weights = tight._panels(np.array([1.0]), 0.25)
+        assert nodes.size == 60 and np.all(np.diff(nodes) > 0)
+        rng = np.random.default_rng(13)
+        for degree, w in ((21, weights), (13, weights - error_weights)):
+            coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+            exact = np.polyval(np.polyint(coeffs), 1.0)
+            assert w @ np.polyval(coeffs, nodes) == pytest.approx(exact, abs=1e-14)
 
     def test_devec9_layout(self):
         m = devec9(np.arange(1.0, 10.0)[None])[0]
@@ -175,14 +273,14 @@ class TestSo3Problem:
     def test_zero_perturbation(self):
         rng = np.random.default_rng(6)
         x = PointCloud(rng.standard_normal((5, 3)))
-        problem = build_so3_problem(x, x, 0.5, degree=8)
+        problem = build_so3_problem(x, x, 0.5)
         assert np.array_equal(problem.mean_perturbed, problem.mean_clean)
         assert np.linalg.matrix_rank(problem.covariance, tol=1e-9) <= 9
 
     def test_gram_psd(self):
         rng = np.random.default_rng(7)
         x, xp = _pair(rng, 6, 3, scale=0.5)
-        problem = build_so3_problem(x, xp, 0.4, degree=8)
+        problem = build_so3_problem(x, xp, 0.4)
         assert np.max(np.abs(problem.covariance - problem.covariance.T)) < 1e-10
         eigvals = np.linalg.eigvalsh(problem.covariance)
         assert eigvals.min() >= -1e-9 * eigvals.max()
@@ -193,24 +291,21 @@ class TestSo3Problem:
         sigma = 0.6
         x, xp = _pair(rng, 5, 3, scale=0.4)
         w = so3_projection_matrix(x, xp, sigma)
-        stat = rho_so3(10)
-        beta = So3BetaHat(10)
+        stat = rho_so3()
         zs = x.data[None] + sigma * rng.standard_normal((200, 5, 3))
         vec = np.stack([zs[:, :, 0], zs[:, :, 1], zs[:, :, 2]], axis=1).reshape(200, -1)
         reduced = stat(vec @ w.T)
         m1 = np.einsum("ni,knj->kij", xp.data, zs) / sigma**2
         m2 = np.einsum("ni,knj->kij", x.data, zs) / sigma**2
-        full = beta.log_beta(m1) - beta.log_beta(m2)
+        full = so3_log_beta(m1)[0] - so3_log_beta(m2)[0]
         assert np.max(np.abs(reduced - full)) < 1e-10
 
     def test_scale_invariance_bitwise(self):
         rng = np.random.default_rng(9)
         x, xp = _pair(rng, 5, 3, scale=0.4)
-        a = build_so3_problem(x, xp, 0.5, degree=8)
+        a = build_so3_problem(x, xp, 0.5)
         c = 2.0
-        b = build_so3_problem(
-            PointCloud(c * x.data), PointCloud(c * xp.data), c * 0.5, degree=8
-        )
+        b = build_so3_problem(PointCloud(c * x.data), PointCloud(c * xp.data), c * 0.5)
         assert np.array_equal(a.mean_perturbed, b.mean_perturbed)
         assert np.array_equal(a.covariance, b.covariance)
 
@@ -292,9 +387,9 @@ class TestCertifyRotationTight:
         for i, (dim, gse, gso) in enumerate(((2, SE2, SO2), (3, SE3, SO3))):
             x, xp = _pair(rng, 6, dim, scale=0.4)
             mc = McConfig(n1=100, n2=500, n3=500, alpha=0.01)
-            a = certify_rotation_tight(gse, x, xp, 0.85, 0.5, mc, seed=50 + i, quad_degree=8)
+            a = certify_rotation_tight(gse, x, xp, 0.85, 0.5, mc, seed=50 + i)
             b = certify_rotation_tight(
-                gso, center(x), center(xp), 0.85, 0.5, mc, seed=50 + i, quad_degree=8
+                gso, center(x), center(xp), 0.85, 0.5, mc, seed=50 + i
             )
             assert a.bound_value == b.bound_value
             assert a.kappa_log == b.kappa_log
@@ -308,19 +403,30 @@ class TestCertifyRotationTight:
             b = certify_rotation_tight(SO2, x, rotated, 0.8, 0.4, FAST_MC, seed=60 + i)
             tol = 3 * _combined_se(a.bound_value, b.bound_value, FAST_MC)
             assert abs(a.bound_value - b.bound_value) <= tol
-        # 3D quadrature is only rotation-invariant once it has converged, so
-        # keep the cross-matrix scale |X||Z| / sigma^2 in the regime where
-        # the default degree is exact (see so3_refinement_drift)
         mc3 = McConfig(n1=100, n2=4000, n3=4000, alpha=0.001)
         for i in range(10):
             x, xp = _pair(rng, 5, 3, scale=0.25, norm_x=0.5)
-            a = certify_rotation_tight(SO3, x, xp, 0.8, 0.4, mc3, seed=70 + i, quad_degree=12)
+            a = certify_rotation_tight(SO3, x, xp, 0.8, 0.4, mc3, seed=70 + i)
             r = rot3_zyx(rng.uniform(-1.0, 1.0, 3))
             b = certify_rotation_tight(
-                SO3, x, PointCloud(xp.data @ r.T), 0.8, 0.4, mc3, seed=70 + i, quad_degree=12
+                SO3, x, PointCloud(xp.data @ r.T), 0.8, 0.4, mc3, seed=70 + i
             )
             tol = 3 * _combined_se(a.bound_value, b.bound_value, mc3)
             assert abs(a.bound_value - b.bound_value) <= tol
+
+    @pytest.mark.parametrize("group", [SO3, SE3])
+    def test_exact_rotation_certified_at_large_scale(self, group):
+        # |X||X'| / sigma^2 = 1e4: a statistic that loses accuracy with the
+        # data scale drops the bound of an exact rotation below 1/2
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((16, 3)) * [1.0, 0.6, 0.3]
+        xp = x @ rot3_zyx([0.7, -0.3, 0.5]).T
+        if group is SE3:
+            xp = xp + rng.standard_normal(3)
+        sigma = float(np.linalg.norm(x)) / 100.0
+        mc = McConfig(n1=100, n2=1000, n3=1000, alpha=0.001)
+        out = certify_rotation_tight(group, PointCloud(x), PointCloud(xp), 0.9, sigma, mc, seed=5)
+        assert out.certified
 
     def test_pure_rotation_matches_zero_perturbation(self):
         # X' = X R^T carries no usable perturbation for a rotation-invariant
@@ -333,8 +439,8 @@ class TestCertifyRotationTight:
             x = PointCloud(x)
             rot = rot2(1.1) if dim == 2 else rot3_zyx([0.9, -0.4, 0.6])
             xp = PointCloud(x.data @ rot.T)
-            a = certify_rotation_tight(group, x, x, 0.8, 0.4, mc, seed=91, quad_degree=12)
-            b = certify_rotation_tight(group, x, xp, 0.8, 0.4, mc, seed=91, quad_degree=12)
+            a = certify_rotation_tight(group, x, x, 0.8, 0.4, mc, seed=91)
+            b = certify_rotation_tight(group, x, xp, 0.8, 0.4, mc, seed=91)
             tol = 3 * _combined_se(a.bound_value, b.bound_value, mc)
             assert abs(a.bound_value - b.bound_value) <= tol
 
