@@ -8,7 +8,6 @@ from .geometry import (
     EpsilonParams,
     GroupKind,
     GroupSpec,
-    Perturbation,
     PointCloud,
     adversarial_rotation_locus,
     center,
@@ -31,9 +30,6 @@ from .numerics import (
     BinomialBoundRequest,
     GaussianSpec,
     NumericalFailure,
-    QuadratureRule,
-    binomial_test_p_value,
-    clenshaw_curtis,
     clopper_pearson_lower,
     clopper_pearson_upper,
     log_bessel_i0,

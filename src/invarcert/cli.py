@@ -29,7 +29,7 @@ from .geometry import (
     save_points_csv,
 )
 from .mc import ABSTAIN, McConfig, smooth_predict
-from .numerics import NumericalFailure
+from .numerics import NumericalFailure, std_normal_cdf
 from .oracles import make_classifier
 from .orbit import CertificateOutcome, certify_orbit, project
 from .tight import (
@@ -49,6 +49,12 @@ _GROUPS = {
 }
 
 _TIGHT_GROUPS = {"T", "SO", "SE"}
+
+_READ_PATHS = ("clean", "perturbed", "input")
+_NOT_PARAMETERS = {
+    "func", "command", "out", "out_csv", "out_json", "out_clean", "out_perturbed",
+    *_READ_PATHS,
+}
 
 
 class UsageError(Exception):
@@ -81,14 +87,21 @@ def _outcome_dict(outcome: CertificateOutcome) -> dict:
     return out
 
 
-def _document(command: str, parameters: dict, inputs: dict, results: dict) -> dict:
+def _document(args, results: dict) -> dict:
+    """Output document; the manifest's parameters are every parsed flag except
+    the file paths, and each read path is listed under inputs with its
+    digest."""
+    flags = vars(args)
     return {
         "schema": 1,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "manifest": {
-            "command": command,
-            "parameters": parameters,
-            "inputs": inputs,
+            "command": args.command,
+            "parameters": {k: v for k, v in flags.items() if k not in _NOT_PARAMETERS},
+            "inputs": {
+                k: {"path": flags[k], "sha256": _sha256(flags[k])}
+                for k in _READ_PATHS if k in flags
+            },
             "version": __version__,
         },
         "results": results,
@@ -115,6 +128,12 @@ def _resolve_p_lower(args, clean: PointCloud) -> tuple[float, int | None]:
     )
     return p_lower, label
 
+
+def _check_probability(value: float | None, flag: str) -> None:
+    if value is not None and not 0.0 <= value <= 1.0:
+        raise UsageError(f"{flag}: must be a probability in [0, 1] (got {value})")
+
+
 def cmd_certify(args) -> int:
     clean = _load_cloud(args.clean, "--clean")
     perturbed = _load_cloud(args.perturbed, "--perturbed")
@@ -127,9 +146,13 @@ def cmd_certify(args) -> int:
             f"--method {args.method}: tight certificates support groups T, SO, SE"
             f" (got --group {args.group})"
         )
+    _check_probability(args.p_lower, "--p-lower")
+    _check_probability(args.p_upper, "--p-upper")
+    if args.multiclass and args.p_upper is None:
+        raise UsageError("--multiclass: requires --p-upper")
     group = _group_spec(args.group, clean.dim)
-    p_lower, label = _resolve_p_lower(args, clean)
     mc = McConfig(n1=args.n1, n2=args.n2, n3=args.n3, alpha=args.alpha)
+    p_lower, label = _resolve_p_lower(args, clean)
     results: dict = {"p_lower": p_lower}
     if label is not None:
         results["classifier_label"] = "ABSTAIN" if label == ABSTAIN else label
@@ -146,33 +169,12 @@ def cmd_certify(args) -> int:
             )
         results["tight"] = _outcome_dict(outcome)
     if args.multiclass:
-        if args.p_upper is None:
-            raise UsageError("--multiclass: requires --p-upper")
         results["multiclass"] = _outcome_dict(
             certify_multiclass(
                 group, clean, perturbed, p_lower, args.p_upper, args.sigma, mc, args.seed
             )
         )
-    parameters = {
-        "group": args.group,
-        "sigma": args.sigma,
-        "p_lower": args.p_lower,
-        "classifier": args.classifier,
-        "tau": args.tau,
-        "alpha": args.alpha,
-        "n1": args.n1,
-        "n2": args.n2,
-        "n3": args.n3,
-        "seed": args.seed,
-        "method": args.method,
-        "multiclass": args.multiclass,
-        "p_upper": args.p_upper,
-    }
-    inputs = {
-        "clean": {"path": args.clean, "sha256": _sha256(args.clean)},
-        "perturbed": {"path": args.perturbed, "sha256": _sha256(args.perturbed)},
-    }
-    _emit(_document("certify", parameters, inputs, results), args.out)
+    _emit(_document(args, results), args.out)
     return 0
 
 
@@ -188,12 +190,7 @@ def cmd_project(args) -> int:
         "transform": proj.transform_description(),
         "exact": proj.exact,
     }
-    parameters = {"group": args.group, "max_iters": args.max_iters}
-    inputs = {
-        "clean": {"path": args.clean, "sha256": _sha256(args.clean)},
-        "perturbed": {"path": args.perturbed, "sha256": _sha256(args.perturbed)},
-    }
-    _emit(_document("project", parameters, inputs, results), args.out)
+    _emit(_document(args, results), args.out)
     return 0
 
 
@@ -209,16 +206,7 @@ def cmd_smooth_predict(args) -> int:
         "label": "ABSTAIN" if label == ABSTAIN else label,
         "p_lower": p_lower,
     }
-    parameters = {
-        "classifier": args.classifier,
-        "tau": args.tau,
-        "sigma": args.sigma,
-        "n1": args.n1,
-        "alpha": args.alpha,
-        "seed": args.seed,
-    }
-    inputs = {"input": {"path": args.input, "sha256": _sha256(args.input)}}
-    _emit(_document("smooth-predict", parameters, inputs, results), args.out)
+    _emit(_document(args, results), args.out)
     return 0
 
 
@@ -235,8 +223,6 @@ def cmd_pmin_grid(args) -> int:
         group, args.norm_x, args.norm_delta, args.sigma, args.resolution, mc, args.seed
     )
     if args.diff == "blackbox":
-        from .numerics import std_normal_cdf
-
         reference = std_normal_cdf(args.norm_delta / args.sigma)
         cells = reference - grid.values
     else:
@@ -250,29 +236,15 @@ def cmd_pmin_grid(args) -> int:
         lines.append(",".join(row))
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    scale = args.norm_x * args.norm_delta
     loci = [
         {
             "eps1": locus.eps1,
             "eps2": locus.eps2,
-            "eps1_normalized": locus.eps1 / scale if scale > 0 else 0.0,
-            "eps2_normalized": locus.eps2 / scale if scale > 0 else 0.0,
+            "eps1_normalized": locus.eps1_normalized,
+            "eps2_normalized": locus.eps2_normalized,
         }
         for locus in grid.loci
     ]
-    parameters = {
-        "group": args.group,
-        "norm_x": args.norm_x,
-        "norm_delta": args.norm_delta,
-        "sigma": args.sigma,
-        "resolution": args.resolution,
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "n1": args.n1,
-        "n2": args.n2,
-        "n3": args.n3,
-        "diff": args.diff,
-    }
     results = {
         "csv": args.out_csv,
         "eps1_nodes": grid.eps1_nodes.tolist(),
@@ -280,7 +252,7 @@ def cmd_pmin_grid(args) -> int:
         "adversarial_rotation_loci": loci,
         "infeasible_cells": int(grid.infeasible.sum()),
     }
-    _emit(_document("pmin-grid", parameters, {}, results), args.out_json)
+    _emit(_document(args, results), args.out_json)
     return 0
 
 
@@ -330,16 +302,7 @@ def cmd_fixture(args) -> int:
         eps = epsilon_params(clean, delta)
         results["eps1"] = eps.eps1
         results["eps2"] = eps.eps2
-    parameters = {
-        "scenario": args.scenario,
-        "norm_x": args.norm_x,
-        "norm_delta": args.norm_delta,
-        "theta": args.theta,
-        "n_points": args.n_points,
-        "dim": args.dim,
-        "seed": args.seed,
-    }
-    _emit(_document("fixture", parameters, {}, results), args.out)
+    _emit(_document(args, results), args.out)
     return 0
 
 

@@ -64,28 +64,6 @@ class PointCloud:
         return float(np.linalg.norm(self.data))
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """Additive perturbation Delta = X' - X."""
-
-    delta: np.ndarray
-
-    def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=float)
-        object.__setattr__(self, "delta", delta)
-        if delta.ndim != 2:
-            raise ValueError("Perturbation: delta must be an N x D matrix")
-
-    @classmethod
-    def between(cls, x: PointCloud, x_prime: PointCloud) -> "Perturbation":
-        if x.data.shape != x_prime.data.shape:
-            raise ValueError("Perturbation: shapes of x and x' differ")
-        return cls(x_prime.data - x.data)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.delta))
-
-
 def frobenius_inner(a, b) -> float:
     """Frobenius inner product sum_{n,d} A_nd * B_nd."""
     a = a.data if isinstance(a, PointCloud) else np.asarray(a, dtype=float)
@@ -120,22 +98,6 @@ def rot3_zyx(omega) -> np.ndarray:
     ry = np.array([[c2, 0.0, s2], [0.0, 1.0, 0.0], [-s2, 0.0, c2]])
     rx = np.array([[1.0, 0.0, 0.0], [0.0, c3, -s3], [0.0, s3, c3]])
     return rz @ ry @ rx
-
-
-def rot3_zyx_angles(r: np.ndarray) -> tuple[float, float, float]:
-    """Extract (w1, w2, w3) with w2 in [-pi/2, pi/2] from a z-y-x rotation.
-
-    Ill-conditioned near gimbal lock |w2| = pi/2.
-    """
-    w2 = math.asin(-max(-1.0, min(1.0, float(r[2, 0]))))
-    w1 = math.atan2(float(r[1, 0]), float(r[0, 0]))
-    w3 = math.atan2(float(r[2, 1]), float(r[2, 2]))
-    return w1, w2, w3
-
-
-def rotate_rows(data: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Apply rotation r to every row: X -> X R^T."""
-    return data @ r.T
 
 
 @dataclass(frozen=True)
@@ -176,7 +138,7 @@ def epsilon_params(x: PointCloud, delta) -> EpsilonParams:
     """Orientation parameters of a perturbation of a 2D point cloud."""
     if x.dim != 2:
         raise ValueError("epsilon_params: defined for D = 2 only")
-    d = delta.delta if isinstance(delta, Perturbation) else np.asarray(delta, dtype=float)
+    d = np.asarray(delta, dtype=float)
     if d.shape != x.data.shape:
         raise ValueError("epsilon_params: shape mismatch")
     eps1 = float(np.sum(x.data * d))

@@ -1,5 +1,5 @@
 """Monte-Carlo certification: the lower-bound, upper-bound and inverse
-procedures, plus smoothed prediction with abstention.
+procedures on one two-sample core, plus smoothed prediction with abstention.
 
 Each procedure combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
@@ -23,7 +23,7 @@ from .numerics import (
     clamp_probability,
     clopper_pearson_lower,
     clopper_pearson_upper,
-    sample_gaussian_with,
+    sample_gaussian,
     std_normal_quantile,
 )
 from .orbit import CertificateOutcome
@@ -60,8 +60,10 @@ class BaseClassifier(Protocol):
     def predict_batch(self, batch: np.ndarray) -> np.ndarray: ...
 
 
-def _label_counts(g: BaseClassifier, x: PointCloud, sigma: float, n: int,
-                  rng: np.random.Generator) -> dict[int, int]:
+def _majority_vote(g: BaseClassifier, x: PointCloud, sigma: float, n: int,
+                   alpha: float, rng: np.random.Generator) -> tuple[int, float]:
+    """Most frequent label of g under n Gaussian input draws, with a
+    Clopper-Pearson lower bound on its probability at confidence 1 - alpha."""
     counts: dict[int, int] = {}
     chunk = max(1, int(2_000_000 // x.data.size))
     remaining = n
@@ -73,7 +75,10 @@ def _label_counts(g: BaseClassifier, x: PointCloud, sigma: float, n: int,
         values, freq = np.unique(labels, return_counts=True)
         for v, f in zip(values, freq):
             counts[int(v)] = counts.get(int(v), 0) + int(f)
-    return counts
+    label = max(sorted(counts), key=counts.get)
+    return label, clopper_pearson_lower(
+        BinomialBoundRequest(counts[label], n, 1.0 - alpha)
+    )
 
 
 def smooth_predict(
@@ -90,12 +95,7 @@ def smooth_predict(
         raise ValueError("smooth_predict: sigma must be > 0")
     if n < 1:
         raise ValueError("smooth_predict: n must be >= 1")
-    rng = np.random.default_rng(seed)
-    counts = _label_counts(g, x, sigma, n, rng)
-    label = max(sorted(counts), key=counts.get)
-    p_lower = clopper_pearson_lower(
-        BinomialBoundRequest(counts[label], n, 1.0 - alpha)
-    )
+    label, p_lower = _majority_vote(g, x, sigma, n, alpha, np.random.default_rng(seed))
     if p_lower <= 0.5:
         return ABSTAIN, p_lower
     return label, p_lower
@@ -130,8 +130,12 @@ def upper_quantile_index(trials: int, level: float, significance: float) -> int 
     return max(idx, 1)
 
 
+def _generators(seed: int, count: int) -> tuple[np.random.Generator, ...]:
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count))
+
+
 def _statistic_values(statistic, spec, count, rng, problem) -> np.ndarray:
-    samples = sample_gaussian_with(spec, count, rng)
+    samples = sample_gaussian(spec, count, rng)
     values = np.asarray(statistic(samples), dtype=float)
     bad = np.isnan(values)
     if np.any(bad):
@@ -162,29 +166,38 @@ def _threshold_with_share(sorted_values: np.ndarray, n_star: int) -> tuple[float
     return kappa, share
 
 
-def _count_below(values: np.ndarray, kappa: float, share: float) -> int:
-    lt = int(np.count_nonzero(values < kappa))
+def _count(values: np.ndarray, kappa: float, share: float, below: bool) -> int:
+    """Samples strictly below (or above) kappa, plus the tie group at the
+    share that lies on the same side of the threshold sample."""
     eq = int(np.count_nonzero(values == kappa))
-    return lt + int(math.floor(share * eq))
+    if below:
+        return int(np.count_nonzero(values < kappa)) + int(math.floor(share * eq))
+    return int(np.count_nonzero(values > kappa)) + int(math.floor((1.0 - share) * eq))
 
 
-def _count_above(values: np.ndarray, kappa: float, share: float) -> int:
-    gt = int(np.count_nonzero(values > kappa))
-    eq = int(np.count_nonzero(values == kappa))
-    return gt + int(math.floor((1.0 - share) * eq))
-
-
-def _resolve_p_lower(problem, mc, rng, p_lower, classifier, x):
-    if p_lower is not None:
-        return p_lower, True
-    if classifier is None or x is None:
-        raise ValueError("prob_certify_reduced: need p_lower or (classifier, x)")
-    counts = _label_counts(classifier, x, problem.sigma, mc.n1, rng)
-    label = max(sorted(counts), key=counts.get)
-    bound = clopper_pearson_lower(
-        BinomialBoundRequest(counts[label], mc.n1, 1.0 - mc.alpha)
+def _two_sample(
+    problem,
+    statistic,
+    rngs: tuple[np.random.Generator, np.random.Generator],
+    threshold_spec,
+    n_threshold: int,
+    count_spec,
+    n_count: int,
+    n_star: int,
+    below: bool,
+) -> tuple[float, int]:
+    """The skeleton shared by the three procedures: kappa is the n_star-th
+    ascending order statistic of n_threshold draws of the statistic under
+    threshold_spec; count is how many of n_count draws under count_spec fall
+    below kappa (or above it), ties split at kappa's share."""
+    rng_threshold, rng_count = rngs
+    threshold_values = np.sort(
+        _statistic_values(statistic, threshold_spec, n_threshold, rng_threshold, problem),
+        kind="stable",
     )
-    return bound, False
+    kappa, share = _threshold_with_share(threshold_values, n_star)
+    count_values = _statistic_values(statistic, count_spec, n_count, rng_count, problem)
+    return kappa, _count(count_values, kappa, share, below)
 
 
 def prob_certify_reduced(
@@ -206,45 +219,34 @@ def prob_certify_reduced(
     caller-supplied p_lower skips the first bound but keeps the significance
     ladder, so the reported confidence stays conservative.
     """
-    ss = np.random.SeedSequence(seed)
-    rng1, rng2, rng3 = (np.random.default_rng(s) for s in ss.spawn(3))
+    rng1, rng2, rng3 = _generators(seed, 3)
     notes: list[str] = []
-    p_raw, supplied = _resolve_p_lower(problem, mc, rng1, p_lower, classifier, x)
-    if supplied:
+    if p_lower is not None:
+        p_raw = p_lower
         notes.append("p-lower-supplied")
+    elif classifier is None or x is None:
+        raise ValueError("prob_certify_reduced: need p_lower or (classifier, x)")
+    else:
+        _, p_raw = _majority_vote(classifier, x, problem.sigma, mc.n1, mc.alpha, rng1)
     p_eff, clamped = clamp_probability(p_raw)
     if clamped:
         notes.append("p-lower-clamped")
-    radius = problem.sigma * std_normal_quantile(p_eff)
     n_star = lower_quantile_index(mc.n2, p_eff, mc.alpha / 2.0)
+    kappa, bound = None, 0.0
     if n_star is None:
-        return CertificateOutcome(
-            certified=False,
-            bound_value=0.0,
-            radius=radius,
-            p_lower=p_eff,
-            confidence=1.0 - mc.alpha,
-            method="tight-reduced",
-            kappa_log=None,
-            confidences=mc.confidences,
-            notes=tuple(notes) + ("threshold-undetermined",),
+        notes.append("threshold-undetermined")
+    else:
+        kappa, count = _two_sample(
+            problem, statistic, (rng2, rng3),
+            problem.clean_spec, mc.n2, problem.perturbed_spec, mc.n3, n_star, below=True,
         )
-    clean_values = np.sort(
-        _statistic_values(statistic, problem.clean_spec, mc.n2, rng2, problem),
-        kind="stable",
-    )
-    kappa, share = _threshold_with_share(clean_values, n_star)
-    perturbed_values = _statistic_values(
-        statistic, problem.perturbed_spec, mc.n3, rng3, problem
-    )
-    count = _count_below(perturbed_values, kappa, share)
-    bound = clopper_pearson_lower(
-        BinomialBoundRequest(count, mc.n3, 1.0 - mc.alpha / 3.0)
-    )
+        bound = clopper_pearson_lower(
+            BinomialBoundRequest(count, mc.n3, 1.0 - mc.alpha / 3.0)
+        )
     return CertificateOutcome(
         certified=bound > 0.5,
         bound_value=bound,
-        radius=radius,
+        radius=problem.sigma * std_normal_quantile(p_eff),
         p_lower=p_eff,
         confidence=1.0 - mc.alpha,
         method="tight-reduced",
@@ -271,21 +273,15 @@ def prob_certify_upper_reduced(
     the certificate sound; returns the vacuous bound 1.0 when no order
     statistic qualifies.
     """
-    ss = np.random.SeedSequence(seed)
-    _, rng2, rng3 = (np.random.default_rng(s) for s in ss.spawn(3))
+    _, rng2, rng3 = _generators(seed, 3)
     p_eff, _ = clamp_probability(p_upper)
     n_star = lower_quantile_index(mc.n2, 1.0 - p_eff, mc.alpha / 2.0)
     if n_star is None:
         return 1.0
-    clean_values = np.sort(
-        _statistic_values(statistic, problem.clean_spec, mc.n2, rng2, problem),
-        kind="stable",
+    _, count = _two_sample(
+        problem, statistic, (rng2, rng3),
+        problem.clean_spec, mc.n2, problem.perturbed_spec, mc.n3, n_star, below=False,
     )
-    kappa, share = _threshold_with_share(clean_values, n_star)
-    perturbed_values = _statistic_values(
-        statistic, problem.perturbed_spec, mc.n3, rng3, problem
-    )
-    count = _count_above(perturbed_values, kappa, share)
     return clopper_pearson_upper(
         BinomialBoundRequest(count, mc.n3, 1.0 - mc.alpha / 3.0)
     )
@@ -299,18 +295,14 @@ def inverse_certify_reduced(problem, statistic, mc: McConfig, seed: int) -> floa
     probability of falling below it is then upper-bounded at confidence
     1 - alpha/2.  Returns the vacuous 1.0 when the median index is undefined.
     """
-    ss = np.random.SeedSequence(seed)
-    rng1, rng2 = (np.random.default_rng(s) for s in ss.spawn(2))
+    rngs = _generators(seed, 2)
     n_star = upper_quantile_index(mc.n2, 0.5, mc.alpha)
     if n_star is None:
         return 1.0
-    perturbed_values = np.sort(
-        _statistic_values(statistic, problem.perturbed_spec, mc.n2, rng1, problem),
-        kind="stable",
+    _, count = _two_sample(
+        problem, statistic, rngs,
+        problem.perturbed_spec, mc.n2, problem.clean_spec, mc.n3, n_star, below=True,
     )
-    kappa, share = _threshold_with_share(perturbed_values, n_star)
-    clean_values = _statistic_values(statistic, problem.clean_spec, mc.n3, rng2, problem)
-    count = _count_below(clean_values, kappa, share)
     p_min = clopper_pearson_upper(
         BinomialBoundRequest(count, mc.n3, 1.0 - mc.alpha / 2.0)
     )

@@ -1,7 +1,7 @@
-"""Special functions, quadrature, sampling and binomial confidence machinery.
+"""Special functions, Gaussian sampling and binomial confidence machinery.
 
-Everything here is pure and thread-safe; random sampling takes an explicit
-seed and owns a private generator.
+Everything here is pure and thread-safe apart from Gaussian sampling, which
+draws from a generator the caller owns.
 """
 
 from __future__ import annotations
@@ -62,60 +62,6 @@ def log_bessel_i0(x):
 
 
 @dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integration over [lo, hi]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    interval: tuple[float, float]
-
-    def __post_init__(self):
-        if len(self.nodes) != len(self.weights):
-            raise ValueError("QuadratureRule: nodes/weights length mismatch")
-        lo, hi = self.interval
-        if not (np.all(self.nodes >= lo - 1e-12) and np.all(self.nodes <= hi + 1e-12)):
-            raise ValueError("QuadratureRule: nodes outside interval")
-        length = hi - lo
-        if abs(float(self.weights.sum()) - length) > 1e-12 * max(abs(length), 1.0):
-            raise ValueError("QuadratureRule: weights do not integrate the constant")
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
-
-def clenshaw_curtis(degree: int, lo: float, hi: float) -> QuadratureRule:
-    """Clenshaw-Curtis rule with degree+1 nodes, exact for polynomials of
-    degree <= ``degree``.
-
-    Weight construction follows the classic cosine-sum formula
-    (Trefethen, Spectral Methods in MATLAB, clencurt.m).
-    """
-    if degree < 2:
-        raise ValueError("clenshaw_curtis: degree must be >= 2")
-    n = degree
-    theta = np.pi * np.arange(n + 1) / n
-    x = np.cos(theta)
-    w = np.zeros(n + 1)
-    v = np.ones(n - 1)
-    inner = theta[1:-1]
-    if n % 2 == 0:
-        w[0] = w[n] = 1.0 / (n * n - 1)
-        for k in range(1, n // 2):
-            v -= 2.0 * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
-        v -= np.cos(n * inner) / (n * n - 1)
-    else:
-        w[0] = w[n] = 1.0 / (n * n)
-        for k in range(1, (n - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
-    w[1:-1] = 2.0 * v / n
-    # map from [-1, 1] (descending nodes) to ascending [lo, hi]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo) + half * x)[::-1].copy()
-    weights = (half * w)[::-1].copy()
-    return QuadratureRule(nodes=nodes, weights=weights, interval=(lo, hi))
-
-
-@dataclass(frozen=True)
 class GaussianSpec:
     """Mean and symmetric PSD covariance of a multivariate normal.
 
@@ -150,17 +96,9 @@ class GaussianSpec:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def sample_gaussian(spec: GaussianSpec, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` samples from N(mean, covariance); deterministic in seed."""
-    if count < 1:
-        raise ValueError("sample_gaussian: count must be >= 1")
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((count, spec.dim))
-    return spec.mean + normals @ spec.factor().T
-
-
-def sample_gaussian_with(spec: GaussianSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """As sample_gaussian but drawing from a caller-owned generator."""
+def sample_gaussian(spec: GaussianSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` samples from N(mean, covariance) with the caller's
+    generator."""
     if count < 1:
         raise ValueError("sample_gaussian: count must be >= 1")
     normals = rng.standard_normal((count, spec.dim))
@@ -216,6 +154,8 @@ def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
 
 def binomial_log_cdf_all(n: int, p: float) -> np.ndarray:
     """log Pr[X <= k] for k = 0..n under Bin(n, p), by log-gamma summation."""
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError("binomial_log_cdf_all: need n >= 0 and p in [0, 1]")
     if p <= 0.0:
         return np.zeros(n + 1)
     if p >= 1.0:
@@ -224,34 +164,3 @@ def binomial_log_cdf_all(n: int, p: float) -> np.ndarray:
         return out
     logpmf = _binom_logpmf(np.arange(n + 1, dtype=float), n, p)
     return np.minimum(np.logaddexp.accumulate(logpmf), 0.0)
-
-
-def binomial_test_p_value(successes: int, trials: int, direction: str, p0: float) -> float:
-    """Exact one-sided binomial tail probability under success rate p0.
-
-    direction "le" returns Pr[X <= successes], "ge" returns Pr[X >= successes].
-    """
-    if not 0 <= successes <= trials:
-        raise ValueError("binomial_test_p_value: successes outside [0, trials]")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("binomial_test_p_value: p0 outside [0,1]")
-    if direction not in ("le", "ge"):
-        raise ValueError("binomial_test_p_value: direction must be 'le' or 'ge'")
-    k, n = successes, trials
-    if direction == "le":
-        if k == n:
-            return 1.0
-        if p0 == 1.0:
-            return 0.0
-        if p0 == 0.0:
-            return 1.0
-        return float(np.exp(binomial_log_cdf_all(n, p0)[k]))
-    # ge: reflect to a lower tail with swapped roles
-    if k == 0:
-        return 1.0
-    if p0 == 0.0:
-        return 0.0
-    if p0 == 1.0:
-        return 1.0
-    return float(np.exp(binomial_log_cdf_all(n, 1.0 - p0)[n - k]))
-

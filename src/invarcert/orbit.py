@@ -150,11 +150,6 @@ def project_permutation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     return OrbitProjection(residual=residual, permutation=perm)
 
 
-def apply_permutation(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Reorder rows so that output row m is input row perm[m]."""
-    return data[perm]
-
-
 def project_registration_upper(
     x: PointCloud, x_prime: PointCloud, max_iters: int = 50
 ) -> OrbitProjection:
@@ -174,23 +169,19 @@ def project_registration_upper(
     trans_total = np.zeros(x.dim)
     for _ in range(max_iters):
         perm_step = project_permutation(x, PointCloud(current))
-        permuted = apply_permutation(current, perm_step.permutation)
+        permuted = current[perm_step.permutation]
         se_step = project_roto_translation(x, PointCloud(permuted))
         candidate = permuted @ se_step.rotation.T + se_step.translation
         residual = float(np.linalg.norm(candidate - x.data))
-        if residual > best - _REGISTRATION_STOP:
-            if residual < best:
-                best = residual
-                perm_total = perm_total[perm_step.permutation]
-                rot_total = se_step.rotation @ rot_total
-                trans_total = se_step.rotation @ trans_total + se_step.translation
-                current = candidate
+        stalled = residual > best - _REGISTRATION_STOP
+        if residual < best:
+            best = residual
+            perm_total = perm_total[perm_step.permutation]
+            rot_total = se_step.rotation @ rot_total
+            trans_total = se_step.rotation @ trans_total + se_step.translation
+            current = candidate
+        if stalled:
             break
-        best = residual
-        perm_total = perm_total[perm_step.permutation]
-        rot_total = se_step.rotation @ rot_total
-        trans_total = se_step.rotation @ trans_total + se_step.translation
-        current = candidate
     return OrbitProjection(
         residual=best,
         rotation=rot_total,

@@ -476,20 +476,6 @@ def inverse_certificate(
     return std_normal_cdf(project(group, x, x_prime).residual / sigma)
 
 
-def inverse_certificate_from_params(
-    norm_x: float,
-    norm_delta: float,
-    eps1: float,
-    eps2: float,
-    sigma: float,
-    mc: McConfig,
-    seed: int,
-) -> float:
-    """Inverse 2D rotation certificate on the scalar parameter tuple."""
-    problem = so2_problem_from_params(norm_x, norm_delta, eps1, eps2, sigma)
-    return mc_engine.inverse_certify_reduced(problem, rho_so2(), mc, seed)
-
-
 def certify_multiclass(
     group: GroupSpec | None,
     x: PointCloud,

@@ -218,6 +218,62 @@ class TestCertify:
         assert code == 0
         assert doc["results"]["multiclass"]["certified"] is True
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--p-lower", "1.5"],
+            ["--p-lower", "-0.1"],
+            ["--p-lower", "nan", "--method", "tight"],
+            ["--p-lower", "inf"],
+            ["--p-lower", "0.9", "--p-upper", "-3", "--multiclass"],
+            ["--p-lower", "0.9", "--p-upper", "nan", "--multiclass"],
+        ],
+    )
+    def test_probability_outside_unit_interval_is_usage_error(self, tmp_path, capsys, flags):
+        data = np.eye(2) * 0.2
+        clean, perturbed = _write_pair(tmp_path, data, data)
+        code = main(
+            [
+                "certify", "--group", "SO", "--clean", clean, "--perturbed", perturbed,
+                "--sigma", "0.5", "--seed", "1", "--n2", "200", "--n3", "200", *flags,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be a probability" in captured.err
+
+    def test_probability_bounds_inclusive(self, tmp_path, capsys):
+        data = np.eye(2) * 0.2
+        clean, perturbed = _write_pair(tmp_path, data, data)
+        code, doc = _run(
+            capsys,
+            "certify", "--group", "SO", "--clean", clean, "--perturbed", perturbed,
+            "--sigma", "0.5", "--seed", "1", "--method", "orbit",
+            "--p-lower", "1.0", "--p-upper", "0.0", "--multiclass",
+        )
+        assert code == 0
+        assert doc["results"]["orbit"]["notes"] == ["p-lower-clamped"]
+
+    @pytest.mark.parametrize("flags", [["--alpha", "0.7"], ["--n2", "10"]])
+    def test_bad_mc_config_fails_before_classifier(self, tmp_path, capsys, monkeypatch, flags):
+        import invarcert.cli as cli_mod
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("classifier ran before McConfig was checked")
+
+        monkeypatch.setattr(cli_mod, "smooth_predict", unexpected)
+        data = np.eye(2) * 0.2
+        clean, perturbed = _write_pair(tmp_path, data, data)
+        code = main(
+            [
+                "certify", "--group", "SO", "--clean", clean, "--perturbed", perturbed,
+                "--sigma", "0.5", "--seed", "1", "--classifier", "norm", *flags,
+            ]
+        )
+        assert code == 2
+        assert "McConfig" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import invarcert.tight as tight_mod
         from invarcert.tight import LikelihoodStatistic

@@ -9,7 +9,6 @@ from invarcert.geometry import (
     EpsilonParams,
     GroupKind,
     GroupSpec,
-    Perturbation,
     PointCloud,
     adversarial_rotation_locus,
     center,
@@ -18,7 +17,6 @@ from invarcert.geometry import (
     load_points_csv,
     rot2,
     rot3_zyx,
-    rot3_zyx_angles,
     rotate_quarter_turn_back,
     save_points_csv,
 )
@@ -124,20 +122,6 @@ class TestRotations:
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
         assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
 
-    def test_angle_extraction_roundtrip(self):
-        rng = np.random.default_rng(4)
-        count = 0
-        while count < 1000:
-            w1 = rng.uniform(0.0, 2.0 * math.pi)
-            w2 = rng.uniform(-math.pi / 2, math.pi / 2)
-            w3 = rng.uniform(0.0, 2.0 * math.pi)
-            if abs(w2) > math.pi / 2 - 1e-3:  # gimbal neighborhood excluded
-                continue
-            count += 1
-            r = rot3_zyx([w1, w2, w3])
-            again = rot3_zyx(rot3_zyx_angles(r))
-            assert np.max(np.abs(again - r)) < 1e-9
-
 
 class TestEpsilonParams:
     def test_self_aligned_perturbation(self):
@@ -236,11 +220,6 @@ class TestTypesAndCsv:
         GroupSpec(GroupKind.ROTATION, 2)
         with pytest.raises(ValueError):
             GroupSpec(GroupKind.ROTATION, 4)
-
-    def test_perturbation_between(self):
-        x = PointCloud(np.zeros((2, 2)))
-        xp = PointCloud(np.ones((2, 2)))
-        assert Perturbation.between(x, xp).norm() == pytest.approx(2.0)
 
     def test_csv_roundtrip_full_precision(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -16,7 +16,7 @@ from invarcert.geometry import (
     rot2,
     rot3_zyx,
 )
-from invarcert.mc import McConfig
+from invarcert.mc import McConfig, inverse_certify_reduced
 from invarcert.numerics import NumericalFailure, std_normal_cdf, std_normal_quantile
 from invarcert.orbit import certify_orbit, project_rotation
 from invarcert.tight import (
@@ -32,6 +32,7 @@ from invarcert.tight import (
     pmin_grid,
     rho_so2,
     rho_so3,
+    so2_problem_from_params,
     so2_projection_matrix,
     proper_singular_values,
     so3_log_beta,
@@ -597,16 +598,18 @@ class TestInverseCertificate:
         # the point-cloud route and the scalar parameter route build the same
         # reduced problem, so shared seeds give identical p_min
         from invarcert.geometry import epsilon_params
-        from invarcert.tight import inverse_certificate_from_params
 
         rng = np.random.default_rng(27)
         x = PointCloud(rng.standard_normal((6, 2)) * 0.2)
         delta = rng.standard_normal((6, 2)) * 0.3
         xp = PointCloud(x.data + delta)
         eps = epsilon_params(x, delta)
-        from_clouds = inverse_certificate(SO2, x, xp, 0.5, FAST_MC, seed=14)
-        from_params = inverse_certificate_from_params(
-            eps.norm_x, eps.norm_delta, eps.eps1, eps.eps2, 0.5, FAST_MC, seed=14
+        from_clouds = inverse_certify_reduced(
+            build_so2_problem(x, xp, 0.5), rho_so2(), FAST_MC, seed=14
+        )
+        from_params = inverse_certify_reduced(
+            so2_problem_from_params(eps.norm_x, eps.norm_delta, eps.eps1, eps.eps2, 0.5),
+            rho_so2(), FAST_MC, seed=14,
         )
         assert from_clouds == from_params
 
