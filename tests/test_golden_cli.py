@@ -61,6 +61,15 @@ CASES = {
         ],
         ["out.json"],
     ),
+    "certify-classifier-pairwise": (
+        [
+            "certify", "--group", "SE", "--clean", "cleanr.csv", "--perturbed", "pertr.csv",
+            "--sigma", "0.5", "--classifier", "pairwise-centroid", "--tau", "4.0",
+            "--seed", "11", "--n1", "1000", "--n2", "500", "--n3", "500", "--alpha", "0.01",
+            "--out", "out.json",
+        ],
+        ["out.json"],
+    ),
     "certify-multiclass": (
         [
             "certify", "--group", "SE", "--clean", "clean2.csv", "--perturbed", "pert2.csv",
