@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -49,6 +50,9 @@ _GROUPS = {
 }
 
 _TIGHT_GROUPS = {"T", "SO", "SE"}
+
+# float flags that must be finite numbers; argparse's float() accepts "nan" and "inf"
+_FINITE_FLAGS = ("sigma", "tau", "norm_x", "norm_delta", "theta")
 
 _READ_PATHS = ("clean", "perturbed", "input")
 _NOT_PARAMETERS = {
@@ -109,7 +113,10 @@ def _document(args, results: dict) -> dict:
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: not valid JSON
+        raise NumericalFailure(f"non-finite value in the output document: {exc}") from exc
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -127,6 +134,14 @@ def _resolve_p_lower(args, clean: PointCloud) -> tuple[float, int | None]:
         g, clean, args.sigma, args.n1, args.alpha, args.seed
     )
     return p_lower, label
+
+
+def _check_finite(args) -> None:
+    for name in _FINITE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag}: must be a finite number (got {value})")
 
 
 def _check_probability(value: float | None, flag: str) -> None:
@@ -392,6 +407,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

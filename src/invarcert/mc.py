@@ -9,6 +9,7 @@ alpha/3) so all three hold simultaneously.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -91,8 +92,8 @@ def smooth_predict(
 ) -> tuple[int, float]:
     """Majority vote under Gaussian input noise with a Clopper-Pearson lower
     bound on the majority probability; abstains when the bound is <= 1/2."""
-    if sigma <= 0:
-        raise ValueError("smooth_predict: sigma must be > 0")
+    if not 0.0 < sigma < math.inf:  # NaN fails too
+        raise ValueError("smooth_predict: sigma must be finite and > 0")
     if n < 1:
         raise ValueError("smooth_predict: n must be >= 1")
     label, p_lower = _majority_vote(g, x, sigma, n, alpha, np.random.default_rng(seed))
@@ -101,6 +102,9 @@ def smooth_predict(
     return label, p_lower
 
 
+# Pure in their arguments and called with the same few per pmin_grid cell, so
+# they are cached; each result is an int or None.
+@functools.lru_cache(maxsize=64)
 def lower_quantile_index(trials: int, level: float, significance: float) -> int | None:
     """Largest 1-based index n with Pr[Bin(trials, level) <= n] < significance.
 
@@ -115,6 +119,7 @@ def lower_quantile_index(trials: int, level: float, significance: float) -> int 
     return min(idx, trials)
 
 
+@functools.lru_cache(maxsize=64)
 def upper_quantile_index(trials: int, level: float, significance: float) -> int | None:
     """Smallest 1-based index n with Pr[Bin(trials, level) >= n] < significance.
 
@@ -191,9 +196,10 @@ def _two_sample(
     threshold_spec; count is how many of n_count draws under count_spec fall
     below kappa (or above it), ties split at kappa's share."""
     rng_threshold, rng_count = rngs
+    # only the values are used: with NaN rejected and no -0.0 among the
+    # statistics, every sort kind returns the same array
     threshold_values = np.sort(
-        _statistic_values(statistic, threshold_spec, n_threshold, rng_threshold, problem),
-        kind="stable",
+        _statistic_values(statistic, threshold_spec, n_threshold, rng_threshold, problem)
     )
     kappa, share = _threshold_with_share(threshold_values, n_star)
     count_values = _statistic_values(statistic, count_spec, n_count, rng_count, problem)

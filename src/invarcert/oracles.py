@@ -1,8 +1,10 @@
 """Brute-force references and synthetic invariant classifiers.
 
-Deliberately slow and simple: dense grids instead of quadrature, exhaustive
-search instead of assignment solvers, classifiers built from invariant
-features so their declared invariance holds exactly.
+The references are deliberately slow and simple: dense grids instead of
+quadrature, exhaustive search instead of assignment solvers.  The synthetic
+classifiers are not: they label every noisy copy of a smoothed prediction, so
+they are vectorized over the batch.  Each is built from an invariant feature,
+so its declared invariance holds exactly.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from scipy.special import logsumexp
 
 from .geometry import GroupKind, GroupSpec, PointCloud, rot2, rot3_zyx
 
-# Size of one pairwise-difference array of _distance_profile.  Batches are
-# profiled in row chunks of this size, so that the arrays alive at once (two
-# gathers, their difference, the distances and their sorted copy) stay near
-# 64 MB.
-_PROFILE_BYTES = 16 * 2**20
+# Pairwise-centroid batches are profiled in row chunks whose pairwise
+# coordinate differences (8 * D * N(N-1)/2 bytes a cloud) take this much.
+# One coordinate plane of a chunk is then _PROFILE_BYTES / D, so the few
+# pair-sized arrays alive at once (two gathers, their difference, the running
+# sum of squares) stay within a 2 MiB L2 cache.  Of 2**18, 2**19 and 2**20,
+# 2**20 labelled 10**4 clouds fastest at N = 64, D = 2 and 3 (2-core Xeon).
+_PROFILE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -53,12 +57,12 @@ class SyntheticClassifier:
             return (feat <= self.tau).astype(int)
         if self.kind == "pairwise-centroid":
             n, d = batch.shape[1:]
-            row_bytes = 8 * d * (n * (n - 1) // 2)   # one cloud's pairwise differences
-            rows = max(1, _PROFILE_BYTES // max(1, row_bytes))
-            chunks = [batch[i : i + rows] for i in range(0, len(batch), rows)] or [batch]
-            dist = np.concatenate([
-                np.linalg.norm(_distance_profile(c) - self.signature, axis=1) for c in chunks
-            ])
+            pairs = np.triu_indices(n, k=1)
+            rows = max(1, _PROFILE_BYTES // max(1, 8 * d * len(pairs[0])))
+            dist = np.empty(len(batch))
+            for start in range(0, len(batch), rows):
+                profile = _distance_profile(batch[start : start + rows], pairs)
+                dist[start : start + rows] = np.linalg.norm(profile - self.signature, axis=1)
             return (dist <= self.tau).astype(int)
         raise ValueError(f"SyntheticClassifier: unknown kind {self.kind!r}")
 
@@ -66,13 +70,27 @@ class SyntheticClassifier:
         return int(self.predict_batch(x.data[None])[0])
 
 
-def _distance_profile(batch: np.ndarray) -> np.ndarray:
-    n = batch.shape[1]
-    iu, ju = np.triu_indices(n, k=1)
-    pair = np.linalg.norm(batch[:, iu, :] - batch[:, ju, :], axis=2)
-    centroid = batch.mean(axis=1, keepdims=True)
-    cent = np.linalg.norm(batch - centroid, axis=2)
-    return np.concatenate([np.sort(pair, axis=1), np.sort(cent, axis=1)], axis=1)
+def _distance_profile(batch: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Sorted pairwise distances, then sorted distances to the centroid, of
+    each cloud of batch; pairs is np.triu_indices(N, k=1).
+
+    The squared differences are summed one coordinate plane at a time, in
+    coordinate order: the arithmetic of np.linalg.norm over the coordinate
+    axis, without its strided reduction, so the distances match it bit for
+    bit.
+    """
+    iu, ju = pairs
+    pair = np.zeros((len(batch), len(iu)))
+    for c in range(batch.shape[2]):
+        col = batch[:, :, c]
+        diff = col[:, iu] - col[:, ju]
+        diff *= diff
+        pair += diff
+    np.sqrt(pair, out=pair)
+    cent = np.linalg.norm(batch - batch.mean(axis=1, keepdims=True), axis=2)
+    pair.sort(axis=1)
+    cent.sort(axis=1)
+    return np.concatenate([pair, cent], axis=1)
 
 
 def norm_threshold_classifier(tau: float, dim: int) -> SyntheticClassifier:
@@ -84,7 +102,8 @@ def centered_norm_threshold_classifier(tau: float, dim: int) -> SyntheticClassif
 
 
 def pairwise_centroid_classifier(reference: PointCloud, tau: float) -> SyntheticClassifier:
-    signature = _distance_profile(reference.data[None])[0]
+    pairs = np.triu_indices(reference.n_points, k=1)
+    signature = _distance_profile(reference.data[None], pairs)[0]
     return SyntheticClassifier(
         "pairwise-centroid",
         GroupSpec(GroupKind.PERMUTATION_ROTO_TRANSLATION, reference.dim),

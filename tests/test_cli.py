@@ -295,6 +295,59 @@ class TestCertify:
         assert code == 3
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["certify", "--group", "SO", "--sigma", "inf", "--p-lower", "0.9"],
+            ["certify", "--group", "SO", "--sigma", "nan", "--p-lower", "0.9"],
+            ["certify", "--group", "SO", "--sigma", "0.5", "--classifier", "norm", "--tau", "nan"],
+            ["smooth-predict", "--classifier", "norm", "--sigma", "nan"],
+            ["smooth-predict", "--classifier", "norm", "--sigma", "0.5", "--tau=-inf"],
+            ["pmin-grid", "--group", "SO2", "--norm-x", "inf", "--norm-delta", "0.3",
+             "--sigma", "0.5", "--resolution", "4"],
+            ["pmin-grid", "--group", "SO2", "--norm-x", "0.4", "--norm-delta", "nan",
+             "--sigma", "0.5", "--resolution", "4"],
+            ["pmin-grid", "--group", "blackbox", "--norm-x", "0.4", "--norm-delta", "0.3",
+             "--sigma", "inf", "--resolution", "4"],
+            ["fixture", "--scenario", "scaling", "--norm-x", "nan", "--norm-delta", "0.3"],
+            ["fixture", "--scenario", "random", "--norm-x", "1.0", "--norm-delta", "inf"],
+            ["fixture", "--scenario", "rotation", "--norm-x", "1.0", "--theta", "nan"],
+        ],
+    )
+    def test_non_finite_float_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        clean, perturbed = _write_pair(tmp_path, np.eye(2) * 0.2, np.eye(2) * 0.3)
+        files = {
+            "certify": ["--clean", clean, "--perturbed", perturbed, "--out", "out.json"],
+            "smooth-predict": ["--input", clean, "--out", "out.json"],
+            "pmin-grid": ["--out-csv", "grid.csv", "--out-json", "out.json"],
+            "fixture": ["--out-clean", "c.csv", "--out-perturbed", "p.csv", "--out", "out.json"],
+        }[command[0]]
+        code = main([*command, *files, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be a finite number" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv", "perturbed.csv"]
+
+    def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        import invarcert.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "smooth_predict", lambda *args: (0, math.nan))
+        clean, _ = _write_pair(tmp_path, np.eye(2), np.eye(2))
+        out = tmp_path / "out.json"
+        code = main(
+            [
+                "smooth-predict", "--classifier", "norm", "--input", clean,
+                "--sigma", "0.5", "--seed", "1", "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestProject:
     def test_permuted_pair(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

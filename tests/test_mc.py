@@ -9,6 +9,9 @@ from invarcert.geometry import PointCloud
 from invarcert.mc import (
     ABSTAIN,
     McConfig,
+    _count,
+    _threshold_with_share,
+    _two_sample,
     inverse_certify_reduced,
     lower_quantile_index,
     prob_certify_reduced,
@@ -20,6 +23,7 @@ from invarcert.numerics import (
     BinomialBoundRequest,
     NumericalFailure,
     clopper_pearson_lower,
+    sample_gaussian,
     std_normal_quantile,
 )
 from invarcert.oracles import norm_threshold_classifier
@@ -87,6 +91,11 @@ class TestSmoothPredict:
         with pytest.raises(ValueError):
             smooth_predict(_ConstantClassifier(0), PointCloud(np.zeros((1, 2))), 0.0, 10, 0.01, 0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            smooth_predict(_ConstantClassifier(0), PointCloud(np.zeros((1, 2))), sigma, 10, 0.01, 0)
+
     def test_deterministic(self):
         g = norm_threshold_classifier(2.0, 2)
         x = PointCloud(np.ones((3, 2)))
@@ -149,6 +158,34 @@ class TestProbCertifyReduced:
         mc = McConfig(n1=100, n2=200, n3=200, alpha=0.01)
         with pytest.raises(NumericalFailure, match="NaN"):
             prob_certify_reduced(problem, bad, mc, seed=6, p_lower=0.8)
+
+
+class TestTwoSample:
+    # "+ 0.0" turns the -0.0 that rounding gives into +0.0: the likelihood-ratio
+    # statistics never return -0.0, and only a mix of -0.0 and +0.0 could sort
+    # differently under a stable and an unstable sort
+    STATISTICS = {
+        "constant": lambda q: np.zeros(q.shape[0]),
+        "rounded": lambda q: np.round(q[:, 0], 1) + 0.0,
+        "continuous": lambda q: q[:, 0],
+    }
+
+    @pytest.mark.parametrize("below", [True, False])
+    @pytest.mark.parametrize("n_star", [1, 137, 500, 1000])
+    @pytest.mark.parametrize("name", sorted(STATISTICS))
+    def test_matches_stable_sort_reference(self, name, n_star, below):
+        problem = blackbox_reduced_problem(0.3, 1.0)
+        statistic = LikelihoodStatistic(dim=1, evaluator=self.STATISTICS[name])
+        got = _two_sample(
+            problem, statistic, (np.random.default_rng(1), np.random.default_rng(2)),
+            problem.clean_spec, 1000, problem.perturbed_spec, 1000, n_star, below,
+        )
+        threshold = statistic(sample_gaussian(problem.clean_spec, 1000, np.random.default_rng(1)))
+        stable = np.sort(threshold, kind="stable")
+        assert np.sort(threshold).tobytes() == stable.tobytes()
+        kappa, share = _threshold_with_share(stable, n_star)
+        count = statistic(sample_gaussian(problem.perturbed_spec, 1000, np.random.default_rng(2)))
+        assert repr(got) == repr((kappa, _count(count, kappa, share, below)))
 
 
 class TestUpperReduced:

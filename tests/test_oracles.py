@@ -79,6 +79,71 @@ class TestSyntheticClassifiers:
         assert np.array_equal(whole, chunked)
 
 
+def reference_profile(batch):
+    """Gather-and-norm form of the distance profile: (clouds, pairs, D)
+    differences reduced by np.linalg.norm over the coordinate axis."""
+    iu, ju = np.triu_indices(batch.shape[1], k=1)
+    pair = np.linalg.norm(batch[:, iu, :] - batch[:, ju, :], axis=2)
+    cent = np.linalg.norm(batch - batch.mean(axis=1, keepdims=True), axis=2)
+    return np.concatenate([np.sort(pair, axis=1), np.sort(cent, axis=1)], axis=1)
+
+
+def noisy_clouds(rng, rows, n, d):
+    """Clouds over four decades of scale, with one repeated point a cloud so
+    that zero distances and ties occur."""
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, size=(rows, 1, 1))
+    batch = scale * rng.standard_normal((rows, n, d))
+    if n > 1:
+        batch[:, -1] = batch[:, 0]
+    return batch
+
+
+class TestDistanceProfile:
+    """The per-plane profile equals the gather-and-norm reference bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    def test_matches_reference(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        batch = noisy_clouds(rng, 40, n, d)
+        got = oracles._distance_profile(batch, np.triu_indices(n, k=1))
+        assert got.shape == (40, n * (n - 1) // 2 + n)
+        assert np.array_equal(got, reference_profile(batch))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_batch(self, d):
+        batch = np.empty((0, 5, d))
+        got = oracles._distance_profile(batch, np.triu_indices(5, k=1))
+        assert got.shape == (0, 15)
+        assert np.array_equal(got, reference_profile(batch))
+        g = pairwise_centroid_classifier(PointCloud(np.ones((5, d))), 1.0)
+        labels = g.predict_batch(batch)
+        assert labels.shape == (0,) and labels.dtype.kind == "i"
+
+    def test_single_cloud(self):
+        rng = np.random.default_rng(6)
+        ref = PointCloud(rng.standard_normal((17, 2)))
+        cloud = ref.data + 0.2 * rng.standard_normal((17, 2))
+        distance = np.linalg.norm(reference_profile(cloud[None]) - reference_profile(ref.data[None]))
+        for tau, label in ((distance, 1), (np.nextafter(distance, 0.0), 0)):
+            g = pairwise_centroid_classifier(ref, tau)
+            assert np.array_equal(g.signature, reference_profile(ref.data[None])[0])
+            assert np.array_equal(g.predict_batch(cloud), [label])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 7, 64, 1000])
+    def test_chunk_boundaries(self, rows, d, monkeypatch):
+        rng = np.random.default_rng(rows + d)
+        ref = PointCloud(rng.standard_normal((64, d)))
+        batch = ref.data + 0.1 * rng.standard_normal((150, 64, d))
+        distance = np.linalg.norm(reference_profile(batch) - reference_profile(ref.data[None]), axis=1)
+        # tau at a sample's exact distance: one ulp more on any row flips it
+        tau = float(np.sort(distance)[75])
+        monkeypatch.setattr(oracles, "_PROFILE_BYTES", rows * 8 * d * (64 * 63 // 2))
+        labels = pairwise_centroid_classifier(ref, tau).predict_batch(batch)
+        assert np.array_equal(labels, (distance <= tau).astype(int))
+
+
 class TestHaarOracleSo2:
     def test_zero_sample_constant_integrand(self):
         x = PointCloud(np.array([[1.0, 0.0], [0.0, 1.0]]))
