@@ -51,7 +51,7 @@ _GROUPS = {
 
 _TIGHT_GROUPS = {"T", "SO", "SE"}
 
-# float flags that must be finite numbers; argparse's float() accepts "nan" and "inf"
+# float flags that must be finite numbers (argparse's float() takes "nan" and "inf")
 _FINITE_FLAGS = ("sigma", "tau", "norm_x", "norm_delta", "theta")
 
 _READ_PATHS = ("clean", "perturbed", "input")
@@ -136,12 +136,14 @@ def _resolve_p_lower(args, clean: PointCloud) -> tuple[float, int | None]:
     return p_lower, label
 
 
-def _check_finite(args) -> None:
+def _check_float_flags(args) -> None:
     for name in _FINITE_FLAGS:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag}: must be a finite number (got {value})")
+    if getattr(args, "sigma", 1.0) <= 0:
+        raise UsageError(f"--sigma: must be > 0 (got {args.sigma})")
 
 
 def _check_probability(value: float | None, flag: str) -> None:
@@ -154,8 +156,6 @@ def cmd_certify(args) -> int:
     perturbed = _load_cloud(args.perturbed, "--perturbed")
     if clean.data.shape != perturbed.data.shape:
         raise UsageError("--perturbed: shape differs from --clean")
-    if args.sigma <= 0:
-        raise UsageError("--sigma: must be > 0")
     if args.method in ("tight", "both") and args.group not in _TIGHT_GROUPS:
         raise UsageError(
             f"--method {args.method}: tight certificates support groups T, SO, SE"
@@ -211,8 +211,6 @@ def cmd_project(args) -> int:
 
 def cmd_smooth_predict(args) -> int:
     cloud = _load_cloud(args.input, "--input")
-    if args.sigma <= 0:
-        raise UsageError("--sigma: must be > 0")
     g = make_classifier(args.classifier, args.tau, cloud)
     label, p_lower = smooth_predict(
         g, cloud, args.sigma, args.n1, args.alpha, args.seed
@@ -228,8 +226,6 @@ def cmd_smooth_predict(args) -> int:
 def cmd_pmin_grid(args) -> int:
     if args.norm_x < 0 or args.norm_delta < 0:
         raise UsageError("--norm-x/--norm-delta: must be >= 0")
-    if args.sigma <= 0:
-        raise UsageError("--sigma: must be > 0")
     if args.resolution < 2:
         raise UsageError("--resolution: must be >= 2")
     group = None if args.group == "blackbox" else GroupSpec(GroupKind.ROTATION, 2)
@@ -407,7 +403,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_finite(args)
+        _check_float_flags(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

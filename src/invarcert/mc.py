@@ -102,8 +102,8 @@ def smooth_predict(
     return label, p_lower
 
 
-# Pure in their arguments and called with the same few per pmin_grid cell, so
-# they are cached; each result is an int or None.
+# Pure in their arguments, and pmin_grid asks every cell for the same index,
+# so both are cached; each returns an int or None, never a mutable value.
 @functools.lru_cache(maxsize=64)
 def lower_quantile_index(trials: int, level: float, significance: float) -> int | None:
     """Largest 1-based index n with Pr[Bin(trials, level) <= n] < significance.

@@ -331,6 +331,25 @@ class TestNonFinite:
         assert "must be a finite number" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv", "perturbed.csv"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["certify", "--group", "SO", "--clean", "x.csv", "--perturbed", "x.csv",
+             "--p-lower", "0.9"],
+            ["smooth-predict", "--classifier", "norm", "--input", "x.csv"],
+            ["pmin-grid", "--group", "SO2", "--norm-x", "0.4", "--norm-delta", "0.3",
+             "--resolution", "4", "--out-csv", "grid.csv"],
+        ],
+    )
+    @pytest.mark.parametrize("sigma", ["0", "-0.5"])
+    def test_non_positive_sigma_is_usage_error(self, tmp_path, capsys, monkeypatch, command, sigma):
+        monkeypatch.chdir(tmp_path)
+        save_points_csv(tmp_path / "x.csv", PointCloud(np.eye(2)))
+        code = main([*command, "--sigma", sigma, "--seed", "1"])
+        assert code == 2
+        assert "--sigma: must be > 0" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
     def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         import invarcert.cli as cli_mod
 

@@ -184,8 +184,8 @@ class TestTwoSample:
         stable = np.sort(threshold, kind="stable")
         assert np.sort(threshold).tobytes() == stable.tobytes()
         kappa, share = _threshold_with_share(stable, n_star)
-        count = statistic(sample_gaussian(problem.perturbed_spec, 1000, np.random.default_rng(2)))
-        assert repr(got) == repr((kappa, _count(count, kappa, share, below)))
+        counted = statistic(sample_gaussian(problem.perturbed_spec, 1000, np.random.default_rng(2)))
+        assert repr(got) == repr((kappa, _count(counted, kappa, share, below)))
 
 
 class TestUpperReduced:

@@ -124,10 +124,11 @@ class TestDistanceProfile:
         rng = np.random.default_rng(6)
         ref = PointCloud(rng.standard_normal((17, 2)))
         cloud = ref.data + 0.2 * rng.standard_normal((17, 2))
-        distance = np.linalg.norm(reference_profile(cloud[None]) - reference_profile(ref.data[None]))
+        signature = reference_profile(ref.data[None])
+        distance = np.linalg.norm(reference_profile(cloud[None]) - signature, axis=1)[0]
         for tau, label in ((distance, 1), (np.nextafter(distance, 0.0), 0)):
             g = pairwise_centroid_classifier(ref, tau)
-            assert np.array_equal(g.signature, reference_profile(ref.data[None])[0])
+            assert np.array_equal(g.signature, signature[0])
             assert np.array_equal(g.predict_batch(cloud), [label])
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -136,7 +137,8 @@ class TestDistanceProfile:
         rng = np.random.default_rng(rows + d)
         ref = PointCloud(rng.standard_normal((64, d)))
         batch = ref.data + 0.1 * rng.standard_normal((150, 64, d))
-        distance = np.linalg.norm(reference_profile(batch) - reference_profile(ref.data[None]), axis=1)
+        signature = reference_profile(ref.data[None])
+        distance = np.linalg.norm(reference_profile(batch) - signature, axis=1)
         # tau at a sample's exact distance: one ulp more on any row flips it
         tau = float(np.sort(distance)[75])
         monkeypatch.setattr(oracles, "_PROFILE_BYTES", rows * 8 * d * (64 * 63 // 2))
