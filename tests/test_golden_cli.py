@@ -78,6 +78,38 @@ CASES = {
         ],
         ["out.json"],
     ),
+    "certify-multiclass-t": (
+        [
+            "certify", "--group", "T", "--clean", "clean2.csv", "--perturbed", "pert2.csv",
+            "--sigma", "0.5", "--p-lower", "0.9", "--p-upper", "0.05", "--multiclass",
+            "--seed", "1", "--out", "out.json",
+        ],
+        ["out.json"],
+    ),
+    "certify-multiclass-sxse-clamped": (
+        [
+            "certify", "--group", "SxSE", "--clean", "cleanr.csv", "--perturbed", "pertr.csv",
+            "--sigma", "0.5", "--p-lower", "1.0", "--p-upper", "0.0", "--multiclass",
+            "--method", "orbit", "--seed", "1", "--out", "out.json",
+        ],
+        ["out.json"],
+    ),
+    "certify-multiclass-o-not-above": (
+        [
+            "certify", "--group", "O", "--clean", "cleanr.csv", "--perturbed", "pertr.csv",
+            "--sigma", "0.5", "--p-lower", "0.3", "--p-upper", "0.4", "--multiclass",
+            "--method", "orbit", "--seed", "1", "--out", "out.json",
+        ],
+        ["out.json"],
+    ),
+    "pmin-grid-blackbox": (
+        [
+            "pmin-grid", "--group", "blackbox", "--norm-x", "0.4", "--norm-delta", "0.3",
+            "--sigma", "0.5", "--resolution", "5", "--seed", "5",
+            "--out-csv", "grid.csv", "--out-json", "grid.json",
+        ],
+        ["grid.json", "grid.csv"],
+    ),
     "pmin-grid-so2": (
         [
             "pmin-grid", "--group", "SO2", "--norm-x", "0.4", "--norm-delta", "0.3",
