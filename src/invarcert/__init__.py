@@ -65,7 +65,6 @@ from .tight import (
     rho_so3,
     so2_problem_from_params,
     so3_log_beta,
-    so3_log_beta_hat,
     tight_translation,
     upper_bound_rotation_tight,
 )

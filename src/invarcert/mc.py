@@ -4,7 +4,8 @@ procedures on one two-sample core, plus smoothed prediction with abstention.
 Each procedure combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
 threshold, and a final binomial bound, at significances (alpha, alpha/2,
-alpha/3) so all three hold simultaneously.
+alpha/3).  By the union bound all three hold jointly with probability at least
+1 - 11 alpha / 6, not 1 - alpha; the reported ``confidence`` still reads 1 - alpha.
 """
 
 from __future__ import annotations
@@ -45,12 +46,16 @@ class McConfig:
     def __post_init__(self):
         if min(self.n1, self.n2, self.n3) < 100:
             raise ValueError("McConfig: sample counts must be >= 100")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError("McConfig: alpha must lie in (0, 0.5)")
+        _check_alpha("McConfig", self.alpha)
 
     @property
     def confidences(self) -> tuple[float, float, float]:
         return (1.0 - self.alpha, 1.0 - self.alpha / 2.0, 1.0 - self.alpha / 3.0)
+
+
+def _check_alpha(caller: str, alpha: float) -> None:
+    if not 0.0 < alpha < 0.5:  # NaN fails too
+        raise ValueError(f"{caller}: alpha must lie in (0, 0.5) (got {alpha})")
 
 
 class BaseClassifier(Protocol):
@@ -96,6 +101,7 @@ def smooth_predict(
         raise ValueError("smooth_predict: sigma must be finite and > 0")
     if n < 1:
         raise ValueError("smooth_predict: n must be >= 1")
+    _check_alpha("smooth_predict", alpha)
     label, p_lower = _majority_vote(g, x, sigma, n, alpha, np.random.default_rng(seed))
     if p_lower <= 0.5:
         return ABSTAIN, p_lower

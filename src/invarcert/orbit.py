@@ -82,6 +82,13 @@ def blackbox_radius(p_lower: float, sigma: float) -> float:
     return sigma * std_normal_quantile(p_lower)
 
 
+def shift_bound(p: float, residual: float, sigma: float) -> float:
+    """Phi(Phi^-1(p) - residual / sigma): the worst-case probability of a class
+    with clean probability p at orbit distance residual.  A negative residual
+    gives the best case, the competitor's upper bound."""
+    return std_normal_cdf(std_normal_quantile(p) - residual / sigma)
+
+
 def _check_shapes(x: PointCloud, x_prime: PointCloud) -> None:
     if x.data.shape != x_prime.data.shape:
         raise ValueError("orbit projection: point clouds have different shapes")
@@ -220,7 +227,7 @@ def certify_orbit(
 ) -> CertificateOutcome:
     """Certified iff the orbit residual is strictly below the black-box radius.
 
-    bound_value reports Phi(Phi^-1(p) - residual / sigma), which coincides
+    bound_value reports shift_bound(p, residual, sigma), which coincides
     with the verdict (strictly above 1/2 iff residual < radius).
     """
     notes: list[str] = []
@@ -231,13 +238,11 @@ def certify_orbit(
     proj = project(group, x, x_prime)
     if not proj.exact:
         notes.append("approximate-registration-upper-bound")
-    bound = std_normal_cdf(std_normal_quantile(p_eff) - proj.residual / sigma)
-    certified = proj.residual < radius
     if radius <= 0.0:
         notes.append("radius-nonpositive")
     return CertificateOutcome(
-        certified=certified,
-        bound_value=bound,
+        certified=proj.residual < radius,
+        bound_value=shift_bound(p_eff, proj.residual, sigma),
         radius=radius,
         p_lower=p_eff,
         confidence=1.0,

@@ -25,7 +25,6 @@ from .geometry import (
     adversarial_rotation_locus,
     center,
     epsilon_params,
-    rotate_quarter_turn_back,
 )
 from .mc import McConfig
 from .numerics import (
@@ -36,18 +35,20 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .orbit import CertificateOutcome, blackbox_radius, project, project_translation
+from .orbit import (
+    CertificateOutcome,
+    OrbitProjection,
+    blackbox_radius,
+    project,
+    project_translation,
+    shift_bound,
+)
 
 
 @dataclass(frozen=True)
 class RotationCertProblem:
-    """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate.
+    """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate."""
 
-    ``group`` is None for the one-dimensional black-box and translation
-    reductions used by the inverse certificates.
-    """
-
-    group: GroupSpec | None
     mean_perturbed: np.ndarray
     mean_clean: np.ndarray
     covariance: np.ndarray
@@ -86,7 +87,7 @@ def tight_translation(
     if clamped:
         notes.append("p-lower-clamped")
     residual = project_translation(x, x_prime).residual
-    bound = std_normal_cdf(std_normal_quantile(p_eff) - residual / sigma)
+    bound = shift_bound(p_eff, residual, sigma)
     return CertificateOutcome(
         certified=bound > 0.5,
         bound_value=bound,
@@ -127,7 +128,6 @@ def so2_problem_from_params(
         ]
     )
     return RotationCertProblem(
-        group=GroupSpec(GroupKind.ROTATION, 2),
         mean_perturbed=mean_perturbed,
         mean_clean=mean_clean,
         covariance=covariance,
@@ -140,17 +140,6 @@ def build_so2_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> Rotat
         raise ValueError("build_so2_problem: requires D = 2")
     eps = epsilon_params(x, x_prime.data - x.data)
     return so2_problem_from_params(eps.norm_x, eps.norm_delta, eps.eps1, eps.eps2, sigma)
-
-
-def so2_projection_matrix(x: PointCloud, x_prime: PointCloud, sigma: float) -> np.ndarray:
-    """The 4 x 2N projection whose Gram matrix reconstructs the covariance."""
-    rows = [
-        x_prime.data,
-        rotate_quarter_turn_back(x_prime.data),
-        x.data,
-        rotate_quarter_turn_back(x.data),
-    ]
-    return np.stack([m.T.ravel() for m in rows]) / (sigma * sigma)
 
 
 def rho_so2() -> LikelihoodStatistic:
@@ -314,22 +303,6 @@ def so3_log_beta(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_beta, error
 
 
-def so3_log_beta_hat(m: np.ndarray, sigma: float) -> float:
-    """log beta(m / sigma^2) for one cross matrix m at noise sigma.
-
-    This is the rotation average up to the additive constant that the
-    numerator and denominator of the likelihood ratio share: the full
-    three-angle Haar integral of ``oracles.haar_oracle_so3`` is larger by
-    log 2 pi.
-    """
-    if sigma <= 0:
-        raise ValueError("so3_log_beta_hat: sigma must be > 0")
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError("so3_log_beta_hat: m must be 3 x 3")
-    return float(so3_log_beta(m[None] / (sigma * sigma))[0][0])
-
-
 def devec9(q: np.ndarray) -> np.ndarray:
     """Column-major devectorization of 9-vectors into 3 x 3 matrices."""
     q = np.atleast_2d(np.asarray(q, dtype=float))
@@ -377,12 +350,14 @@ def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> Rotat
     vec_clean = x.data.T.ravel()
     vec_pert = x_prime.data.T.ravel()
     return RotationCertProblem(
-        group=GroupSpec(GroupKind.ROTATION, 3),
         mean_perturbed=w @ vec_pert,
         mean_clean=w @ vec_clean,
         covariance=(sigma * sigma) * (w @ w.T),
         sigma=sigma,
     )
+
+
+_ROTATION_KINDS = (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION)
 
 
 def _rotation_problem(
@@ -391,7 +366,7 @@ def _rotation_problem(
     x_prime: PointCloud,
     sigma: float,
 ) -> tuple[RotationCertProblem, LikelihoodStatistic]:
-    if group.kind not in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
+    if group.kind not in _ROTATION_KINDS:
         raise ValueError(f"tight rotation certificate: unsupported group {group.kind}")
     if x.dim != group.dim or x_prime.dim != group.dim:
         raise ValueError("tight rotation certificate: dimension mismatch")
@@ -434,23 +409,12 @@ def upper_bound_rotation_tight(
     return mc_engine.prob_certify_upper_reduced(problem, statistic, mc, seed, p_upper=p_upper)
 
 
-def blackbox_reduced_problem(norm_delta: float, sigma: float) -> RotationCertProblem:
-    """One-dimensional reduction of the black-box certificate: a unit-variance
-    normal shifted by ||Delta|| / sigma."""
-    if sigma <= 0:
-        raise ValueError("blackbox_reduced_problem: sigma must be > 0")
-    return RotationCertProblem(
-        group=None,
-        mean_perturbed=np.array([norm_delta / sigma]),
-        mean_clean=np.array([0.0]),
-        covariance=np.array([[1.0]]),
-        sigma=sigma,
-    )
-
-
-def linear_statistic() -> LikelihoodStatistic:
-    """Identity statistic for the one-dimensional reductions."""
-    return LikelihoodStatistic(dim=1, evaluator=lambda q: q[:, 0])
+def _distance(group: GroupSpec | None, x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
+    """Orbit projection of x_prime toward x.  None is the trivial group of
+    the black-box certificate, whose orbit distance is ||Delta||."""
+    if group is None:
+        return OrbitProjection(residual=float(np.linalg.norm(x_prime.data - x.data)))
+    return project(group, x, x_prime)
 
 
 def inverse_certificate(
@@ -464,16 +428,11 @@ def inverse_certificate(
     """Smallest clean prediction probability for which the perturbation can
     still be certified; closed form where available, otherwise Monte Carlo
     (upper bound holding with confidence 1 - alpha)."""
-    if group is None:
-        norm_delta = float(np.linalg.norm(x_prime.data - x.data))
-        return std_normal_cdf(norm_delta / sigma)
-    if group.kind is GroupKind.TRANSLATION:
-        return std_normal_cdf(project_translation(x, x_prime).residual / sigma)
-    if group.kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
+    if group is not None and group.kind in _ROTATION_KINDS:
         problem, statistic = _rotation_problem(group, x, x_prime, sigma)
         return mc_engine.inverse_certify_reduced(problem, statistic, mc, seed)
-    # remaining orbit groups: certified iff residual < sigma Phi^-1(p)
-    return std_normal_cdf(project(group, x, x_prime).residual / sigma)
+    # closed form: certified iff residual < sigma Phi^-1(p)
+    return std_normal_cdf(_distance(group, x, x_prime).residual / sigma)
 
 
 def certify_multiclass(
@@ -505,26 +464,7 @@ def certify_multiclass(
             notes=tuple(notes) + ("pa-not-above-pb",),
         )
     radius = multiclass_radius(pa, pb, sigma)
-    if group is None or group.kind is GroupKind.TRANSLATION:
-        if group is None:
-            residual = float(np.linalg.norm(x_prime.data - x.data))
-            method = "multiclass-blackbox"
-        else:
-            residual = project_translation(x, x_prime).residual
-            method = "multiclass-T"
-        lower = std_normal_cdf(std_normal_quantile(pa) - residual / sigma)
-        upper = std_normal_cdf(std_normal_quantile(pb) + residual / sigma)
-        return CertificateOutcome(
-            certified=residual < radius,
-            bound_value=lower,
-            radius=radius,
-            p_lower=pa,
-            confidence=1.0,
-            method=method,
-            residual=residual,
-            notes=tuple(notes) + (f"competitor-upper={upper!r}",),
-        )
-    if group.kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
+    if group is not None and group.kind in _ROTATION_KINDS:
         ss = np.random.SeedSequence(seed)
         seed_lower, seed_upper = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
         problem, statistic = _rotation_problem(group, x, x_prime, sigma)
@@ -534,24 +474,29 @@ def certify_multiclass(
         upper = mc_engine.prob_certify_upper_reduced(
             problem, statistic, mc, seed_upper, p_upper=pb
         )
-        certified = outcome.bound_value > upper
         return replace(
             outcome,
-            certified=certified,
+            certified=outcome.bound_value > upper,
             method=f"multiclass-tight-{group.kind.value}{group.dim}",
             notes=outcome.notes + tuple(notes) + (f"competitor-upper={upper!r}",),
         )
-    # orbit groups: Theorem-2 post-processing of the multiclass ball
-    proj = project(group, x, x_prime)
+    # closed form: Theorem-2 post-processing of the multiclass ball.  For the
+    # black box and T the bound is tight, so the competitor's is reported too.
+    proj = _distance(group, x, x_prime)
+    if group is None or group.kind is GroupKind.TRANSLATION:
+        method = "multiclass-blackbox" if group is None else "multiclass-T"
+        notes.append(f"competitor-upper={shift_bound(pb, -proj.residual, sigma)!r}")
+    else:
+        method = f"multiclass-orbit-{group.kind.value}"
     if not proj.exact:
         notes.append("approximate-registration-upper-bound")
     return CertificateOutcome(
         certified=proj.residual < radius,
-        bound_value=std_normal_cdf(std_normal_quantile(pa) - proj.residual / sigma),
+        bound_value=shift_bound(pa, proj.residual, sigma),
         radius=radius,
         p_lower=pa,
         confidence=1.0,
-        method=f"multiclass-orbit-{group.kind.value}",
+        method=method,
         residual=proj.residual,
         notes=tuple(notes),
     )

@@ -24,26 +24,26 @@ from invarcert.geometry import (
 )
 from invarcert.mc import McConfig, inverse_certify_reduced, prob_certify_reduced
 from invarcert.numerics import std_normal_cdf, std_normal_quantile
-from invarcert.oracles import (
+from invarcert.oracles import norm_threshold_classifier
+from invarcert.orbit import blackbox_radius, certify_orbit, project_permutation, project_rotation, project_translation
+from invarcert.tight import (
+    build_so2_problem,
+    certify_rotation_tight,
+    inverse_certificate,
+    multiclass_radius,
+    rho_so2,
+    so3_log_beta,
+    tight_translation,
+)
+from reference import (
+    blackbox_reduced_problem,
     brute_force_permutation,
     brute_force_procrustes_2d,
     haar_oracle_so2,
     haar_oracle_so3,
-    norm_threshold_classifier,
-    reference_probability,
-)
-from invarcert.orbit import blackbox_radius, certify_orbit, project_permutation, project_rotation, project_translation
-from invarcert.tight import (
-    blackbox_reduced_problem,
-    build_so2_problem,
-    certify_rotation_tight,
-    inverse_certificate,
     linear_statistic,
-    multiclass_radius,
-    rho_so2,
-    so3_log_beta,
+    reference_probability,
     so3_log_beta_hat,
-    tight_translation,
 )
 
 SO2 = GroupSpec(GroupKind.ROTATION, 2)

@@ -443,6 +443,22 @@ class TestSmoothPredict:
         assert code == 0
         assert doc["results"]["label"] == "ABSTAIN"
 
+    @pytest.mark.parametrize("alpha", ["0.9", "0.5", "nan"])
+    def test_bad_alpha_exits_2_without_output(self, tmp_path, capsys, alpha):
+        path = tmp_path / "x.csv"
+        save_points_csv(path, PointCloud(np.zeros((2, 2))))
+        out = tmp_path / "out.json"
+        code = main(
+            [
+                "smooth-predict", "--classifier", "norm", "--input", str(path),
+                "--tau", "1.0", "--sigma", "0.5", "--n1", "400", "--alpha", alpha,
+                "--seed", "2", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_identical(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         save_points_csv(path, PointCloud(np.ones((3, 2))))

@@ -29,11 +29,10 @@ from invarcert.numerics import (
 from invarcert.oracles import norm_threshold_classifier
 from invarcert.tight import (
     LikelihoodStatistic,
-    blackbox_reduced_problem,
-    linear_statistic,
     rho_so2,
     so2_problem_from_params,
 )
+from reference import blackbox_reduced_problem, linear_statistic
 
 
 class _ConstantClassifier:
@@ -95,6 +94,12 @@ class TestSmoothPredict:
     def test_rejects_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError, match="finite and > 0"):
             smooth_predict(_ConstantClassifier(0), PointCloud(np.zeros((1, 2))), sigma, 10, 0.01, 0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, -0.1, math.nan])
+    def test_rejects_alpha_outside_open_interval(self, alpha):
+        # the same rule as McConfig: a p_lower at confidence 1 - alpha <= 1/2 is no bound
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            smooth_predict(_ConstantClassifier(0), PointCloud(np.zeros((1, 2))), 1.0, 10, alpha, 0)
 
     def test_deterministic(self):
         g = norm_threshold_classifier(2.0, 2)

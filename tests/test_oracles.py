@@ -9,18 +9,20 @@ from invarcert.geometry import GroupKind, GroupSpec, PointCloud, rot2
 from invarcert.numerics import log_bessel_i0
 from invarcert import oracles
 from invarcert.oracles import (
+    centered_norm_threshold_classifier,
+    norm_threshold_classifier,
+    pairwise_centroid_classifier,
+)
+from invarcert.orbit import project_permutation, project_rotation
+from reference import (
     brute_force_permutation,
     brute_force_procrustes_2d,
-    centered_norm_threshold_classifier,
     haar_oracle_so2,
     haar_oracle_so3,
     invariance_audit,
-    norm_threshold_classifier,
-    pairwise_centroid_classifier,
     reference_probability,
+    so3_log_beta_hat,
 )
-from invarcert.orbit import project_permutation, project_rotation
-from invarcert.tight import so3_log_beta_hat
 
 # oracle: bisection on exp(-t)(1+t) = 1/2 for the chi-square(4) median
 CHI2_4_MEDIAN = 3.356693980033321

@@ -6,11 +6,6 @@ import numpy as np
 import pytest
 
 from invarcert.geometry import GroupKind, GroupSpec, PointCloud, center, rot2, rot3_zyx
-from invarcert.oracles import (
-    brute_force_permutation,
-    brute_force_procrustes_2d,
-    random_group_element,
-)
 from invarcert.orbit import (
     blackbox_radius,
     certify_orbit,
@@ -21,6 +16,11 @@ from invarcert.orbit import (
     project_rotation,
     project_roto_translation,
     project_translation,
+)
+from reference import (
+    brute_force_permutation,
+    brute_force_procrustes_2d,
+    random_group_element,
 )
 
 # oracle: sigma * (bisection quantile on erf), frozen

@@ -20,26 +20,28 @@ from invarcert.mc import McConfig, inverse_certify_reduced
 from invarcert.numerics import NumericalFailure, std_normal_cdf, std_normal_quantile
 from invarcert.orbit import certify_orbit, project_rotation
 from invarcert.tight import (
-    blackbox_reduced_problem,
     build_so2_problem,
     build_so3_problem,
     certify_multiclass,
     certify_rotation_tight,
     devec9,
     inverse_certificate,
-    linear_statistic,
     multiclass_radius,
     pmin_grid,
     rho_so2,
     rho_so3,
     so2_problem_from_params,
-    so2_projection_matrix,
     proper_singular_values,
     so3_log_beta,
-    so3_log_beta_hat,
     so3_projection_matrix,
     tight_translation,
     upper_bound_rotation_tight,
+)
+from reference import (
+    blackbox_reduced_problem,
+    linear_statistic,
+    so2_projection_matrix,
+    so3_log_beta_hat,
 )
 
 SO2 = GroupSpec(GroupKind.ROTATION, 2)
@@ -456,7 +458,8 @@ class TestCertifyRotationTight:
         # the bound must stay below the actual perturbed probability of a
         # concrete roto-translation-invariant classifier (SE path)
         from invarcert.mc import smooth_predict
-        from invarcert.oracles import centered_norm_threshold_classifier, reference_probability
+        from invarcert.oracles import centered_norm_threshold_classifier
+        from reference import reference_probability
 
         rng = np.random.default_rng(28)
         sigma = 0.5
@@ -612,6 +615,47 @@ class TestInverseCertificate:
             rho_so2(), FAST_MC, seed=14,
         )
         assert from_clouds == from_params
+
+
+CLOSED_FORM_KINDS = [
+    None,
+    GroupKind.TRANSLATION,
+    GroupKind.ORTHOGONAL,
+    GroupKind.PERMUTATION,
+    GroupKind.PERMUTATION_ROTO_TRANSLATION,
+]
+
+
+class TestClosedFormsAgree:
+    """The closed-form multiclass and inverse certificates of every group use
+    the orbit certificate's distance and bound, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", CLOSED_FORM_KINDS, ids=lambda k: getattr(k, "value", "None"))
+    def test_multiclass_and_inverse_match_orbit(self, kind, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(5):
+            x, xp = _pair(rng, 6, dim, scale=float(rng.uniform(0.05, 0.6)))
+            sigma = float(rng.uniform(0.2, 1.0))
+            pa = float(rng.uniform(0.55, 0.999))
+            pb = float(rng.uniform(0.0001, 1.0 - pa))
+            group = None if kind is None else GroupSpec(kind, dim)
+            multi = certify_multiclass(group, x, xp, pa, pb, sigma, FAST_MC, seed=1)
+            if group is None:
+                residual = float(np.linalg.norm(xp.data - x.data))
+                bound = std_normal_cdf(std_normal_quantile(pa) - residual / sigma)
+            else:
+                orbit = certify_orbit(group, x, xp, pa, sigma)
+                residual, bound = orbit.residual, orbit.bound_value
+            assert multi.residual == residual
+            assert multi.bound_value == bound
+            if kind is GroupKind.TRANSLATION:
+                assert multi.bound_value == tight_translation(x, xp, pa, sigma).bound_value
+            if kind in (None, GroupKind.TRANSLATION):
+                upper = std_normal_cdf(std_normal_quantile(pb) + residual / sigma)
+                assert f"competitor-upper={upper!r}" in multi.notes
+            pmin = inverse_certificate(group, x, xp, sigma, FAST_MC, seed=1)
+            assert pmin == std_normal_cdf(residual / sigma)
 
 
 class TestPminGrid:
