@@ -91,7 +91,7 @@ def shift_bound(p: float, residual: float, sigma: float) -> float:
 
 def _check_shapes(x: PointCloud, x_prime: PointCloud) -> None:
     if x.data.shape != x_prime.data.shape:
-        raise ValueError("orbit projection: point clouds have different shapes")
+        raise ValueError("point clouds have different shapes")
 
 
 def project_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:

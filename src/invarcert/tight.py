@@ -9,6 +9,7 @@ probabilistic bounds.  Roto-translation is rotation after centering.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
@@ -38,6 +39,7 @@ from .numerics import (
 from .orbit import (
     CertificateOutcome,
     OrbitProjection,
+    _check_shapes,
     blackbox_radius,
     project,
     project_translation,
@@ -176,6 +178,11 @@ _UNIT_WEIGHTS = 0.5 * np.concatenate([_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1]])
 _UNIT_ERROR_WEIGHTS = _UNIT_WEIGHTS - 0.5 * np.concatenate(
     [_G7_ON_K15[:-1], _G7_ON_K15[::-1]]
 )
+# The two halves of rho_so3 read these tables, each on its own thread.
+for _table in (_K15_NODES, _K15_WEIGHTS, _G7_ON_K15,
+               _UNIT_NODES, _UNIT_WEIGHTS, _UNIT_ERROR_WEIGHTS):
+    _table.setflags(write=False)
+del _table
 
 # Widest panel of the graded parts, in tau where p = h sinh(tau).
 _MF_GRADED_WIDTH = 1.5
@@ -283,6 +290,9 @@ def so3_log_beta(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i0e(b(1 + cos t)) exp(-k(1 - cos t)) dt, with a = (s1 - s2)/2,
     b = (s1 + s2)/2 and k = s2 + s3.  Raises NumericalFailure when the
     error estimate exceeds _MF_MAX_ERROR.
+
+    Pure: it reads only its argument and read-only module tables, so several
+    threads may call it at once.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -315,11 +325,18 @@ def rho_so3() -> LikelihoodStatistic:
     """log beta ratio on the two 3 x 3 cross matrices of an 18-dim sample.
 
     Samples already carry the 1/sigma^2 scaling through the projection, so
-    beta is evaluated at unit sigma.
+    beta is evaluated at unit sigma.  The two normalizers are independent:
+    the X half runs on a worker thread while the calling thread computes the
+    X' half, with the same arithmetic as evaluating them in turn.  If both
+    halves fail, the X' half's error propagates, and the worker is joined
+    before the evaluator returns or raises.
     """
 
     def evaluator(q: np.ndarray) -> np.ndarray:
-        return so3_log_beta(devec9(q[:, :9]))[0] - so3_log_beta(devec9(q[:, 9:]))[0]
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            second = worker.submit(so3_log_beta, devec9(q[:, 9:]))
+            first = so3_log_beta(devec9(q[:, :9]))
+            return first[0] - second.result()[0]
 
     return LikelihoodStatistic(dim=18, evaluator=evaluator)
 
@@ -370,6 +387,7 @@ def _rotation_problem(
         raise ValueError(f"tight rotation certificate: unsupported group {group.kind}")
     if x.dim != group.dim or x_prime.dim != group.dim:
         raise ValueError("tight rotation certificate: dimension mismatch")
+    _check_shapes(x, x_prime)
     if group.kind is GroupKind.ROTO_TRANSLATION:
         x, x_prime = center(x), center(x_prime)
     if group.dim == 2:
@@ -412,6 +430,7 @@ def upper_bound_rotation_tight(
 def _distance(group: GroupSpec | None, x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     """Orbit projection of x_prime toward x.  None is the trivial group of
     the black-box certificate, whose orbit distance is ||Delta||."""
+    _check_shapes(x, x_prime)
     if group is None:
         return OrbitProjection(residual=float(np.linalg.norm(x_prime.data - x.data)))
     return project(group, x, x_prime)

@@ -6,9 +6,15 @@ reports a renamed or deleted target as an absent layer rather than an error,
 so a refactor could otherwise make per-layer metrics vanish silently.
 """
 
+import threading
 from pathlib import Path
 
+import numpy as np
+
 import invarcert.mc
+import invarcert.tight
+from invarcert.geometry import GroupKind, GroupSpec, PointCloud
+from invarcert.mc import McConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,3 +32,34 @@ def test_tracer_finds_every_layer(monkeypatch):
     finally:
         tracer.uninstall()
     assert invarcert.mc.prob_certify_reduced is original
+
+
+def test_traced_spans_stay_on_calling_thread(monkeypatch):
+    # the tracer keeps one span stack, so a span opened on a worker thread
+    # would take the wrong parent; rho_so3's worker must run untraced code only
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    threads = []
+    call = tracer.call
+
+    def recording_call(*args, **kwargs):
+        threads.append((args[0], threading.get_ident()))
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(tracer, "call", recording_call)
+    rng = np.random.default_rng(5)
+    x = PointCloud(rng.standard_normal((6, 3)))
+    x_prime = PointCloud(x.data + 0.3 * rng.standard_normal((6, 3)))
+    mc = McConfig(n1=100, n2=100, n3=100)
+    tracer.install()
+    try:
+        for kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
+            invarcert.tight.certify_rotation_tight(
+                GroupSpec(kind, 3), x, x_prime, 0.8, 0.5, mc, seed=1
+            )
+    finally:
+        tracer.uninstall()
+    assert "tight.statistic" in {layer for layer, _ in threads}
+    assert {ident for _, ident in threads} == {threading.get_ident()}

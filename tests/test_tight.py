@@ -2,6 +2,8 @@
 multi-class combination, inverse certificates and the parameter grid."""
 
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -270,6 +272,81 @@ class TestSo3BetaHat:
         assert np.array_equal(m[:, 0], [1.0, 2.0, 3.0])
         assert np.array_equal(m[:, 1], [4.0, 5.0, 6.0])
         assert np.array_equal(m[:, 2], [7.0, 8.0, 9.0])
+
+    def test_quadrature_tables_read_only(self):
+        # both halves of rho_so3 read them from their own threads
+        for table in (tight._K15_NODES, tight._K15_WEIGHTS, tight._G7_ON_K15,
+                      tight._UNIT_NODES, tight._UNIT_WEIGHTS, tight._UNIT_ERROR_WEIGHTS):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+
+def _so3_samples(rows, scale, seed):
+    """18-dim samples whose two 3 x 3 halves each have Frobenius norm ``scale``."""
+    q = np.random.default_rng(seed).standard_normal((rows, 2, 9))
+    q *= scale / np.linalg.norm(q, axis=2, keepdims=True)
+    return q.reshape(rows, 18)
+
+
+class TestRhoSo3Threads:
+    """rho_so3 computes its two normalizers on two threads."""
+
+    @pytest.mark.parametrize("scale", [10.0, 1e3, 1e5])
+    @pytest.mark.parametrize("rows", [1, 7, 1000, 2047, 2048, 2049, 4500])
+    def test_bit_identical_to_sequential(self, rows, scale):
+        q = _so3_samples(rows, scale, seed=rows)
+        sequential = so3_log_beta(devec9(q[:, :9]))[0] - so3_log_beta(devec9(q[:, 9:]))[0]
+        assert np.array_equal(rho_so3()(q), sequential)
+
+    def test_perturbed_half_error_wins(self, monkeypatch):
+        # both halves fail; the X' half's error is the one raised
+        monkeypatch.setattr(tight, "_MF_MAX_ERROR", 0.0)
+        q = _so3_samples(5, 20.0, seed=1)
+        q[2, 4] = np.nan
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            rho_so3()(q)
+
+    def test_clean_half_error_alone(self, monkeypatch):
+        monkeypatch.setattr(tight, "_MF_MAX_ERROR", 0.0)
+        q = _so3_samples(5, 20.0, seed=2)
+        with pytest.raises(NumericalFailure, match="error estimate"):
+            so3_log_beta(devec9(q[:, 9:]))
+        q[:, :9] = 0.0  # log beta of the zero matrix has zero error estimate
+        with pytest.raises(NumericalFailure, match="error estimate"):
+            rho_so3()(q)
+
+    def test_concurrent_callers_agree(self):
+        # more callers than cores, each with its own worker, on the shared
+        # read-only quadrature tables
+        q = _so3_samples(300, 1e3, seed=4)
+        expected = rho_so3()(q)
+        results = [None] * 4
+
+        def run(i):
+            results[i] = rho_so3()(q)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(np.array_equal(r, expected) for r in results)
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        q = _so3_samples(50, 100.0, seed=3)
+        rho_so3()(q)
+        assert threading.active_count() == before
+        q[0, 12] = np.inf
+        with pytest.raises(NumericalFailure):
+            rho_so3()(q)
+        assert threading.active_count() == before
 
 
 class TestSo3Problem:
@@ -725,3 +802,27 @@ class TestReducedHelpers:
         assert problem.mean_perturbed[0] == pytest.approx(1.0)
         stat = linear_statistic()
         assert np.array_equal(stat(np.array([[2.5]])), [2.5])
+
+
+class TestShapeMismatch:
+    """Clouds with different point counts are rejected, not broadcast."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, xp: certify_multiclass(None, x, xp, 0.8, 0.1, 0.5, FAST_MC, seed=1),
+            lambda x, xp: inverse_certificate(None, x, xp, 0.5, FAST_MC, seed=1),
+            lambda x, xp: certify_rotation_tight(SO2, x, xp, 0.8, 0.5, FAST_MC, seed=1),
+            lambda x, xp: certify_rotation_tight(SE2, x, xp, 0.8, 0.5, FAST_MC, seed=1),
+            lambda x, xp: inverse_certificate(SO2, x, xp, 0.5, FAST_MC, seed=1),
+            lambda x, xp: inverse_certificate(SE2, x, xp, 0.5, FAST_MC, seed=1),
+        ],
+        ids=["multiclass-blackbox", "inverse-blackbox", "tight-SO2", "tight-SE2",
+             "inverse-SO2", "inverse-SE2"],
+    )
+    def test_different_shapes_rejected(self, call):
+        rng = np.random.default_rng(31)
+        x = PointCloud(rng.standard_normal((4, 2)))
+        xp = PointCloud(rng.standard_normal((1, 2)))
+        with pytest.raises(ValueError, match="different shapes"):
+            call(x, xp)
