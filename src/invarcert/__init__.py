@@ -27,12 +27,11 @@ from .mc import (
     smooth_predict,
 )
 from .numerics import (
-    BinomialBoundRequest,
-    GaussianSpec,
     NumericalFailure,
     clopper_pearson_lower,
     clopper_pearson_upper,
     log_bessel_i0,
+    psd_factor,
     sample_gaussian,
     std_normal_cdf,
     std_normal_quantile,
@@ -66,7 +65,6 @@ from .tight import (
     so2_problem_from_params,
     so3_log_beta,
     tight_translation,
-    upper_bound_rotation_tight,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -115,7 +115,7 @@ class EpsilonParams:
 
     def __post_init__(self):
         bound = self.norm_x * self.norm_delta
-        if math.hypot(self.eps1, self.eps2) > bound + 1e-9:
+        if math.hypot(self.eps1, self.eps2) > bound + 1e-9 * max(1.0, bound):
             raise ValueError("EpsilonParams: orientation parameters exceed |X||Delta|")
 
     @property

@@ -1,6 +1,9 @@
 """Monte-Carlo certification: the lower-bound, upper-bound and inverse
 procedures on one two-sample core, plus smoothed prediction with abstention.
 
+A reduced problem is two Gaussian means sharing one covariance; the core draws
+both samples through the problem's one cached covariance factor.
+
 Each procedure combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
 threshold, and a final binomial bound, at significances (alpha, alpha/2,
@@ -19,7 +22,6 @@ import numpy as np
 
 from .geometry import GroupSpec, PointCloud
 from .numerics import (
-    BinomialBoundRequest,
     NumericalFailure,
     binomial_log_cdf_all,
     clamp_probability,
@@ -82,9 +84,7 @@ def _majority_vote(g: BaseClassifier, x: PointCloud, sigma: float, n: int,
         for v, f in zip(values, freq):
             counts[int(v)] = counts.get(int(v), 0) + int(f)
     label = max(sorted(counts), key=counts.get)
-    return label, clopper_pearson_lower(
-        BinomialBoundRequest(counts[label], n, 1.0 - alpha)
-    )
+    return label, clopper_pearson_lower(counts[label], n, 1.0 - alpha)
 
 
 def smooth_predict(
@@ -145,8 +145,8 @@ def _generators(seed: int, count: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count))
 
 
-def _statistic_values(statistic, spec, count, rng, problem) -> np.ndarray:
-    samples = sample_gaussian(spec, count, rng)
+def _statistic_values(statistic, mean, count, rng, problem) -> np.ndarray:
+    samples = sample_gaussian(mean, count, rng, problem.factor)
     values = np.asarray(statistic(samples), dtype=float)
     bad = np.isnan(values)
     if np.any(bad):
@@ -190,25 +190,26 @@ def _two_sample(
     problem,
     statistic,
     rngs: tuple[np.random.Generator, np.random.Generator],
-    threshold_spec,
+    threshold_mean: np.ndarray,
     n_threshold: int,
-    count_spec,
+    count_mean: np.ndarray,
     n_count: int,
     n_star: int,
     below: bool,
 ) -> tuple[float, int]:
     """The skeleton shared by the three procedures: kappa is the n_star-th
-    ascending order statistic of n_threshold draws of the statistic under
-    threshold_spec; count is how many of n_count draws under count_spec fall
-    below kappa (or above it), ties split at kappa's share."""
+    ascending order statistic of n_threshold draws of the statistic under the
+    problem's Gaussian centred at threshold_mean; count is how many of n_count
+    draws centred at count_mean fall below kappa (or above it), ties split at
+    kappa's share.  Both draws share the problem's one covariance factor."""
     rng_threshold, rng_count = rngs
     # only the values are used: with NaN rejected and no -0.0 among the
     # statistics, every sort kind returns the same array
     threshold_values = np.sort(
-        _statistic_values(statistic, threshold_spec, n_threshold, rng_threshold, problem)
+        _statistic_values(statistic, threshold_mean, n_threshold, rng_threshold, problem)
     )
     kappa, share = _threshold_with_share(threshold_values, n_star)
-    count_values = _statistic_values(statistic, count_spec, n_count, rng_count, problem)
+    count_values = _statistic_values(statistic, count_mean, n_count, rng_count, problem)
     return kappa, _count(count_values, kappa, share, below)
 
 
@@ -250,11 +251,9 @@ def prob_certify_reduced(
     else:
         kappa, count = _two_sample(
             problem, statistic, (rng2, rng3),
-            problem.clean_spec, mc.n2, problem.perturbed_spec, mc.n3, n_star, below=True,
+            problem.mean_clean, mc.n2, problem.mean_perturbed, mc.n3, n_star, below=True,
         )
-        bound = clopper_pearson_lower(
-            BinomialBoundRequest(count, mc.n3, 1.0 - mc.alpha / 3.0)
-        )
+        bound = clopper_pearson_lower(count, mc.n3, 1.0 - mc.alpha / 3.0)
     return CertificateOutcome(
         certified=bound > 0.5,
         bound_value=bound,
@@ -292,11 +291,9 @@ def prob_certify_upper_reduced(
         return 1.0
     _, count = _two_sample(
         problem, statistic, (rng2, rng3),
-        problem.clean_spec, mc.n2, problem.perturbed_spec, mc.n3, n_star, below=False,
+        problem.mean_clean, mc.n2, problem.mean_perturbed, mc.n3, n_star, below=False,
     )
-    return clopper_pearson_upper(
-        BinomialBoundRequest(count, mc.n3, 1.0 - mc.alpha / 3.0)
-    )
+    return clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 3.0)
 
 
 def inverse_certify_reduced(problem, statistic, mc: McConfig, seed: int) -> float:
@@ -313,10 +310,8 @@ def inverse_certify_reduced(problem, statistic, mc: McConfig, seed: int) -> floa
         return 1.0
     _, count = _two_sample(
         problem, statistic, rngs,
-        problem.perturbed_spec, mc.n2, problem.clean_spec, mc.n3, n_star, below=True,
+        problem.mean_perturbed, mc.n2, problem.mean_clean, mc.n3, n_star, below=True,
     )
-    p_min = clopper_pearson_upper(
-        BinomialBoundRequest(count, mc.n3, 1.0 - mc.alpha / 2.0)
-    )
+    p_min = clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 2.0)
     # any certificate needs p > 1/2, so 1/2 is a free lower bound on p_min
     return min(max(p_min, 0.5), 1.0)

@@ -1,12 +1,12 @@
 """Special functions, Gaussian sampling and binomial confidence machinery.
 
-Everything here is pure and thread-safe apart from Gaussian sampling, which
-draws from a generator the caller owns.
+Plain functions of plain arguments.  Gaussian sampling takes a covariance
+factor from ``psd_factor``, so a caller drawing many times from one
+covariance factors it once.  Everything here is pure and thread-safe apart
+from Gaussian sampling, which draws from a generator the caller owns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -61,85 +61,68 @@ def log_bessel_i0(x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Mean and symmetric PSD covariance of a multivariate normal.
+def psd_factor(covariance) -> np.ndarray:
+    """Matrix F with F F^T equal to the clipped-PSD part of a symmetric
+    covariance.
 
-    Rank-deficient covariances are allowed; sampling uses a symmetric
+    Rank-deficient covariances are allowed; the factor comes from a symmetric
     eigendecomposition with negative eigenvalues clipped to zero, so the
     boundary cases (zero perturbation, dependent projection rows) work.
+    Raises ValueError for a non-square or asymmetric matrix, or one with
+    significantly negative eigenvalues.
     """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError("GaussianSpec: dimension mismatch")
-        if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):
-            raise ValueError("GaussianSpec: covariance not symmetric")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def factor(self) -> np.ndarray:
-        """Matrix F with F F^T equal to the clipped-PSD covariance."""
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (self.covariance + self.covariance.T))
-        top = float(eigvals[-1]) if eigvals.size else 0.0
-        if top > 0.0 and float(eigvals[0]) < -_PSD_REL_TOL * top:
-            raise ValueError("GaussianSpec: covariance has significantly negative eigenvalues")
-        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    cov = np.asarray(covariance, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError("psd_factor: covariance must be a square matrix")
+    if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):
+        raise ValueError("psd_factor: covariance not symmetric")
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    top = float(eigvals[-1]) if eigvals.size else 0.0
+    if top > 0.0 and float(eigvals[0]) < -_PSD_REL_TOL * top:
+        raise ValueError("psd_factor: covariance has significantly negative eigenvalues")
+    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def sample_gaussian(spec: GaussianSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` samples from N(mean, covariance) with the caller's
-    generator."""
+def sample_gaussian(mean, count: int, rng: np.random.Generator,
+                    factor: np.ndarray) -> np.ndarray:
+    """Draw ``count`` samples from N(mean, factor factor^T) with the caller's
+    generator; ``factor`` is typically ``psd_factor(covariance)``."""
+    mean = np.asarray(mean, dtype=float)
+    if mean.ndim != 1 or factor.shape != (mean.size, mean.size):
+        raise ValueError("sample_gaussian: dimension mismatch")
     if count < 1:
         raise ValueError("sample_gaussian: count must be >= 1")
-    normals = rng.standard_normal((count, spec.dim))
-    return spec.mean + normals @ spec.factor().T
+    normals = rng.standard_normal((count, mean.size))
+    return mean + normals @ factor.T
 
 
-@dataclass(frozen=True)
-class BinomialBoundRequest:
-    """Inputs of a one-sided Clopper-Pearson bound."""
-
-    successes: int
-    trials: int
-    confidence: float
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("BinomialBoundRequest: trials must be >= 1")
-        if not 0 <= self.successes <= self.trials:
-            raise ValueError("BinomialBoundRequest: successes outside [0, trials]")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("BinomialBoundRequest: confidence outside (0,1)")
+def _check_binomial(successes: int, trials: int, confidence: float) -> None:
+    if trials < 1:
+        raise ValueError("clopper_pearson: trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError("clopper_pearson: successes outside [0, trials]")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("clopper_pearson: confidence outside (0,1)")
 
 
-def clopper_pearson_lower(req: BinomialBoundRequest) -> float:
+def clopper_pearson_lower(successes: int, trials: int, confidence: float) -> float:
     """One-sided lower confidence bound on a binomial proportion.
 
-    Coverage is >= req.confidence; the bound is the Beta(k, n-k+1) quantile
-    at level 1 - confidence (0 when k = 0).
+    Coverage is >= confidence; the bound is the Beta(k, n-k+1) quantile at
+    level 1 - confidence (0 when k = 0).
     """
-    k, n = req.successes, req.trials
-    if k == 0:
+    _check_binomial(successes, trials, confidence)
+    if successes == 0:
         return 0.0
-    return float(special.betaincinv(k, n - k + 1, 1.0 - req.confidence))
+    return float(special.betaincinv(successes, trials - successes + 1, 1.0 - confidence))
 
 
-def clopper_pearson_upper(req: BinomialBoundRequest) -> float:
+def clopper_pearson_upper(successes: int, trials: int, confidence: float) -> float:
     """One-sided upper confidence bound, mirror of clopper_pearson_lower."""
-    k, n = req.successes, req.trials
-    if k == n:
+    _check_binomial(successes, trials, confidence)
+    if successes == trials:
         return 1.0
-    return float(special.betaincinv(k + 1, n - k, req.confidence))
+    return float(special.betaincinv(successes + 1, trials - successes, confidence))
 
 
 def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:

@@ -8,6 +8,7 @@ probabilistic bounds.  Roto-translation is rotation after centering.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -29,10 +30,10 @@ from .geometry import (
 )
 from .mc import McConfig
 from .numerics import (
-    GaussianSpec,
     NumericalFailure,
     clamp_probability,
     log_bessel_i0,
+    psd_factor,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -49,20 +50,19 @@ from .orbit import (
 
 @dataclass(frozen=True)
 class RotationCertProblem:
-    """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate."""
+    """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate:
+    two means sharing one covariance."""
 
     mean_perturbed: np.ndarray
     mean_clean: np.ndarray
     covariance: np.ndarray
     sigma: float
 
-    @property
-    def perturbed_spec(self) -> GaussianSpec:
-        return GaussianSpec(self.mean_perturbed, self.covariance)
-
-    @property
-    def clean_spec(self) -> GaussianSpec:
-        return GaussianSpec(self.mean_clean, self.covariance)
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """``psd_factor(covariance)``, computed on the first draw and shared
+        by every draw from either mean.  An invalid covariance raises there."""
+        return psd_factor(self.covariance)
 
 
 @dataclass(frozen=True)
@@ -361,8 +361,7 @@ def so3_projection_matrix(x: PointCloud, x_prime: PointCloud, sigma: float) -> n
 def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> RotationCertProblem:
     if x.dim != 3 or x_prime.dim != 3:
         raise ValueError("build_so3_problem: requires D = 3")
-    if x.data.shape != x_prime.data.shape:
-        raise ValueError("build_so3_problem: shape mismatch")
+    _check_shapes(x, x_prime)
     w = so3_projection_matrix(x, x_prime, sigma)
     vec_clean = x.data.T.ravel()
     vec_pert = x_prime.data.T.ravel()
@@ -410,21 +409,6 @@ def certify_rotation_tight(
     outcome = mc_engine.prob_certify_reduced(problem, statistic, mc, seed, p_lower=p_lower)
     tag = f"tight-{group.kind.value}{group.dim}"
     return replace(outcome, method=tag)
-
-
-def upper_bound_rotation_tight(
-    group: GroupSpec,
-    x: PointCloud,
-    x_prime: PointCloud,
-    p_upper: float,
-    sigma: float,
-    mc: McConfig,
-    seed: int,
-) -> float:
-    """Probabilistic upper bound on the perturbed probability of a competing
-    class with clean probability at most p_upper."""
-    problem, statistic = _rotation_problem(group, x, x_prime, sigma)
-    return mc_engine.prob_certify_upper_reduced(problem, statistic, mc, seed, p_upper=p_upper)
 
 
 def _distance(group: GroupSpec | None, x: PointCloud, x_prime: PointCloud) -> OrbitProjection:

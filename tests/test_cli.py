@@ -8,7 +8,7 @@ import pytest
 
 from invarcert.cli import main
 from invarcert.geometry import PointCloud, load_points_csv, save_points_csv
-from invarcert.numerics import clopper_pearson_lower, BinomialBoundRequest, std_normal_cdf
+from invarcert.numerics import clopper_pearson_lower, std_normal_cdf
 
 
 def _run(capsys, *args):
@@ -53,6 +53,23 @@ class TestFixture:
         assert code == 0
         expected = 1.5 * math.sqrt(2.0 * (1.0 - math.cos(theta)))
         assert doc["results"]["norm_delta"] == pytest.approx(expected, abs=1e-10)
+
+    # pure rotations lie on the bound |eps| <= |X||Delta| up to rounding,
+    # which grows with |X||Delta|; these seeds round above it
+    @pytest.mark.parametrize("norm_x,seed", [("1e4", 2), ("1e5", 0), ("1e6", 6)])
+    def test_rotation_scenario_large_scale(self, tmp_path, capsys, norm_x, seed):
+        code, doc = _run(
+            capsys,
+            "fixture", "--scenario", "rotation", "--norm-x", norm_x,
+            "--norm-delta", str(float(norm_x) / 2), "--dim", "2", "--seed", str(seed),
+            "--out-clean", str(tmp_path / "c.csv"),
+            "--out-perturbed", str(tmp_path / "p.csv"),
+        )
+        assert code == 0
+        res = doc["results"]
+        assert math.hypot(res["eps1"], res["eps2"]) == pytest.approx(
+            res["norm_x"] * res["norm_delta"], rel=1e-12
+        )
 
     def test_rotation_scenario_infeasible_norm(self, tmp_path, capsys):
         code = main(
@@ -426,7 +443,7 @@ class TestSmoothPredict:
         )
         assert code == 0
         assert doc["results"]["label"] == 1
-        expected = clopper_pearson_lower(BinomialBoundRequest(400, 400, 0.99))
+        expected = clopper_pearson_lower(400, 400, 0.99)
         assert doc["results"]["p_lower"] == pytest.approx(expected, rel=1e-12)
 
     def test_boundary_abstains(self, tmp_path, capsys):

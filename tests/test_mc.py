@@ -20,7 +20,6 @@ from invarcert.mc import (
     upper_quantile_index,
 )
 from invarcert.numerics import (
-    BinomialBoundRequest,
     NumericalFailure,
     clopper_pearson_lower,
     sample_gaussian,
@@ -77,7 +76,7 @@ class TestSmoothPredict:
         label, p_lower = smooth_predict(g, x, 1.0, 500, 0.01, seed=0)
         assert label == 3
         assert p_lower == pytest.approx(
-            clopper_pearson_lower(BinomialBoundRequest(500, 500, 0.99)), rel=1e-12
+            clopper_pearson_lower(500, 500, 0.99), rel=1e-12
         )
 
     def test_fair_coin_abstains(self):
@@ -183,13 +182,17 @@ class TestTwoSample:
         statistic = LikelihoodStatistic(dim=1, evaluator=self.STATISTICS[name])
         got = _two_sample(
             problem, statistic, (np.random.default_rng(1), np.random.default_rng(2)),
-            problem.clean_spec, 1000, problem.perturbed_spec, 1000, n_star, below,
+            problem.mean_clean, 1000, problem.mean_perturbed, 1000, n_star, below,
         )
-        threshold = statistic(sample_gaussian(problem.clean_spec, 1000, np.random.default_rng(1)))
+        threshold = statistic(
+            sample_gaussian(problem.mean_clean, 1000, np.random.default_rng(1), problem.factor)
+        )
         stable = np.sort(threshold, kind="stable")
         assert np.sort(threshold).tobytes() == stable.tobytes()
         kappa, share = _threshold_with_share(stable, n_star)
-        counted = statistic(sample_gaussian(problem.perturbed_spec, 1000, np.random.default_rng(2)))
+        counted = statistic(
+            sample_gaussian(problem.mean_perturbed, 1000, np.random.default_rng(2), problem.factor)
+        )
         assert repr(got) == repr((kappa, _count(counted, kappa, share, below)))
 
 

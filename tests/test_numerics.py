@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from invarcert.numerics import (
-    BinomialBoundRequest,
-    GaussianSpec,
     binomial_log_cdf_all,
     clopper_pearson_lower,
     clopper_pearson_upper,
     log_bessel_i0,
+    psd_factor,
     sample_gaussian,
     std_normal_cdf,
     std_normal_quantile,
@@ -130,14 +129,13 @@ class TestLogBesselI0:
 
 class TestSampleGaussian:
     def test_zero_covariance_is_degenerate(self):
-        spec = GaussianSpec(np.array([1.0, -2.0, 3.0]), np.zeros((3, 3)))
-        samples = sample_gaussian(spec, 50, np.random.default_rng(1))
-        assert np.all(samples == spec.mean)
+        mean = np.array([1.0, -2.0, 3.0])
+        samples = sample_gaussian(mean, 50, np.random.default_rng(1), psd_factor(np.zeros((3, 3))))
+        assert np.all(samples == mean)
 
     def test_moments_identity_covariance(self):
         mean = np.array([0.5, -1.5, 2.0, 0.0])
-        spec = GaussianSpec(mean, np.eye(4))
-        samples = sample_gaussian(spec, 1_000_000, np.random.default_rng(2))
+        samples = sample_gaussian(mean, 1_000_000, np.random.default_rng(2), psd_factor(np.eye(4)))
         assert np.max(np.abs(samples.mean(axis=0) - mean)) < 5e-3
         cov = np.cov(samples.T)
         assert np.max(np.abs(cov - np.eye(4))) < 1e-2
@@ -154,57 +152,58 @@ class TestSampleGaussian:
             ]
         )
         mean = np.array([nx2, 0.0, nx2, 0.0])
-        spec = GaussianSpec(mean, cov)
-        samples = sample_gaussian(spec, 2000, np.random.default_rng(3))
+        samples = sample_gaussian(mean, 2000, np.random.default_rng(3), psd_factor(cov))
         eigvals, eigvecs = np.linalg.eigh(cov)
         null = eigvecs[:, eigvals < 1e-12]
         assert np.max(np.abs((samples - mean) @ null)) < 1e-8
 
     def test_reproducible(self):
-        spec = GaussianSpec(np.zeros(4), np.eye(4))
-        a = sample_gaussian(spec, 100, np.random.default_rng(42))
-        b = sample_gaussian(spec, 100, np.random.default_rng(42))
+        factor = psd_factor(np.eye(4))
+        a = sample_gaussian(np.zeros(4), 100, np.random.default_rng(42), factor)
+        b = sample_gaussian(np.zeros(4), 100, np.random.default_rng(42), factor)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            GaussianSpec(np.zeros(3), np.eye(4))
+            sample_gaussian(np.zeros(3), 10, np.random.default_rng(0), psd_factor(np.eye(4)))
+        with pytest.raises(ValueError):
+            psd_factor(np.eye(4)[:3])
 
     def test_rejects_asymmetric(self):
         cov = np.eye(3)
         cov[0, 1] = 0.5
         with pytest.raises(ValueError):
-            GaussianSpec(np.zeros(3), cov)
+            psd_factor(cov)
 
     def test_rejects_indefinite(self):
         cov = np.diag([1.0, -0.5])
         with pytest.raises(ValueError):
-            GaussianSpec(np.zeros(2), cov).factor()
+            psd_factor(cov)
 
 
 class TestClopperPearson:
     def test_zero_successes(self):
-        assert clopper_pearson_lower(BinomialBoundRequest(0, 100, 0.99)) == 0.0
+        assert clopper_pearson_lower(0, 100, 0.99) == 0.0
 
     def test_all_successes_closed_form(self):
         # Beta(n, 1) quantile at 1 - c is (1 - c)^(1/n)
         for n, c in ((10, 0.9), (500, 0.99), (37, 0.999)):
             expected = (1.0 - c) ** (1.0 / n)
-            assert clopper_pearson_lower(BinomialBoundRequest(n, n, c)) == pytest.approx(
+            assert clopper_pearson_lower(n, n, c) == pytest.approx(
                 expected, rel=1e-12
             )
 
     def test_beta_quantile_oracle(self):
-        got = clopper_pearson_lower(BinomialBoundRequest(8000, 10000, 0.999))
+        got = clopper_pearson_lower(8000, 10000, 0.999)
         assert got == pytest.approx(BETA_8000_2001_AT_0001, abs=1e-9)
 
     def test_upper_all_successes(self):
-        assert clopper_pearson_upper(BinomialBoundRequest(100, 100, 0.97)) == 1.0
+        assert clopper_pearson_upper(100, 100, 0.97) == 1.0
 
     def test_upper_zero_successes_closed_form(self):
         for n, c in ((10, 0.9), (250, 0.995)):
             expected = 1.0 - (1.0 - c) ** (1.0 / n)
-            assert clopper_pearson_upper(BinomialBoundRequest(0, n, c)) == pytest.approx(
+            assert clopper_pearson_upper(0, n, c) == pytest.approx(
                 expected, rel=1e-12
             )
 
@@ -214,8 +213,8 @@ class TestClopperPearson:
             n = int(rng.integers(1, 400))
             k = int(rng.integers(0, n + 1))
             c = float(rng.uniform(0.5, 0.9999))
-            upper = clopper_pearson_upper(BinomialBoundRequest(k, n, c))
-            lower = clopper_pearson_lower(BinomialBoundRequest(n - k, n, c))
+            upper = clopper_pearson_upper(k, n, c)
+            lower = clopper_pearson_lower(n - k, n, c)
             assert upper == pytest.approx(1.0 - lower, abs=1e-12)
 
     def test_lower_below_empirical(self):
@@ -223,7 +222,7 @@ class TestClopperPearson:
         for _ in range(50):
             n = int(rng.integers(1, 1000))
             k = int(rng.integers(0, n + 1))
-            bound = clopper_pearson_lower(BinomialBoundRequest(k, n, 0.99))
+            bound = clopper_pearson_lower(k, n, 0.99)
             assert bound <= k / n + 1e-12
 
     def test_coverage_simulation(self):
@@ -231,20 +230,21 @@ class TestClopperPearson:
         rng = np.random.default_rng(7)
         draws = rng.binomial(500, 0.7, size=10_000)
         violations = sum(
-            clopper_pearson_lower(BinomialBoundRequest(int(k), 500, 0.99)) > 0.7
+            clopper_pearson_lower(int(k), 500, 0.99) > 0.7
             for k in draws
         )
         assert violations <= 150  # 1.5% of 10000
 
     def test_request_validation(self):
-        with pytest.raises(ValueError):
-            BinomialBoundRequest(5, 4, 0.9)
-        with pytest.raises(ValueError):
-            BinomialBoundRequest(-1, 4, 0.9)
-        with pytest.raises(ValueError):
-            BinomialBoundRequest(1, 4, 1.0)
-        with pytest.raises(ValueError):
-            BinomialBoundRequest(1, 0, 0.9)
+        for bound in (clopper_pearson_lower, clopper_pearson_upper):
+            with pytest.raises(ValueError):
+                bound(5, 4, 0.9)
+            with pytest.raises(ValueError):
+                bound(-1, 4, 0.9)
+            with pytest.raises(ValueError):
+                bound(1, 4, 1.0)
+            with pytest.raises(ValueError):
+                bound(1, 0, 0.9)
 
 
 class TestBinomialTail:

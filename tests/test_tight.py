@@ -15,13 +15,26 @@ from invarcert.geometry import (
     GroupSpec,
     PointCloud,
     center,
+    epsilon_params,
     rot2,
     rot3_zyx,
 )
-from invarcert.mc import McConfig, inverse_certify_reduced
-from invarcert.numerics import NumericalFailure, std_normal_cdf, std_normal_quantile
+from invarcert.mc import (
+    McConfig,
+    inverse_certify_reduced,
+    prob_certify_reduced,
+    prob_certify_upper_reduced,
+)
+from invarcert.numerics import (
+    NumericalFailure,
+    sample_gaussian,
+    std_normal_cdf,
+    std_normal_quantile,
+)
 from invarcert.orbit import certify_orbit, project_rotation
 from invarcert.tight import (
+    LikelihoodStatistic,
+    RotationCertProblem,
     build_so2_problem,
     build_so3_problem,
     certify_multiclass,
@@ -37,7 +50,6 @@ from invarcert.tight import (
     so3_log_beta,
     so3_projection_matrix,
     tight_translation,
-    upper_bound_rotation_tight,
 )
 from reference import (
     blackbox_reduced_problem,
@@ -394,6 +406,13 @@ class TestSo3Problem:
         with pytest.raises(ValueError):
             build_so3_problem(x, x, 0.5)
 
+    def test_rejects_different_shapes(self):
+        rng = np.random.default_rng(32)
+        x = PointCloud(rng.standard_normal((4, 3)))
+        xp = PointCloud(rng.standard_normal((2, 3)))
+        with pytest.raises(ValueError, match="different shapes"):
+            build_so3_problem(x, xp, 0.5)
+
 
 class TestCertifyRotationTight:
     def test_zero_perturbation_recovers_p(self):
@@ -560,27 +579,29 @@ def _combined_se(a, b, mc):
 
 
 class TestUpperBound:
+    @staticmethod
+    def _upper(x, xp, p, mc, seed):
+        problem = build_so2_problem(x, xp, 0.5)
+        return prob_certify_upper_reduced(problem, rho_so2(), mc, seed, p_upper=p)
+
     def test_identical_distributions(self):
         rng = np.random.default_rng(17)
         x = PointCloud(rng.standard_normal((5, 2)) * 0.3)
         mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
-        up = upper_bound_rotation_tight(SO2, x, x, 0.1, 0.5, mc, seed=3)
+        up = self._upper(x, x, 0.1, mc, seed=3)
         assert 0.10 <= up <= 0.12
 
     def test_monotone_in_p_upper(self):
         rng = np.random.default_rng(18)
         x, xp = _pair(rng, 5, 2, scale=0.3)
-        ups = [
-            upper_bound_rotation_tight(SO2, x, xp, p, 0.5, FAST_MC, seed=4)
-            for p in (0.05, 0.1, 0.2, 0.4)
-        ]
+        ups = [self._upper(x, xp, p, FAST_MC, seed=4) for p in (0.05, 0.1, 0.2, 0.4)]
         assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))
 
     def test_at_least_lower_bound(self):
         rng = np.random.default_rng(19)
         x, xp = _pair(rng, 5, 2, scale=0.3)
         lower = certify_rotation_tight(SO2, x, xp, 0.3, 0.5, FAST_MC, seed=5).bound_value
-        upper = upper_bound_rotation_tight(SO2, x, xp, 0.3, 0.5, FAST_MC, seed=5)
+        upper = self._upper(x, xp, 0.3, FAST_MC, seed=5)
         assert upper >= lower - 1e-12
 
     def test_dominated_by_blackbox_form(self):
@@ -589,7 +610,7 @@ class TestUpperBound:
         for i in range(5):
             x, xp = _pair(rng, 5, 2, scale=0.25)
             nd = float(np.linalg.norm(xp.data - x.data))
-            up = upper_bound_rotation_tight(SO2, x, xp, 0.1, 0.5, mc, seed=30 + i)
+            up = self._upper(x, xp, 0.1, mc, seed=30 + i)
             blackbox = std_normal_cdf(std_normal_quantile(0.1) + nd / 0.5)
             tol = 3 * _combined_se(up, blackbox, mc)
             assert up <= blackbox + tol
@@ -826,3 +847,69 @@ class TestShapeMismatch:
         xp = PointCloud(rng.standard_normal((1, 2)))
         with pytest.raises(ValueError, match="different shapes"):
             call(x, xp)
+
+
+class TestSharedFactor:
+    """A reduced problem factors its one covariance once, for both means."""
+
+    def test_multiclass_rotation_factors_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        x, xp = _pair(np.random.default_rng(40), 5, 2)
+        out = certify_multiclass(SO2, x, xp, 0.8, 0.1, 0.5, FAST_MC, seed=2)
+        assert out.method == "multiclass-tight-SO2"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_samples_match_eigh_formula_bitwise(self, dim):
+        x, xp = _pair(np.random.default_rng(41), 5, dim)
+        problem = (build_so2_problem if dim == 2 else build_so3_problem)(x, xp, 0.5)
+        cov = problem.covariance
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        assert problem.factor is problem.factor
+        for mean in (problem.mean_clean, problem.mean_perturbed):
+            normals = np.random.default_rng(5).standard_normal((1000, mean.size))
+            expected = mean + normals @ factor.T
+            got = sample_gaussian(mean, 1000, np.random.default_rng(5), problem.factor)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_invalid_covariance_raises_on_first_draw(self):
+        asymmetric = np.array([[1.0, 0.5], [0.0, 1.0]])
+        problem = RotationCertProblem(np.zeros(2), np.zeros(2), asymmetric, 0.5)
+        statistic = LikelihoodStatistic(dim=2, evaluator=lambda q: q[:, 0])
+        mc = McConfig(n1=100, n2=100, n3=100, alpha=0.001)
+        # no order statistic qualifies, so nothing is drawn
+        out = prob_certify_reduced(problem, statistic, mc, seed=3, p_lower=1e-9)
+        assert "threshold-undetermined" in out.notes
+        with pytest.raises(ValueError, match="not symmetric"):
+            prob_certify_reduced(problem, statistic, mc, seed=3, p_lower=0.9)
+
+
+class TestLargeScaleInputs:
+    """Pure rotations and scalings lie on the bound |(eps1, eps2)| <= |X||Delta|,
+    and rounding can put them above it by an amount growing with |X||Delta|.
+    The seeds below do so at every scale."""
+
+    @pytest.mark.parametrize("norm_x,seed", [(1e4, 0), (1e5, 30), (1e6, 26)])
+    def test_rotation_and_scaling_accepted(self, norm_x, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((5, 2))
+        x *= norm_x / np.linalg.norm(x)
+        for xp in (x @ rot2(0.7).T, 1.5 * x):
+            eps = epsilon_params(PointCloud(x), xp - x)
+            assert math.hypot(eps.eps1, eps.eps2) == pytest.approx(
+                eps.norm_x * eps.norm_delta, rel=1e-12
+            )
+            for group in (SO2, SE2):
+                out = certify_rotation_tight(
+                    group, PointCloud(x), PointCloud(xp), 0.9, norm_x, FAST_MC, seed=1
+                )
+                assert out.method == f"tight-{group.kind.value}2"
+                assert 0.0 <= out.bound_value <= 1.0
