@@ -12,10 +12,8 @@ from .geometry import (
     adversarial_rotation_locus,
     center,
     epsilon_params,
-    frobenius_inner,
     load_points_csv,
     rot2,
-    rot3_zyx,
     save_points_csv,
 )
 from .mc import (
@@ -67,4 +65,60 @@ from .tight import (
     tight_translation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # geometry
+    "EpsilonParams",
+    "GroupKind",
+    "GroupSpec",
+    "PointCloud",
+    "adversarial_rotation_locus",
+    "center",
+    "epsilon_params",
+    "load_points_csv",
+    "rot2",
+    "save_points_csv",
+    # mc
+    "ABSTAIN",
+    "McConfig",
+    "inverse_certify_reduced",
+    "prob_certify_reduced",
+    "prob_certify_upper_reduced",
+    "smooth_predict",
+    # numerics
+    "NumericalFailure",
+    "clopper_pearson_lower",
+    "clopper_pearson_upper",
+    "log_bessel_i0",
+    "psd_factor",
+    "sample_gaussian",
+    "std_normal_cdf",
+    "std_normal_quantile",
+    # orbit
+    "CertificateOutcome",
+    "OrbitProjection",
+    "blackbox_radius",
+    "certify_orbit",
+    "project",
+    "project_orthogonal",
+    "project_permutation",
+    "project_registration_upper",
+    "project_rotation",
+    "project_roto_translation",
+    "project_translation",
+    # tight
+    "LikelihoodStatistic",
+    "PminGrid",
+    "RotationCertProblem",
+    "build_so2_problem",
+    "build_so3_problem",
+    "certify_multiclass",
+    "certify_rotation_tight",
+    "inverse_certificate",
+    "multiclass_radius",
+    "pmin_grid",
+    "rho_so2",
+    "rho_so3",
+    "so2_problem_from_params",
+    "so3_log_beta",
+    "tight_translation",
+]

@@ -51,6 +51,8 @@ _GROUPS = {
 
 _TIGHT_GROUPS = {"T", "SO", "SE"}
 
+_CLASSIFIERS = ("norm", "centered-norm", "pairwise-centroid")
+
 # float flags that must be finite numbers (argparse's float() takes "nan" and "inf")
 _FINITE_FLAGS = ("sigma", "tau", "norm_x", "norm_delta", "theta")
 
@@ -124,16 +126,22 @@ def _emit(doc: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _resolve_p_lower(args, clean: PointCloud) -> tuple[float, int | None]:
-    if args.p_lower is not None:
-        return args.p_lower, None
+def _mc_config(args) -> McConfig:
+    """McConfig from the flags.  --n1 feeds smooth_predict, not McConfig, but
+    keeps McConfig's floor of 100."""
+    if args.n1 < 100:
+        raise UsageError("--n1: must be >= 100")
+    return McConfig(n2=args.n2, n3=args.n3, alpha=args.alpha)
+
+
+def _label_and_p_lower(args, cloud: PointCloud) -> tuple[int | None, float]:
+    """--p-lower as given (no label), else the smoothed --classifier's vote."""
+    if getattr(args, "p_lower", None) is not None:
+        return None, args.p_lower
     if args.classifier is None:
         raise UsageError("--p-lower or --classifier is required")
-    g = make_classifier(args.classifier, args.tau, clean)
-    label, p_lower = smooth_predict(
-        g, clean, args.sigma, args.n1, args.alpha, args.seed
-    )
-    return p_lower, label
+    g = make_classifier(args.classifier, args.tau, cloud)
+    return smooth_predict(g, cloud, args.sigma, args.n1, args.alpha, args.seed)
 
 
 def _check_float_flags(args) -> None:
@@ -166,8 +174,8 @@ def cmd_certify(args) -> int:
     if args.multiclass and args.p_upper is None:
         raise UsageError("--multiclass: requires --p-upper")
     group = _group_spec(args.group, clean.dim)
-    mc = McConfig(n1=args.n1, n2=args.n2, n3=args.n3, alpha=args.alpha)
-    p_lower, label = _resolve_p_lower(args, clean)
+    mc = _mc_config(args)
+    label, p_lower = _label_and_p_lower(args, clean)
     results: dict = {"p_lower": p_lower}
     if label is not None:
         results["classifier_label"] = "ABSTAIN" if label == ABSTAIN else label
@@ -211,10 +219,7 @@ def cmd_project(args) -> int:
 
 def cmd_smooth_predict(args) -> int:
     cloud = _load_cloud(args.input, "--input")
-    g = make_classifier(args.classifier, args.tau, cloud)
-    label, p_lower = smooth_predict(
-        g, cloud, args.sigma, args.n1, args.alpha, args.seed
-    )
+    label, p_lower = _label_and_p_lower(args, cloud)
     results = {
         "label": "ABSTAIN" if label == ABSTAIN else label,
         "p_lower": p_lower,
@@ -229,7 +234,7 @@ def cmd_pmin_grid(args) -> int:
     if args.resolution < 2:
         raise UsageError("--resolution: must be >= 2")
     group = None if args.group == "blackbox" else GroupSpec(GroupKind.ROTATION, 2)
-    mc = McConfig(n1=args.n1, n2=args.n2, n3=args.n3, alpha=args.alpha)
+    mc = _mc_config(args)
     grid = pmin_grid(
         group, args.norm_x, args.norm_delta, args.sigma, args.resolution, mc, args.seed
     )
@@ -330,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--perturbed", required=True)
     certify.add_argument("--sigma", type=float, required=True)
     certify.add_argument("--p-lower", type=float, default=None)
-    certify.add_argument("--classifier", choices=["norm", "centered-norm", "pairwise-centroid"])
+    certify.add_argument("--classifier", choices=_CLASSIFIERS)
     certify.add_argument("--tau", type=float, default=1.0)
     certify.add_argument("--alpha", type=float, default=0.001)
     certify.add_argument("--n1", type=int, default=10000)
@@ -352,10 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     proj.set_defaults(func=cmd_project)
 
     smooth = sub.add_parser("smooth-predict", help="smoothed prediction with abstention")
-    smooth.add_argument(
-        "--classifier", required=True,
-        choices=["norm", "centered-norm", "pairwise-centroid"],
-    )
+    smooth.add_argument("--classifier", required=True, choices=_CLASSIFIERS)
     smooth.add_argument("--input", required=True)
     smooth.add_argument("--tau", type=float, default=1.0)
     smooth.add_argument("--sigma", type=float, required=True)
@@ -373,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--resolution", type=int, required=True)
     grid.add_argument("--seed", type=int, required=True)
     grid.add_argument("--alpha", type=float, default=0.001)
-    grid.add_argument("--n1", type=int, default=10000)
+    grid.add_argument("--n1", type=int, default=10000, help="checked (>= 100) but unused")
     grid.add_argument("--n2", type=int, default=10000)
     grid.add_argument("--n3", type=int, default=10000)
     grid.add_argument("--diff", choices=["blackbox"], default=None)
@@ -405,10 +407,7 @@ def main(argv=None) -> int:
     try:
         _check_float_flags(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -1,5 +1,5 @@
-"""Point clouds, Frobenius algebra, rotations and the 2D orientation
-parameters of the perturbation.
+"""Point clouds, centering, 2D rotations and the 2D orientation parameters
+of the perturbation.
 
 Rows are points; group actions act on the right (X R^T), translations add a
 row-broadcast vector.
@@ -64,15 +64,6 @@ class PointCloud:
         return float(np.linalg.norm(self.data))
 
 
-def frobenius_inner(a, b) -> float:
-    """Frobenius inner product sum_{n,d} A_nd * B_nd."""
-    a = a.data if isinstance(a, PointCloud) else np.asarray(a, dtype=float)
-    b = b.data if isinstance(b, PointCloud) else np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("frobenius_inner: shape mismatch")
-    return float(np.sum(a * b))
-
-
 def center_matrix(data: np.ndarray) -> np.ndarray:
     return data - data.mean(axis=0, keepdims=True)
 
@@ -86,18 +77,6 @@ def rot2(theta: float) -> np.ndarray:
     """Counter-clockwise 2D rotation matrix."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-def rot3_zyx(omega) -> np.ndarray:
-    """Intrinsic z-y-x rotation: R_z(w1) @ R_y(w2) @ R_x(w3)."""
-    w1, w2, w3 = float(omega[0]), float(omega[1]), float(omega[2])
-    c1, s1 = math.cos(w1), math.sin(w1)
-    c2, s2 = math.cos(w2), math.sin(w2)
-    c3, s3 = math.cos(w3), math.sin(w3)
-    rz = np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[c2, 0.0, s2], [0.0, 1.0, 0.0], [-s2, 0.0, c2]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, c3, -s3], [0.0, s3, c3]])
-    return rz @ ry @ rx
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ procedures on one two-sample core, plus smoothed prediction with abstention.
 A reduced problem is two Gaussian means sharing one covariance; the core draws
 both samples through the problem's one cached covariance factor.
 
-Each procedure combines a binomial confidence bound on the clean prediction
+A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
 threshold, and a final binomial bound, at significances (alpha, alpha/2,
-alpha/3).  By the union bound all three hold jointly with probability at least
-1 - 11 alpha / 6, not 1 - alpha; the reported ``confidence`` still reads 1 - alpha.
+alpha/3).  The first stage is ``smooth_predict``'s: the procedures here take
+its p_lower (or any caller's) as an argument.  By the union bound all three
+hold jointly with probability at least 1 - 11 alpha / 6, not 1 - alpha; the
+reported ``confidence`` still reads 1 - alpha.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .geometry import GroupSpec, PointCloud
+from .geometry import PointCloud
 from .numerics import (
     NumericalFailure,
     binomial_log_cdf_all,
@@ -37,16 +39,15 @@ ABSTAIN = -1
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample budgets for the three confidence bounds and the overall
-    significance level."""
+    """Sample budgets of the threshold stage (n2) and the final count (n3),
+    and the overall significance level alpha."""
 
-    n1: int = 10000
     n2: int = 10000
     n3: int = 10000
     alpha: float = 0.001
 
     def __post_init__(self):
-        if min(self.n1, self.n2, self.n3) < 100:
+        if min(self.n2, self.n3) < 100:
             raise ValueError("McConfig: sample counts must be >= 100")
         _check_alpha("McConfig", self.alpha)
 
@@ -63,15 +64,26 @@ def _check_alpha(caller: str, alpha: float) -> None:
 class BaseClassifier(Protocol):
     """Deterministic labeler of point clouds, batched over the leading axis."""
 
-    invariance: GroupSpec | None
-
     def predict_batch(self, batch: np.ndarray) -> np.ndarray: ...
 
 
-def _majority_vote(g: BaseClassifier, x: PointCloud, sigma: float, n: int,
-                   alpha: float, rng: np.random.Generator) -> tuple[int, float]:
-    """Most frequent label of g under n Gaussian input draws, with a
-    Clopper-Pearson lower bound on its probability at confidence 1 - alpha."""
+def smooth_predict(
+    g: BaseClassifier,
+    x: PointCloud,
+    sigma: float,
+    n: int,
+    alpha: float,
+    seed: int,
+) -> tuple[int, float]:
+    """Majority vote of g under n Gaussian input draws, with a Clopper-Pearson
+    lower bound on the majority probability at confidence 1 - alpha; abstains
+    when the bound is <= 1/2."""
+    if not 0.0 < sigma < math.inf:  # NaN fails too
+        raise ValueError("smooth_predict: sigma must be finite and > 0")
+    if n < 1:
+        raise ValueError("smooth_predict: n must be >= 1")
+    _check_alpha("smooth_predict", alpha)
+    rng = np.random.default_rng(seed)
     counts: dict[int, int] = {}
     chunk = max(1, int(2_000_000 // x.data.size))
     remaining = n
@@ -84,25 +96,7 @@ def _majority_vote(g: BaseClassifier, x: PointCloud, sigma: float, n: int,
         for v, f in zip(values, freq):
             counts[int(v)] = counts.get(int(v), 0) + int(f)
     label = max(sorted(counts), key=counts.get)
-    return label, clopper_pearson_lower(counts[label], n, 1.0 - alpha)
-
-
-def smooth_predict(
-    g: BaseClassifier,
-    x: PointCloud,
-    sigma: float,
-    n: int,
-    alpha: float,
-    seed: int,
-) -> tuple[int, float]:
-    """Majority vote under Gaussian input noise with a Clopper-Pearson lower
-    bound on the majority probability; abstains when the bound is <= 1/2."""
-    if not 0.0 < sigma < math.inf:  # NaN fails too
-        raise ValueError("smooth_predict: sigma must be finite and > 0")
-    if n < 1:
-        raise ValueError("smooth_predict: n must be >= 1")
-    _check_alpha("smooth_predict", alpha)
-    label, p_lower = _majority_vote(g, x, sigma, n, alpha, np.random.default_rng(seed))
+    p_lower = clopper_pearson_lower(counts[label], n, 1.0 - alpha)
     if p_lower <= 0.5:
         return ABSTAIN, p_lower
     return label, p_lower
@@ -219,29 +213,24 @@ def prob_certify_reduced(
     mc: McConfig,
     seed: int,
     *,
-    p_lower: float | None = None,
-    classifier: BaseClassifier | None = None,
-    x: PointCloud | None = None,
+    p_lower: float,
 ) -> CertificateOutcome:
     """Lower-bound the worst-case prediction probability of the reduced
-    Gaussian pair.
+    Gaussian pair, given a lower bound p_lower on the clean prediction
+    probability (``smooth_predict`` computes one from a classifier).
 
     Threshold selection takes the largest ascending order statistic of the
     clean-distribution sample whose lower binomial tail at rate p_lower stays
-    below alpha/2; the final count is bounded at confidence 1 - alpha/3.  A
-    caller-supplied p_lower skips the first bound but keeps the significance
-    ladder, so the reported confidence stays conservative.
+    below alpha/2; the final count is bounded at confidence 1 - alpha/3.  The
+    significance ladder keeps the first stage's alpha, so the reported
+    confidence stays conservative.  Every outcome carries the note
+    "p-lower-supplied".
     """
-    rng1, rng2, rng3 = _generators(seed, 3)
-    notes: list[str] = []
-    if p_lower is not None:
-        p_raw = p_lower
-        notes.append("p-lower-supplied")
-    elif classifier is None or x is None:
-        raise ValueError("prob_certify_reduced: need p_lower or (classifier, x)")
-    else:
-        _, p_raw = _majority_vote(classifier, x, problem.sigma, mc.n1, mc.alpha, rng1)
-    p_eff, clamped = clamp_probability(p_raw)
+    # three streams, the first unused (as in prob_certify_upper_reduced):
+    # spawning two would change every draw and so every pinned value
+    _, rng2, rng3 = _generators(seed, 3)
+    notes = ["p-lower-supplied"]
+    p_eff, clamped = clamp_probability(p_lower)
     if clamped:
         notes.append("p-lower-clamped")
     n_star = lower_quantile_index(mc.n2, p_eff, mc.alpha / 2.0)

@@ -519,9 +519,6 @@ class PminGrid:
     values: np.ndarray          # values[i, j] for (eps2_nodes[i], eps1_nodes[j])
     infeasible: np.ndarray      # bool mask, same shape
     loci: tuple[EpsilonParams, ...]
-    norm_x: float
-    norm_delta: float
-    sigma: float
 
 
 def _cell_fraction(index: int, resolution: int) -> tuple[int, int]:
@@ -581,7 +578,4 @@ def pmin_grid(
         values=values,
         infeasible=infeasible,
         loci=loci,
-        norm_x=norm_x,
-        norm_delta=norm_delta,
-        sigma=sigma,
     )

@@ -5,7 +5,8 @@ solvers, plain Monte Carlo instead of reduced problems: each shares as little
 algebra as possible with the code it checks.  Also the 2D projection matrix
 behind the reduced SO(2) problem, and the one-dimensional black-box reduction
 with its identity statistic, which exercises the Monte-Carlo core where the
-answer is known in closed form.
+answer is known in closed form.  The Frobenius inner product and the z-y-x
+Euler rotation live here too: only the tests use them.
 """
 
 from __future__ import annotations
@@ -22,11 +23,31 @@ from invarcert.geometry import (
     GroupSpec,
     PointCloud,
     rot2,
-    rot3_zyx,
     rotate_quarter_turn_back,
 )
 from invarcert.oracles import SyntheticClassifier
 from invarcert.tight import LikelihoodStatistic, RotationCertProblem, so3_log_beta
+
+
+def frobenius_inner(a, b) -> float:
+    """Frobenius inner product sum_{n,d} A_nd * B_nd."""
+    a = a.data if isinstance(a, PointCloud) else np.asarray(a, dtype=float)
+    b = b.data if isinstance(b, PointCloud) else np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("frobenius_inner: shape mismatch")
+    return float(np.sum(a * b))
+
+
+def rot3_zyx(omega) -> np.ndarray:
+    """Intrinsic z-y-x rotation: R_z(w1) @ R_y(w2) @ R_x(w3)."""
+    w1, w2, w3 = float(omega[0]), float(omega[1]), float(omega[2])
+    c1, s1 = math.cos(w1), math.sin(w1)
+    c2, s2 = math.cos(w2), math.sin(w2)
+    c3, s3 = math.cos(w3), math.sin(w3)
+    rz = np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[c2, 0.0, s2], [0.0, 1.0, 0.0], [-s2, 0.0, c2]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c3, -s3], [0.0, s3, c3]])
+    return rz @ ry @ rx
 
 
 def random_group_element(group: GroupSpec, rng: np.random.Generator, n_points: int):

@@ -22,7 +22,7 @@ from invarcert.geometry import (
     rot2,
     save_points_csv,
 )
-from invarcert.mc import McConfig, inverse_certify_reduced, prob_certify_reduced
+from invarcert.mc import McConfig, inverse_certify_reduced, prob_certify_reduced, smooth_predict
 from invarcert.numerics import std_normal_cdf, std_normal_quantile
 from invarcert.oracles import norm_threshold_classifier
 from invarcert.orbit import blackbox_radius, certify_orbit, project_permutation, project_rotation, project_translation
@@ -153,7 +153,7 @@ def test_criterion_03_translation_equivalence():
 
 def test_criterion_04_roto_translation_reduction():
     rng = np.random.default_rng(4)
-    mc = McConfig(n1=100, n2=300, n3=300, alpha=0.01)
+    mc = McConfig(n2=300, n3=300, alpha=0.01)
     for trial in range(100):
         dim = 2 if trial % 2 == 0 else 3
         gse = SE2 if dim == 2 else SE3
@@ -175,7 +175,7 @@ def test_criterion_04_roto_translation_reduction():
 def test_criterion_05_strictness():
     rng = np.random.default_rng(5)
     sigma = 0.5
-    mc = McConfig(n1=100, n2=10000, n3=10000, alpha=0.001)
+    mc = McConfig(n2=10000, n3=10000, alpha=0.001)
     dominated = 0
     big_wins = 0
     for trial in range(100):
@@ -279,12 +279,13 @@ def test_criterion_09_coverage():
     reference = reference_probability(g, xp, sigma, 10_000_000, seed=90, label=1)
     problem = build_so2_problem(x, xp, sigma)
     statistic = rho_so2()
-    mc = McConfig(n1=1000, n2=2000, n3=2000, alpha=0.001)
+    mc = McConfig(n2=2000, n3=2000, alpha=0.001)
     failures = 0
     for trial in range(1000):
-        out = prob_certify_reduced(
-            problem, statistic, mc, seed=10_000 + trial, classifier=g, x=x
-        )
+        # the command line's sequence: smooth_predict's p_lower feeds Algorithm 1
+        seed = 10_000 + trial
+        _, p = smooth_predict(g, x, sigma, 1000, mc.alpha, seed)
+        out = prob_certify_reduced(problem, statistic, mc, seed=seed, p_lower=p)
         if out.bound_value > reference.probability:
             failures += 1
     assert failures <= 1
@@ -295,7 +296,7 @@ def test_criterion_09_coverage():
 
 
 def test_criterion_10_inverse_consistency():
-    mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+    mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
     # black-box group
     rng = np.random.default_rng(10)
     x = PointCloud(rng.standard_normal((5, 2)))

@@ -52,7 +52,7 @@ def test_traced_spans_stay_on_calling_thread(monkeypatch):
     rng = np.random.default_rng(5)
     x = PointCloud(rng.standard_normal((6, 3)))
     x_prime = PointCloud(x.data + 0.3 * rng.standard_normal((6, 3)))
-    mc = McConfig(n1=100, n2=100, n3=100)
+    mc = McConfig(n2=100, n3=100)
     tracer.install()
     try:
         for kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):

@@ -291,6 +291,27 @@ class TestCertify:
         assert code == 2
         assert "McConfig" in capsys.readouterr().err
 
+    def test_n1_below_floor_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        import invarcert.cli as cli_mod
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("classifier ran before --n1 was checked")
+
+        monkeypatch.setattr(cli_mod, "smooth_predict", unexpected)
+        data = np.eye(2) * 0.2
+        clean, perturbed = _write_pair(tmp_path, data, data)
+        out = tmp_path / "out.json"
+        code = main(
+            [
+                "certify", "--group", "SO", "--clean", clean, "--perturbed", perturbed,
+                "--sigma", "0.5", "--seed", "1", "--classifier", "norm", "--n1", "50",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "--n1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import invarcert.tight as tight_mod
         from invarcert.tight import LikelihoodStatistic
@@ -556,6 +577,20 @@ class TestPminGrid:
             for cell in row.split(","):
                 if cell != "INF":
                     assert float(cell) == pytest.approx(0.0, abs=1e-15)
+
+    def test_n1_below_floor_is_usage_error(self, tmp_path, capsys):
+        csv_path, json_path = tmp_path / "grid.csv", tmp_path / "grid.json"
+        code = main(
+            [
+                "pmin-grid", "--group", "SO2", "--norm-x", "0.4", "--norm-delta", "0.3",
+                "--sigma", "0.5", "--resolution", "3", "--seed", "1", "--n1", "50",
+                "--out-csv", str(csv_path), "--out-json", str(json_path),
+            ]
+        )
+        assert code == 2
+        assert "--n1" in capsys.readouterr().err
+        assert not csv_path.exists()
+        assert not json_path.exists()
 
     def test_invalid_norms(self, tmp_path, capsys):
         code = main(

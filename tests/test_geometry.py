@@ -13,13 +13,12 @@ from invarcert.geometry import (
     adversarial_rotation_locus,
     center,
     epsilon_params,
-    frobenius_inner,
     load_points_csv,
     rot2,
-    rot3_zyx,
     rotate_quarter_turn_back,
     save_points_csv,
 )
+from reference import frobenius_inner, rot3_zyx
 
 
 class TestFrobenius:

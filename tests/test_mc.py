@@ -35,8 +35,6 @@ from reference import blackbox_reduced_problem, linear_statistic
 
 
 class _ConstantClassifier:
-    invariance = None
-
     def __init__(self, label):
         self.label = label
 
@@ -47,8 +45,6 @@ class _ConstantClassifier:
 class _HashParityClassifier:
     """Deterministic fair-coin: parity of a hash of the noisy input."""
 
-    invariance = None
-
     def predict_batch(self, batch):
         keys = np.floor(batch.reshape(batch.shape[0], -1) * 1e6).astype(np.int64)
         return (keys.sum(axis=1) & 1).astype(int)
@@ -57,12 +53,14 @@ class _HashParityClassifier:
 class TestMcConfig:
     def test_defaults_match_reported_setup(self):
         mc = McConfig()
-        assert (mc.n1, mc.n2, mc.n3, mc.alpha) == (10000, 10000, 10000, 0.001)
+        assert (mc.n2, mc.n3, mc.alpha) == (10000, 10000, 0.001)
         assert mc.confidences == (0.999, 0.9995, 1.0 - 0.001 / 3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            McConfig(n1=50)
+            McConfig(n2=50)
+        with pytest.raises(ValueError):
+            McConfig(n3=50)
         with pytest.raises(ValueError):
             McConfig(alpha=0.6)
         with pytest.raises(ValueError):
@@ -111,7 +109,7 @@ class TestSmoothPredict:
 class TestProbCertifyReduced:
     def test_identical_distributions_close_below_p(self):
         problem = so2_problem_from_params(0.3, 0.0, 0.0, 0.0, 0.5)
-        mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+        mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
         out = prob_certify_reduced(problem, rho_so2(), mc, seed=1, p_lower=0.9)
         assert 0.88 <= out.bound_value <= 0.90
 
@@ -119,13 +117,13 @@ class TestProbCertifyReduced:
         # zero covariance: every statistic sample ties at the same value
         problem = so2_problem_from_params(0.0, 0.0, 0.0, 0.0, 0.5)
         constant = LikelihoodStatistic(dim=4, evaluator=lambda q: np.zeros(q.shape[0]))
-        mc = McConfig(n1=100, n2=1000, n3=1000, alpha=0.01)
+        mc = McConfig(n2=1000, n3=1000, alpha=0.01)
         out = prob_certify_reduced(problem, constant, mc, seed=2, p_lower=0.8)
         assert 0.0 <= out.bound_value <= 1.0
 
     def test_threshold_undetermined_flag(self):
         problem = blackbox_reduced_problem(0.5, 0.5)
-        mc = McConfig(n1=100, n2=100, n3=100, alpha=0.001)
+        mc = McConfig(n2=100, n3=100, alpha=0.001)
         # p so small that even the first order statistic is not significant
         out = prob_certify_reduced(problem, linear_statistic(), mc, seed=3, p_lower=1e-9)
         assert out.bound_value == 0.0
@@ -134,32 +132,23 @@ class TestProbCertifyReduced:
 
     def test_deterministic_given_seed(self):
         problem = so2_problem_from_params(0.2, 0.3, 0.02, 0.01, 0.5)
-        mc = McConfig(n1=100, n2=2000, n3=2000, alpha=0.01)
+        mc = McConfig(n2=2000, n3=2000, alpha=0.01)
         a = prob_certify_reduced(problem, rho_so2(), mc, seed=11, p_lower=0.8)
         b = prob_certify_reduced(problem, rho_so2(), mc, seed=11, p_lower=0.8)
         assert a == b
 
     def test_ladder_accounting(self):
         problem = so2_problem_from_params(0.2, 0.1, 0.0, 0.0, 0.5)
-        mc = McConfig(n1=100, n2=500, n3=500, alpha=0.01)
+        mc = McConfig(n2=500, n3=500, alpha=0.01)
         out = prob_certify_reduced(problem, rho_so2(), mc, seed=4, p_lower=0.8)
         assert out.confidences == (0.99, 0.995, 1.0 - 0.01 / 3.0)
         assert out.confidence == 0.99
         assert "p-lower-supplied" in out.notes
 
-    def test_classifier_source(self):
-        problem = so2_problem_from_params(0.3, 0.1, 0.01, 0.0, 0.5)
-        g = norm_threshold_classifier(1.2, 2)
-        x = PointCloud(np.zeros((2, 2)))
-        mc = McConfig(n1=2000, n2=2000, n3=2000, alpha=0.01)
-        out = prob_certify_reduced(problem, rho_so2(), mc, seed=5, classifier=g, x=x)
-        assert "p-lower-supplied" not in out.notes
-        assert 0.0 < out.p_lower < 1.0
-
     def test_nan_statistic_raises(self):
         problem = blackbox_reduced_problem(0.5, 0.5)
         bad = LikelihoodStatistic(dim=1, evaluator=lambda q: np.full(q.shape[0], np.nan))
-        mc = McConfig(n1=100, n2=200, n3=200, alpha=0.01)
+        mc = McConfig(n2=200, n3=200, alpha=0.01)
         with pytest.raises(NumericalFailure, match="NaN"):
             prob_certify_reduced(problem, bad, mc, seed=6, p_lower=0.8)
 
@@ -199,13 +188,13 @@ class TestTwoSample:
 class TestUpperReduced:
     def test_identical_distributions_close_above_p(self):
         problem = so2_problem_from_params(0.3, 0.0, 0.0, 0.0, 0.5)
-        mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+        mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
         up = prob_certify_upper_reduced(problem, rho_so2(), mc, seed=7, p_upper=0.1)
         assert 0.10 <= up <= 0.12
 
     def test_monotone_in_p_upper(self):
         problem = so2_problem_from_params(0.2, 0.3, 0.02, 0.01, 0.5)
-        mc = McConfig(n1=100, n2=5000, n3=5000, alpha=0.01)
+        mc = McConfig(n2=5000, n3=5000, alpha=0.01)
         ups = [
             prob_certify_upper_reduced(problem, rho_so2(), mc, seed=8, p_upper=p)
             for p in (0.05, 0.1, 0.2, 0.4)
@@ -216,19 +205,19 @@ class TestUpperReduced:
 class TestInverseReduced:
     def test_identical_distributions(self):
         problem = so2_problem_from_params(0.3, 0.0, 0.0, 0.0, 0.5)
-        mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+        mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
         pmin = inverse_certify_reduced(problem, rho_so2(), mc, seed=9)
         assert 0.50 <= pmin <= 0.53
 
     def test_bounds(self):
-        mc = McConfig(n1=100, n2=1000, n3=1000, alpha=0.01)
+        mc = McConfig(n2=1000, n3=1000, alpha=0.01)
         for shift in (0.0, 0.5, 2.0, 6.0):
             problem = blackbox_reduced_problem(shift, 1.0)
             pmin = inverse_certify_reduced(problem, linear_statistic(), mc, seed=10)
             assert 0.5 <= pmin <= 1.0
 
     def test_monotone_in_shift(self):
-        mc = McConfig(n1=100, n2=20_000, n3=20_000, alpha=0.001)
+        mc = McConfig(n2=20_000, n3=20_000, alpha=0.001)
         pmins = [
             inverse_certify_reduced(
                 blackbox_reduced_problem(shift, 1.0), linear_statistic(), mc, seed=11

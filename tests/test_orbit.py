@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from invarcert.geometry import GroupKind, GroupSpec, PointCloud, center, rot2, rot3_zyx
+from invarcert.geometry import GroupKind, GroupSpec, PointCloud, center, rot2
 from invarcert.orbit import (
     blackbox_radius,
     certify_orbit,
@@ -21,6 +21,7 @@ from reference import (
     brute_force_permutation,
     brute_force_procrustes_2d,
     random_group_element,
+    rot3_zyx,
 )
 
 # oracle: sigma * (bisection quantile on erf), frozen

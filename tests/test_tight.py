@@ -17,7 +17,6 @@ from invarcert.geometry import (
     center,
     epsilon_params,
     rot2,
-    rot3_zyx,
 )
 from invarcert.mc import (
     McConfig,
@@ -54,6 +53,7 @@ from invarcert.tight import (
 from reference import (
     blackbox_reduced_problem,
     linear_statistic,
+    rot3_zyx,
     so2_projection_matrix,
     so3_log_beta_hat,
 )
@@ -63,7 +63,7 @@ SE2 = GroupSpec(GroupKind.ROTO_TRANSLATION, 2)
 SO3 = GroupSpec(GroupKind.ROTATION, 3)
 SE3 = GroupSpec(GroupKind.ROTO_TRANSLATION, 3)
 
-FAST_MC = McConfig(n1=100, n2=10000, n3=10000, alpha=0.001)
+FAST_MC = McConfig(n2=10000, n3=10000, alpha=0.001)
 
 
 def _pair(rng, n, d, scale=0.3, norm_x=None):
@@ -418,7 +418,7 @@ class TestCertifyRotationTight:
     def test_zero_perturbation_recovers_p(self):
         rng = np.random.default_rng(10)
         x = PointCloud(rng.standard_normal((5, 2)) * 0.3)
-        mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+        mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
         out = certify_rotation_tight(SO2, x, x, 0.8, 0.5, mc, seed=1)
         assert 0.78 <= out.bound_value <= 0.80
         assert out.certified
@@ -426,7 +426,7 @@ class TestCertifyRotationTight:
     def test_paper_scaling_fixture(self):
         # sigma = 0.5, |X| = 0.01, p = 0.8, pure scaling: the tight certificate
         # reaches perturbation norms far beyond the 0.4208 black-box radius
-        mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+        mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
         certified = {}
         for nd in (0.7, 0.8):
             problem_seed = 42
@@ -485,7 +485,7 @@ class TestCertifyRotationTight:
         rng = np.random.default_rng(15)
         for i, (dim, gse, gso) in enumerate(((2, SE2, SO2), (3, SE3, SO3))):
             x, xp = _pair(rng, 6, dim, scale=0.4)
-            mc = McConfig(n1=100, n2=500, n3=500, alpha=0.01)
+            mc = McConfig(n2=500, n3=500, alpha=0.01)
             a = certify_rotation_tight(gse, x, xp, 0.85, 0.5, mc, seed=50 + i)
             b = certify_rotation_tight(
                 gso, center(x), center(xp), 0.85, 0.5, mc, seed=50 + i
@@ -502,7 +502,7 @@ class TestCertifyRotationTight:
             b = certify_rotation_tight(SO2, x, rotated, 0.8, 0.4, FAST_MC, seed=60 + i)
             tol = 3 * _combined_se(a.bound_value, b.bound_value, FAST_MC)
             assert abs(a.bound_value - b.bound_value) <= tol
-        mc3 = McConfig(n1=100, n2=4000, n3=4000, alpha=0.001)
+        mc3 = McConfig(n2=4000, n3=4000, alpha=0.001)
         for i in range(10):
             x, xp = _pair(rng, 5, 3, scale=0.25, norm_x=0.5)
             a = certify_rotation_tight(SO3, x, xp, 0.8, 0.4, mc3, seed=70 + i)
@@ -523,7 +523,7 @@ class TestCertifyRotationTight:
         if group is SE3:
             xp = xp + rng.standard_normal(3)
         sigma = float(np.linalg.norm(x)) / 100.0
-        mc = McConfig(n1=100, n2=1000, n3=1000, alpha=0.001)
+        mc = McConfig(n2=1000, n3=1000, alpha=0.001)
         out = certify_rotation_tight(group, PointCloud(x), PointCloud(xp), 0.9, sigma, mc, seed=5)
         assert out.certified
 
@@ -531,7 +531,7 @@ class TestCertifyRotationTight:
         # X' = X R^T carries no usable perturbation for a rotation-invariant
         # model: the tight bound statistically equals the Delta = 0 bound
         rng = np.random.default_rng(17)
-        mc = McConfig(n1=100, n2=10000, n3=10000, alpha=0.001)
+        mc = McConfig(n2=10000, n3=10000, alpha=0.001)
         for dim, group in ((2, SO2), (3, SO3)):
             x = rng.standard_normal((5, dim))
             x *= 0.5 / np.linalg.norm(x)
@@ -587,7 +587,7 @@ class TestUpperBound:
     def test_identical_distributions(self):
         rng = np.random.default_rng(17)
         x = PointCloud(rng.standard_normal((5, 2)) * 0.3)
-        mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+        mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
         up = self._upper(x, x, 0.1, mc, seed=3)
         assert 0.10 <= up <= 0.12
 
@@ -606,7 +606,7 @@ class TestUpperBound:
 
     def test_dominated_by_blackbox_form(self):
         rng = np.random.default_rng(20)
-        mc = McConfig(n1=100, n2=20000, n3=20000, alpha=0.001)
+        mc = McConfig(n2=20000, n3=20000, alpha=0.001)
         for i in range(5):
             x, xp = _pair(rng, 5, 2, scale=0.25)
             nd = float(np.linalg.norm(xp.data - x.data))
@@ -668,7 +668,7 @@ class TestInverseCertificate:
     def test_rotation_identical_distributions(self):
         rng = np.random.default_rng(24)
         x = PointCloud(rng.standard_normal((5, 2)) * 0.2)
-        mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+        mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
         pmin = inverse_certificate(SO2, x, x, 0.5, mc, seed=11)
         assert 0.50 <= pmin <= 0.53
 
@@ -678,7 +678,7 @@ class TestInverseCertificate:
         x = rng.standard_normal((6, 2))
         x *= 0.01 / np.linalg.norm(x)
         xp = x * (1.0 + 0.73 / 0.01)
-        mc = McConfig(n1=100, n2=100_000, n3=100_000, alpha=0.001)
+        mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
         pmin = inverse_certificate(SO2, PointCloud(x), PointCloud(xp), 0.5, mc, seed=12)
         width = 3 * math.sqrt(0.8 * 0.2 / mc.n3)
         assert abs(pmin - 0.8) <= 0.02 + width
@@ -772,7 +772,7 @@ class TestPminGrid:
                 assert grid.infeasible[i, j] == outside
 
     def test_coarse_grid_subsamples_fine(self):
-        mc = McConfig(n1=100, n2=100, n3=100, alpha=0.01)
+        mc = McConfig(n2=100, n3=100, alpha=0.01)
         coarse = pmin_grid(SO2, 0.5, 0.3, 0.5, 4, mc, seed=3)
         fine = pmin_grid(SO2, 0.5, 0.3, 0.5, 10, mc, seed=3)
         # nodes 0, 1/3, 2/3, 1 appear at indices 0, 3, 6, 9 of the fine grid
@@ -795,7 +795,7 @@ class TestPminGrid:
     def test_gain_concentrates_near_locus_for_large_data_norm(self):
         # |X| = 10 sigma: the tight certificate only beats the black-box one
         # near the adversarial rotations
-        mc = McConfig(n1=100, n2=2000, n3=2000, alpha=0.01)
+        mc = McConfig(n2=2000, n3=2000, alpha=0.01)
         sigma, nx, nd = 0.5, 5.0, 0.5
         grid = pmin_grid(SO2, nx, nd, sigma, 21, mc, seed=5)
         gain = std_normal_cdf(nd / sigma) - grid.values
@@ -884,7 +884,7 @@ class TestSharedFactor:
         asymmetric = np.array([[1.0, 0.5], [0.0, 1.0]])
         problem = RotationCertProblem(np.zeros(2), np.zeros(2), asymmetric, 0.5)
         statistic = LikelihoodStatistic(dim=2, evaluator=lambda q: q[:, 0])
-        mc = McConfig(n1=100, n2=100, n3=100, alpha=0.001)
+        mc = McConfig(n2=100, n3=100, alpha=0.001)
         # no order statistic qualifies, so nothing is drawn
         out = prob_certify_reduced(problem, statistic, mc, seed=3, p_lower=1e-9)
         assert "threshold-undetermined" in out.notes
