@@ -26,6 +26,7 @@ from .geometry import PointCloud
 from .numerics import (
     NumericalFailure,
     binomial_log_cdf_all,
+    check_sigma,
     clamp_probability,
     clopper_pearson_lower,
     clopper_pearson_upper,
@@ -78,8 +79,7 @@ def smooth_predict(
     """Majority vote of g under n Gaussian input draws, with a Clopper-Pearson
     lower bound on the majority probability at confidence 1 - alpha; abstains
     when the bound is <= 1/2."""
-    if not 0.0 < sigma < math.inf:  # NaN fails too
-        raise ValueError("smooth_predict: sigma must be finite and > 0")
+    check_sigma(sigma, "smooth_predict")
     if n < 1:
         raise ValueError("smooth_predict: n must be >= 1")
     _check_alpha("smooth_predict", alpha)

@@ -34,10 +34,16 @@ def std_normal_cdf(x):
 def std_normal_quantile(p):
     """Inverse standard normal CDF.  Rejects p outside the open interval (0,1)."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails too
         raise ValueError("std_normal_quantile: p must lie strictly in (0,1)")
     out = special.ndtri(p)
     return float(out) if out.ndim == 0 else out
+
+
+def check_sigma(sigma: float, where: str) -> None:
+    """Reject a smoothing scale outside 0 < sigma < inf (NaN included)."""
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"{where}: sigma must be finite and > 0")
 
 
 def clamp_probability(p: float) -> tuple[float, bool]:

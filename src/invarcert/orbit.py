@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import (
     GroupKind,
@@ -19,9 +18,16 @@ from .geometry import (
     PointCloud,
     center_matrix,
 )
-from .numerics import clamp_probability, std_normal_cdf, std_normal_quantile
+from .numerics import check_sigma, clamp_probability, std_normal_cdf, std_normal_quantile
 
 _REGISTRATION_STOP = 1e-9
+
+
+def linear_sum_assignment(cost):
+    """scipy's solver, imported on first call: only S and SxSE need scipy.optimize."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,7 @@ class CertificateOutcome:
 
 def blackbox_radius(p_lower: float, sigma: float) -> float:
     """Certified radius sigma * Phi^-1(p_lower); negative below p = 1/2."""
-    if sigma <= 0:
-        raise ValueError("blackbox_radius: sigma must be > 0")
+    check_sigma(sigma, "blackbox_radius")
     if not 0.0 < p_lower < 1.0:
         raise ValueError("blackbox_radius: p_lower must lie in (0,1)")
     return sigma * std_normal_quantile(p_lower)
@@ -86,6 +91,7 @@ def shift_bound(p: float, residual: float, sigma: float) -> float:
     """Phi(Phi^-1(p) - residual / sigma): the worst-case probability of a class
     with clean probability p at orbit distance residual.  A negative residual
     gives the best case, the competitor's upper bound."""
+    check_sigma(sigma, "shift_bound")
     return std_normal_cdf(std_normal_quantile(p) - residual / sigma)
 
 
@@ -147,8 +153,14 @@ def project_roto_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProject
 def project_permutation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     """Minimum-cost row assignment with cost C[n, m] = ||X'_n - X_m||^2."""
     _check_shapes(x, x_prime)
-    diff = x_prime.data[:, None, :] - x.data[None, :, :]
-    cost = np.sum(diff * diff, axis=2)
+    # one coordinate plane at a time, summed in coordinate order: the same
+    # bits as summing an (N, N, D) difference array over its last axis
+    xp, xd = x_prime.data, x.data
+    cost = (xp[:, 0, None] - xd[None, :, 0]) ** 2
+    for k in range(1, x.dim):
+        d = xp[:, k, None] - xd[None, :, k]
+        d *= d
+        cost += d
     rows, cols = linear_sum_assignment(cost)
     # perm[m] = n means row n of X' is matched to row m of X
     perm = np.empty(x.n_points, dtype=int)

@@ -31,6 +31,7 @@ from .geometry import (
 from .mc import McConfig
 from .numerics import (
     NumericalFailure,
+    check_sigma,
     clamp_probability,
     log_bessel_i0,
     psd_factor,
@@ -110,8 +111,7 @@ def so2_problem_from_params(
     All entries depend only on ratios to sigma^2, so scaling (X, Delta, sigma)
     by a common factor leaves the problem unchanged.
     """
-    if sigma <= 0:
-        raise ValueError("so2_problem_from_params: sigma must be > 0")
+    check_sigma(sigma, "so2_problem_from_params")
     s2 = sigma * sigma
     nx2 = norm_x * norm_x
     nd2 = norm_delta * norm_delta
@@ -382,6 +382,7 @@ def _rotation_problem(
     x_prime: PointCloud,
     sigma: float,
 ) -> tuple[RotationCertProblem, LikelihoodStatistic]:
+    check_sigma(sigma, "tight rotation certificate")
     if group.kind not in _ROTATION_KINDS:
         raise ValueError(f"tight rotation certificate: unsupported group {group.kind}")
     if x.dim != group.dim or x_prime.dim != group.dim:
@@ -431,6 +432,7 @@ def inverse_certificate(
     """Smallest clean prediction probability for which the perturbation can
     still be certified; closed form where available, otherwise Monte Carlo
     (upper bound holding with confidence 1 - alpha)."""
+    check_sigma(sigma, "inverse_certificate")
     if group is not None and group.kind in _ROTATION_KINDS:
         problem, statistic = _rotation_problem(group, x, x_prime, sigma)
         return mc_engine.inverse_certify_reduced(problem, statistic, mc, seed)
@@ -507,6 +509,7 @@ def certify_multiclass(
 
 def multiclass_radius(pa_lower: float, pb_upper: float, sigma: float) -> float:
     """Black-box multi-class radius (sigma/2)(Phi^-1(pA) - Phi^-1(pB))."""
+    check_sigma(sigma, "multiclass_radius")
     return 0.5 * sigma * (std_normal_quantile(pa_lower) - std_normal_quantile(pb_upper))
 
 
@@ -539,6 +542,7 @@ def pmin_grid(
     infeasible.  Cell seeds derive from the reduced fraction of each node so
     coarse grids subsample fine ones exactly.
     """
+    check_sigma(sigma, "pmin_grid")
     if norm_x < 0 or norm_delta < 0:
         raise ValueError("pmin_grid: norms must be >= 0")
     if grid_resolution < 2:

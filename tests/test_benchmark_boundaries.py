@@ -13,7 +13,8 @@ import numpy as np
 
 import invarcert.mc
 import invarcert.tight
-from invarcert.geometry import GroupKind, GroupSpec, PointCloud
+from invarcert.cli import main
+from invarcert.geometry import GroupKind, GroupSpec, PointCloud, save_points_csv
 from invarcert.mc import McConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -63,3 +64,30 @@ def test_traced_spans_stay_on_calling_thread(monkeypatch):
         tracer.uninstall()
     assert "tight.statistic" in {layer for layer, _ in threads}
     assert {ident for _, ident in threads} == {threading.get_ident()}
+
+
+def test_tracer_times_every_assignment(monkeypatch, tmp_path):
+    # orbit.assignment is bound at invarcert.orbit.linear_sum_assignment, the
+    # module-level shim that imports scipy's solver on first call: every
+    # permutation step must still pass through it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((8, 2))
+    save_points_csv(str(tmp_path / "clean.csv"), PointCloud(x))
+    save_points_csv(str(tmp_path / "perturbed.csv"),
+                    PointCloud(x[rng.permutation(8)] + 0.3 * rng.standard_normal((8, 2))))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = main(["project", "--group", "SxSE", "--clean", str(tmp_path / "clean.csv"),
+                     "--perturbed", str(tmp_path / "perturbed.csv"), "--max-iters", "3",
+                     "--out", str(tmp_path / "out.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    agg = tracer.aggregate()
+    assert agg["orbit.registration"]["calls"] == 1
+    calls = agg["orbit.assignment"]["calls"]
+    assert calls == agg["orbit.project_permutation"]["calls"] >= 1

@@ -71,7 +71,7 @@ class TestStdNormal:
         ps = np.linspace(0.0011, 0.9989, 311)
         assert np.max(np.abs(std_normal_cdf(std_normal_quantile(ps)) - ps)) < 1e-10
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4, math.nan, [0.5, math.nan]])
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):
             std_normal_quantile(p)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import invarcert.orbit
 from invarcert.geometry import GroupKind, GroupSpec, PointCloud, center, rot2
 from invarcert.orbit import (
     blackbox_radius,
@@ -229,6 +230,31 @@ class TestProjectPermutation:
             assert project_permutation(x, xp).residual == pytest.approx(
                 brute_force_permutation(x, xp), abs=1e-12
             )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    def test_cost_matches_broadcast_formula(self, monkeypatch, n, dim):
+        # the plane-by-plane cost must keep the bits of the (N, N, D) formula,
+        # so the solver sees the same matrix and ties break the same way
+        seen = []
+        solve = invarcert.orbit.linear_sum_assignment
+
+        def capture(cost):
+            seen.append(cost.copy())
+            return solve(cost)
+
+        monkeypatch.setattr(invarcert.orbit, "linear_sum_assignment", capture)
+        rng = np.random.default_rng(100 * n + dim)
+        # coordinates spread over four decades
+        x = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-2, 2, (n, dim))
+        xp = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-2, 2, (n, dim))
+        proj = project_permutation(PointCloud(x), PointCloud(xp))
+        diff = xp[:, None, :] - x[None, :, :]
+        expected = np.sum(diff * diff, axis=2)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], expected)
+        matched = expected[proj.permutation, np.arange(n)].sum()
+        assert proj.residual == pytest.approx(math.sqrt(matched), rel=1e-12)
 
     def test_ties_have_unique_residual(self):
         x = PointCloud(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))

@@ -849,6 +849,47 @@ class TestShapeMismatch:
             call(x, xp)
 
 
+T2 = GroupSpec(GroupKind.TRANSLATION, 2)
+
+
+class TestSigmaDomain:
+    """Every library entry point rejects sigma outside 0 < sigma < inf, as the
+    CLI does, instead of returning a certificate for it."""
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "dim, call",
+        [
+            pytest.param(2, lambda x, xp, s: pmin_grid(None, 1.0, 0.5, s, 3, FAST_MC, seed=1),
+                         id="pmin-blackbox"),
+            pytest.param(2, lambda x, xp, s: pmin_grid(SO2, 1.0, 0.5, s, 3, FAST_MC, seed=1),
+                         id="pmin-SO2"),
+            pytest.param(2, lambda x, xp, s: inverse_certificate(None, x, xp, s, FAST_MC, seed=1),
+                         id="inverse-blackbox"),
+            pytest.param(2, lambda x, xp, s: inverse_certificate(T2, x, xp, s, FAST_MC, seed=1),
+                         id="inverse-T"),
+            pytest.param(2, lambda x, xp, s: inverse_certificate(SO2, x, xp, s, FAST_MC, seed=1),
+                         id="inverse-SO2"),
+            pytest.param(3, lambda x, xp, s: certify_rotation_tight(
+                SO3, x, xp, 0.8, s, FAST_MC, seed=1), id="tight-SO3"),
+            pytest.param(2, lambda x, xp, s: certify_rotation_tight(
+                SE2, x, xp, 0.8, s, FAST_MC, seed=1), id="tight-SE2"),
+            pytest.param(2, lambda x, xp, s: certify_multiclass(
+                T2, x, xp, 0.9, 0.05, s, FAST_MC, seed=1), id="multiclass-T"),
+            pytest.param(2, lambda x, xp, s: certify_multiclass(
+                SO2, x, xp, 0.9, 0.05, s, FAST_MC, seed=1), id="multiclass-SO2"),
+            pytest.param(2, lambda x, xp, s: tight_translation(x, xp, 0.8, s),
+                         id="tight-translation"),
+            pytest.param(2, lambda x, xp, s: certify_orbit(SO2, x, xp, 0.8, s),
+                         id="orbit-SO2"),
+        ],
+    )
+    def test_rejected(self, dim, call, sigma):
+        x, xp = _pair(np.random.default_rng(32), 6, dim)
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            call(x, xp, sigma)
+
+
 class TestSharedFactor:
     """A reduced problem factors its one covariance once, for both means."""
 
