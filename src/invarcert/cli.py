@@ -5,6 +5,10 @@ space, project onto group orbits, run smoothed prediction with synthetic
 classifiers, and generate CSV fixtures.  All Monte-Carlo commands require an
 explicit --seed; outputs are JSON documents (schema 1) and CSV grids whose
 numbers round-trip exactly.
+
+``main`` parses the flags with one parser built at import and writes the one
+output document; each ``cmd_*`` function only checks what the library cannot
+see, computes, and returns the document's ``results``.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ _FINITE_FLAGS = ("sigma", "tau", "norm_x", "norm_delta", "theta")
 
 _READ_PATHS = ("clean", "perturbed", "input")
 _NOT_PARAMETERS = {
-    "func", "command", "out", "out_csv", "out_json", "out_clean", "out_perturbed",
+    "func", "command", "out", "out_csv", "out_clean", "out_perturbed",
     *_READ_PATHS,
 }
 
@@ -81,8 +85,12 @@ def _load_cloud(path: str, flag: str) -> PointCloud:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-def _group_spec(name: str, dim: int) -> GroupSpec:
-    return GroupSpec(_GROUPS[name], dim)
+def _load_pair(args) -> tuple[PointCloud, PointCloud]:
+    clean = _load_cloud(args.clean, "--clean")
+    perturbed = _load_cloud(args.perturbed, "--perturbed")
+    if clean.data.shape != perturbed.data.shape:
+        raise UsageError("--perturbed: shape differs from --clean")
+    return clean, perturbed
 
 
 def _outcome_dict(outcome: CertificateOutcome) -> dict:
@@ -159,11 +167,8 @@ def _check_probability(value: float | None, flag: str) -> None:
         raise UsageError(f"{flag}: must be a probability in [0, 1] (got {value})")
 
 
-def cmd_certify(args) -> int:
-    clean = _load_cloud(args.clean, "--clean")
-    perturbed = _load_cloud(args.perturbed, "--perturbed")
-    if clean.data.shape != perturbed.data.shape:
-        raise UsageError("--perturbed: shape differs from --clean")
+def cmd_certify(args) -> dict:
+    clean, perturbed = _load_pair(args)
     if args.method in ("tight", "both") and args.group not in _TIGHT_GROUPS:
         raise UsageError(
             f"--method {args.method}: tight certificates support groups T, SO, SE"
@@ -173,7 +178,7 @@ def cmd_certify(args) -> int:
     _check_probability(args.p_upper, "--p-upper")
     if args.multiclass and args.p_upper is None:
         raise UsageError("--multiclass: requires --p-upper")
-    group = _group_spec(args.group, clean.dim)
+    group = GroupSpec(_GROUPS[args.group], clean.dim)
     mc = _mc_config(args)
     label, p_lower = _label_and_p_lower(args, clean)
     results: dict = {"p_lower": p_lower}
@@ -197,42 +202,30 @@ def cmd_certify(args) -> int:
                 group, clean, perturbed, p_lower, args.p_upper, args.sigma, mc, args.seed
             )
         )
-    _emit(_document(args, results), args.out)
-    return 0
+    return results
 
 
-def cmd_project(args) -> int:
-    clean = _load_cloud(args.clean, "--clean")
-    perturbed = _load_cloud(args.perturbed, "--perturbed")
-    if clean.data.shape != perturbed.data.shape:
-        raise UsageError("--perturbed: shape differs from --clean")
-    group = _group_spec(args.group, clean.dim)
+def cmd_project(args) -> dict:
+    clean, perturbed = _load_pair(args)
+    group = GroupSpec(_GROUPS[args.group], clean.dim)
     proj = project(group, clean, perturbed, max_iters=args.max_iters)
-    results = {
+    return {
         "residual": proj.residual,
         "transform": proj.transform_description(),
         "exact": proj.exact,
     }
-    _emit(_document(args, results), args.out)
-    return 0
 
 
-def cmd_smooth_predict(args) -> int:
+def cmd_smooth_predict(args) -> dict:
     cloud = _load_cloud(args.input, "--input")
     label, p_lower = _label_and_p_lower(args, cloud)
-    results = {
+    return {
         "label": "ABSTAIN" if label == ABSTAIN else label,
         "p_lower": p_lower,
     }
-    _emit(_document(args, results), args.out)
-    return 0
 
 
-def cmd_pmin_grid(args) -> int:
-    if args.norm_x < 0 or args.norm_delta < 0:
-        raise UsageError("--norm-x/--norm-delta: must be >= 0")
-    if args.resolution < 2:
-        raise UsageError("--resolution: must be >= 2")
+def cmd_pmin_grid(args) -> dict:
     group = None if args.group == "blackbox" else GroupSpec(GroupKind.ROTATION, 2)
     mc = _mc_config(args)
     grid = pmin_grid(
@@ -261,20 +254,22 @@ def cmd_pmin_grid(args) -> int:
         }
         for locus in grid.loci
     ]
-    results = {
+    return {
         "csv": args.out_csv,
         "eps1_nodes": grid.eps1_nodes.tolist(),
         "eps2_nodes": grid.eps2_nodes.tolist(),
         "adversarial_rotation_loci": loci,
         "infeasible_cells": int(grid.infeasible.sum()),
     }
-    _emit(_document(args, results), args.out_json)
-    return 0
 
 
-def cmd_fixture(args) -> int:
+def cmd_fixture(args) -> dict:
     if args.norm_x <= 0:
         raise UsageError("--norm-x: must be > 0")
+    if args.norm_delta is not None and args.norm_delta < 0:
+        raise UsageError(f"--norm-delta: must be >= 0 (got {args.norm_delta})")
+    if args.n_points < 1:
+        raise UsageError(f"--n-points: must be >= 1 (got {args.n_points})")
     rng = np.random.default_rng(args.seed)
     base = rng.standard_normal((args.n_points, args.dim))
     base *= args.norm_x / np.linalg.norm(base)
@@ -297,13 +292,11 @@ def cmd_fixture(args) -> int:
         else:
             raise UsageError("--theta or --norm-delta: required for rotation scenario")
         delta = base @ rot2(theta).T - base
-    elif args.scenario == "random":
+    else:  # random
         if args.norm_delta is None:
             raise UsageError("--norm-delta: required for the random scenario")
         delta = rng.standard_normal((args.n_points, args.dim))
         delta *= args.norm_delta / np.linalg.norm(delta)
-    else:  # argparse choices guard this
-        raise UsageError(f"--scenario: unknown {args.scenario!r}")
     clean = PointCloud(base)
     perturbed = PointCloud(base + delta)
     save_points_csv(args.out_clean, clean)
@@ -318,8 +311,7 @@ def cmd_fixture(args) -> int:
         eps = epsilon_params(clean, delta)
         results["eps1"] = eps.eps1
         results["eps2"] = eps.eps2
-    _emit(_document(args, results), args.out)
-    return 0
+    return results
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -380,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--n3", type=int, default=10000)
     grid.add_argument("--diff", choices=["blackbox"], default=None)
     grid.add_argument("--out-csv", required=True)
-    grid.add_argument("--out-json", default=None)
+    grid.add_argument("--out-json", dest="out", default=None)
     grid.set_defaults(func=cmd_pmin_grid)
 
     fixture = sub.add_parser("fixture", help="generate CSV point-cloud fixtures")
@@ -401,12 +393,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args fills a fresh namespace on every call, so the one parser built
+# here serves every main() call of the process
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _check_float_flags(args)
-        return args.func(args)
+        _emit(_document(args, args.func(args)), args.out)
+        return 0
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Command-line interface: flags, JSON/CSV outputs, exit codes, determinism."""
 
+import argparse
 import json
 import math
 
@@ -108,6 +109,34 @@ class TestFixture:
         base = rng.standard_normal((7, 2))
         base *= 1.0 / np.linalg.norm(base)
         assert np.array_equal(load_points_csv(clean_path).data, base)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scenario", "random", "--norm-delta", "-0.3"],
+            ["--scenario", "scaling", "--norm-delta", "-0.3"],
+            ["--scenario", "rotation", "--norm-delta", "-0.3"],
+            ["--scenario", "random", "--norm-delta", "0.3", "--n-points", "0"],
+            ["--scenario", "scaling", "--norm-delta", "0.3", "--n-points", "-2"],
+        ],
+        ids=["random", "scaling", "rotation", "zero-points", "negative-points"],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, recwarn, flags):
+        code = main(
+            [
+                "fixture", "--norm-x", "1.0", "--seed", "1", *flags,
+                "--out-clean", str(tmp_path / "c.csv"),
+                "--out-perturbed", str(tmp_path / "p.csv"),
+                "--out", str(tmp_path / "out.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        flag = "--n-points" if "--n-points" in flags else "--norm-delta"
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: must be >= ")
+        assert len(recwarn) == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCertify:
@@ -592,12 +621,84 @@ class TestPminGrid:
         assert not csv_path.exists()
         assert not json_path.exists()
 
-    def test_invalid_norms(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "norm_x,norm_delta,resolution",
+        [("-1.0", "0.5", "4"), ("1.0", "-1", "4"), ("1.0", "0.5", "1")],
+        ids=["norm-x", "norm-delta", "resolution"],
+    )
+    def test_invalid_norms(self, tmp_path, capsys, norm_x, norm_delta, resolution):
         code = main(
             [
-                "pmin-grid", "--group", "blackbox", "--norm-x", "-1.0",
-                "--norm-delta", "0.5", "--sigma", "0.5", "--resolution", "4",
+                "pmin-grid", "--group", "blackbox", "--norm-x", norm_x,
+                "--norm-delta", norm_delta, "--sigma", "0.5", "--resolution", resolution,
                 "--seed", "1", "--out-csv", str(tmp_path / "g.csv"),
+                "--out-json", str(tmp_path / "g.json"),
             ]
         )
         assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSharedParser:
+    def test_main_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        clean, perturbed = _write_pair(tmp_path, np.eye(2) * 0.2, np.eye(2)[::-1] * 0.2)
+        pair = ["--clean", clean, "--perturbed", perturbed]
+        calls = [
+            ["certify", "--group", "T", *pair, "--sigma", "0.5", "--p-lower", "0.8",
+             "--seed", "1", "--method", "orbit"],
+            ["project", "--group", "S", *pair],
+            ["smooth-predict", "--classifier", "norm", "--input", clean, "--sigma", "0.5",
+             "--n1", "100", "--seed", "1"],
+            ["pmin-grid", "--group", "blackbox", "--norm-x", "1.0", "--norm-delta", "0.5",
+             "--sigma", "0.5", "--resolution", "2", "--seed", "1",
+             "--out-csv", str(tmp_path / "g.csv")],
+            ["fixture", "--scenario", "random", "--norm-x", "1.0", "--norm-delta", "0.5",
+             "--n-points", "3", "--seed", "1", "--out-clean", str(tmp_path / "c.csv"),
+             "--out-perturbed", str(tmp_path / "p.csv")],
+        ]
+        for argv in calls:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert built == []
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        data = np.eye(2) * 0.2
+        clean, perturbed = _write_pair(tmp_path, data, data)
+        common = [
+            "certify", "--group", "T", "--clean", clean, "--perturbed", perturbed,
+            "--sigma", "0.5", "--p-lower", "0.8", "--seed", "1", "--method", "orbit",
+        ]
+        code, first = _run(capsys, *common, "--multiclass", "--p-upper", "0.1")
+        assert code == 0
+        assert "multiclass" in first["results"]
+        code, second = _run(capsys, *common)
+        assert code == 0
+        assert "multiclass" not in second["results"]
+        parameters = second["manifest"]["parameters"]
+        assert parameters["multiclass"] is False
+        assert parameters["p_upper"] is None
+
+    def test_pmin_grid_document_goes_to_out_json_or_stdout(self, tmp_path, capsys):
+        json_path = tmp_path / "grid.json"
+        common = [
+            "pmin-grid", "--group", "blackbox", "--norm-x", "1.0", "--norm-delta", "0.5",
+            "--sigma", "0.5", "--resolution", "3", "--seed", "1",
+            "--out-csv", str(tmp_path / "grid.csv"),
+        ]
+        assert main([*common, "--out-json", str(json_path)]) == 0
+        assert capsys.readouterr().out == ""
+        written = json.loads(json_path.read_text())
+        json_path.unlink()
+        code, printed = _run(capsys, *common)
+        assert code == 0
+        assert not json_path.exists()
+        assert printed["results"] == written["results"]
+        assert printed["manifest"] == written["manifest"]
