@@ -102,6 +102,30 @@ CASES = {
         ],
         ["out.json"],
     ),
+    "certify-t-both-multiclass": (
+        [
+            "certify", "--group", "T", "--clean", "clean2.csv", "--perturbed", "pert2.csv",
+            "--sigma", "0.5", "--p-lower", "0.4", "--method", "both", "--multiclass",
+            "--p-upper", "0.1", "--seed", "1", "--out", "out.json",
+        ],
+        ["out.json"],
+    ),
+    "certify-sxse-orbit-nonpositive": (
+        [
+            "certify", "--group", "SxSE", "--clean", "cleanr.csv", "--perturbed", "pertr.csv",
+            "--sigma", "0.5", "--p-lower", "0.3", "--method", "orbit", "--seed", "1",
+            "--out", "out.json",
+        ],
+        ["out.json"],
+    ),
+    "certify-so3-multiclass": (
+        [
+            "certify", "--group", "SO", "--clean", "clean3.csv", "--perturbed", "pert3.csv",
+            "--sigma", "0.5", "--p-lower", "0.9", "--p-upper", "0.05", "--multiclass",
+            "--n2", "200", "--n3", "200", "--seed", "3", "--out", "out.json",
+        ],
+        ["out.json"],
+    ),
     "pmin-grid-blackbox": (
         [
             "pmin-grid", "--group", "blackbox", "--norm-x", "0.4", "--norm-delta", "0.3",
