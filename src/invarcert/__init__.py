@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .geometry import (
     EpsilonParams,
     GroupKind,
-    GroupSpec,
     PointCloud,
     adversarial_rotation_locus,
     center,
@@ -69,7 +68,6 @@ __all__ = [
     # geometry
     "EpsilonParams",
     "GroupKind",
-    "GroupSpec",
     "PointCloud",
     "adversarial_rotation_locus",
     "center",

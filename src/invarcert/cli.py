@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .geometry import (
     GroupKind,
-    GroupSpec,
     PointCloud,
     epsilon_params,
     load_points_csv,
@@ -44,14 +43,7 @@ from .tight import (
     tight_translation,
 )
 
-_GROUPS = {
-    "T": GroupKind.TRANSLATION,
-    "SO": GroupKind.ROTATION,
-    "O": GroupKind.ORTHOGONAL,
-    "SE": GroupKind.ROTO_TRANSLATION,
-    "S": GroupKind.PERMUTATION,
-    "SxSE": GroupKind.PERMUTATION_ROTO_TRANSLATION,
-}
+_GROUPS = sorted(kind.value for kind in GroupKind)
 
 _TIGHT_GROUPS = {"T", "SO", "SE"}
 
@@ -178,7 +170,9 @@ def cmd_certify(args) -> dict:
     _check_probability(args.p_upper, "--p-upper")
     if args.multiclass and args.p_upper is None:
         raise UsageError("--multiclass: requires --p-upper")
-    group = GroupSpec(_GROUPS[args.group], clean.dim)
+    if args.p_upper is not None and not args.multiclass:
+        raise UsageError("--p-upper: requires --multiclass")
+    group = GroupKind(args.group)
     mc = _mc_config(args)
     label, p_lower = _label_and_p_lower(args, clean)
     results: dict = {"p_lower": p_lower}
@@ -189,7 +183,7 @@ def cmd_certify(args) -> dict:
             certify_orbit(group, clean, perturbed, p_lower, args.sigma)
         )
     if args.method in ("tight", "both"):
-        if group.kind is GroupKind.TRANSLATION:
+        if group is GroupKind.TRANSLATION:
             outcome = tight_translation(clean, perturbed, p_lower, args.sigma)
         else:
             outcome = certify_rotation_tight(
@@ -207,8 +201,7 @@ def cmd_certify(args) -> dict:
 
 def cmd_project(args) -> dict:
     clean, perturbed = _load_pair(args)
-    group = GroupSpec(_GROUPS[args.group], clean.dim)
-    proj = project(group, clean, perturbed, max_iters=args.max_iters)
+    proj = project(GroupKind(args.group), clean, perturbed, max_iters=args.max_iters)
     return {
         "residual": proj.residual,
         "transform": proj.transform_description(),
@@ -226,7 +219,7 @@ def cmd_smooth_predict(args) -> dict:
 
 
 def cmd_pmin_grid(args) -> dict:
-    group = None if args.group == "blackbox" else GroupSpec(GroupKind.ROTATION, 2)
+    group = None if args.group == "blackbox" else GroupKind.ROTATION
     mc = _mc_config(args)
     grid = pmin_grid(
         group, args.norm_x, args.norm_delta, args.sigma, args.resolution, mc, args.seed
@@ -270,6 +263,8 @@ def cmd_fixture(args) -> dict:
         raise UsageError(f"--norm-delta: must be >= 0 (got {args.norm_delta})")
     if args.n_points < 1:
         raise UsageError(f"--n-points: must be >= 1 (got {args.n_points})")
+    if args.theta is not None and (args.scenario != "rotation" or args.norm_delta is not None):
+        raise UsageError("--theta: only for the rotation scenario, and not with --norm-delta")
     rng = np.random.default_rng(args.seed)
     base = rng.standard_normal((args.n_points, args.dim))
     base *= args.norm_x / np.linalg.norm(base)
@@ -322,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     certify = sub.add_parser("certify", help="certify one clean/perturbed pair")
-    certify.add_argument("--group", required=True, choices=sorted(_GROUPS))
+    certify.add_argument("--group", required=True, choices=_GROUPS)
     certify.add_argument("--clean", required=True)
     certify.add_argument("--perturbed", required=True)
     certify.add_argument("--sigma", type=float, required=True)
@@ -341,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     certify.set_defaults(func=cmd_certify)
 
     proj = sub.add_parser("project", help="orbit projection of a pair")
-    proj.add_argument("--group", required=True, choices=sorted(_GROUPS))
+    proj.add_argument("--group", required=True, choices=_GROUPS)
     proj.add_argument("--clean", required=True)
     proj.add_argument("--perturbed", required=True)
     proj.add_argument("--max-iters", type=int, default=50)

@@ -24,18 +24,6 @@ class GroupKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    """Invariance group targeted by a certificate."""
-
-    kind: GroupKind
-    dim: int
-
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError("GroupSpec: dim must be 2 or 3")
-
-
-@dataclass(frozen=True)
 class PointCloud:
     """N x D matrix of point coordinates, one row per point."""
 

@@ -47,7 +47,10 @@ def check_sigma(sigma: float, where: str) -> None:
 
 
 def clamp_probability(p: float) -> tuple[float, bool]:
-    """Clamp p into [PROB_CLAMP, 1-PROB_CLAMP]; returns (value, was_clamped)."""
+    """Clamp a probability into [PROB_CLAMP, 1-PROB_CLAMP]; returns (value,
+    was_clamped).  Raises ValueError for p outside [0, 1], NaN included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must lie in [0, 1] (got {p})")
     if p < PROB_CLAMP:
         return PROB_CLAMP, True
     if p > 1.0 - PROB_CLAMP:

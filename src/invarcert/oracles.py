@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GroupKind, GroupSpec, PointCloud
+from .geometry import GroupKind, PointCloud
 
 # Pairwise-centroid batches are profiled in row chunks whose pairwise
 # coordinate differences (8 * D * N(N-1)/2 bytes a cloud) take this much.
@@ -35,7 +35,7 @@ class SyntheticClassifier:
     """
 
     kind: str
-    invariance: GroupSpec
+    invariance: GroupKind
     tau: float
     signature: np.ndarray | None = None
 
@@ -88,31 +88,28 @@ def _distance_profile(batch: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -
     return np.concatenate([pair, cent], axis=1)
 
 
-def norm_threshold_classifier(tau: float, dim: int) -> SyntheticClassifier:
-    return SyntheticClassifier("norm", GroupSpec(GroupKind.ROTATION, dim), tau)
+def norm_threshold_classifier(tau: float) -> SyntheticClassifier:
+    return SyntheticClassifier("norm", GroupKind.ROTATION, tau)
 
 
-def centered_norm_threshold_classifier(tau: float, dim: int) -> SyntheticClassifier:
-    return SyntheticClassifier("centered-norm", GroupSpec(GroupKind.ROTO_TRANSLATION, dim), tau)
+def centered_norm_threshold_classifier(tau: float) -> SyntheticClassifier:
+    return SyntheticClassifier("centered-norm", GroupKind.ROTO_TRANSLATION, tau)
 
 
 def pairwise_centroid_classifier(reference: PointCloud, tau: float) -> SyntheticClassifier:
     pairs = np.triu_indices(reference.n_points, k=1)
     signature = _distance_profile(reference.data[None], pairs)[0]
     return SyntheticClassifier(
-        "pairwise-centroid",
-        GroupSpec(GroupKind.PERMUTATION_ROTO_TRANSLATION, reference.dim),
-        tau,
-        signature=signature,
+        "pairwise-centroid", GroupKind.PERMUTATION_ROTO_TRANSLATION, tau, signature=signature
     )
 
 
 def make_classifier(kind: str, tau: float, reference: PointCloud) -> SyntheticClassifier:
     """CLI-facing factory keyed by the classifier names of the command line."""
     if kind == "norm":
-        return norm_threshold_classifier(tau, reference.dim)
+        return norm_threshold_classifier(tau)
     if kind == "centered-norm":
-        return centered_norm_threshold_classifier(tau, reference.dim)
+        return centered_norm_threshold_classifier(tau)
     if kind == "pairwise-centroid":
         return pairwise_centroid_classifier(reference, tau)
     raise ValueError(f"unknown classifier kind {kind!r}")

@@ -8,16 +8,11 @@ minimizing ||(t o X') - X||_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    GroupKind,
-    GroupSpec,
-    PointCloud,
-    center_matrix,
-)
+from .geometry import GroupKind, PointCloud, center_matrix
 from .numerics import check_sigma, clamp_probability, std_normal_cdf, std_normal_quantile
 
 _REGISTRATION_STOP = 1e-9
@@ -220,18 +215,46 @@ _PROJECTORS = {
 }
 
 
-def project(group: GroupSpec, x: PointCloud, x_prime: PointCloud, max_iters: int = 50) -> OrbitProjection:
-    """Orbit projection dispatch for all supported groups."""
-    projector = _PROJECTORS.get(group.kind)
+def project(
+    group: GroupKind | None, x: PointCloud, x_prime: PointCloud, max_iters: int = 50
+) -> OrbitProjection:
+    """Orbit projection dispatch for all supported groups.  None is the
+    trivial group of the black-box certificate, whose orbit distance is
+    ||X' - X||."""
+    if group is None:
+        _check_shapes(x, x_prime)
+        return OrbitProjection(residual=float(np.linalg.norm(x_prime.data - x.data)))
+    projector = _PROJECTORS.get(group)
     if projector is None:
-        raise ValueError(f"project: unsupported group {group.kind}")
+        raise ValueError(f"project: unsupported group {group}")
     if projector is project_registration_upper:
         return projector(x, x_prime, max_iters)
     return projector(x, x_prime)
 
 
+def shift_outcome(
+    p: float, radius: float, proj: OrbitProjection, sigma: float, method: str, notes: list[str]
+) -> CertificateOutcome:
+    """Closed-form outcome at orbit distance proj.residual: certified iff the
+    residual is strictly below radius, with bound_value
+    shift_bound(p, residual, sigma).  An inexact projection adds the note
+    "approximate-registration-upper-bound" after the given notes."""
+    if not proj.exact:
+        notes = [*notes, "approximate-registration-upper-bound"]
+    return CertificateOutcome(
+        certified=proj.residual < radius,
+        bound_value=shift_bound(p, proj.residual, sigma),
+        radius=radius,
+        p_lower=p,
+        confidence=1.0,
+        method=method,
+        residual=proj.residual,
+        notes=tuple(notes),
+    )
+
+
 def certify_orbit(
-    group: GroupSpec,
+    group: GroupKind,
     x: PointCloud,
     x_prime: PointCloud,
     p_lower: float,
@@ -247,18 +270,9 @@ def certify_orbit(
     if clamped:
         notes.append("p-lower-clamped")
     radius = blackbox_radius(p_eff, sigma)
-    proj = project(group, x, x_prime)
-    if not proj.exact:
-        notes.append("approximate-registration-upper-bound")
-    if radius <= 0.0:
-        notes.append("radius-nonpositive")
-    return CertificateOutcome(
-        certified=proj.residual < radius,
-        bound_value=shift_bound(p_eff, proj.residual, sigma),
-        radius=radius,
-        p_lower=p_eff,
-        confidence=1.0,
-        method=f"orbit-{group.kind.value}",
-        residual=proj.residual,
-        notes=tuple(notes),
+    outcome = shift_outcome(
+        p_eff, radius, project(group, x, x_prime), sigma, f"orbit-{group.value}", notes
     )
+    if radius <= 0.0:
+        return replace(outcome, notes=outcome.notes + ("radius-nonpositive",))
+    return outcome

@@ -22,7 +22,6 @@ from . import mc as mc_engine
 from .geometry import (
     EpsilonParams,
     GroupKind,
-    GroupSpec,
     PointCloud,
     adversarial_rotation_locus,
     center,
@@ -40,12 +39,12 @@ from .numerics import (
 )
 from .orbit import (
     CertificateOutcome,
-    OrbitProjection,
     _check_shapes,
     blackbox_radius,
     project,
     project_translation,
     shift_bound,
+    shift_outcome,
 )
 
 
@@ -89,18 +88,11 @@ def tight_translation(
     p_eff, clamped = clamp_probability(p_lower)
     if clamped:
         notes.append("p-lower-clamped")
-    residual = project_translation(x, x_prime).residual
-    bound = shift_bound(p_eff, residual, sigma)
-    return CertificateOutcome(
-        certified=bound > 0.5,
-        bound_value=bound,
-        radius=blackbox_radius(p_eff, sigma),
-        p_lower=p_eff,
-        confidence=1.0,
-        method="tight-translation",
-        residual=residual,
-        notes=tuple(notes),
+    proj = project_translation(x, x_prime)
+    outcome = shift_outcome(
+        p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
     )
+    return replace(outcome, certified=outcome.bound_value > 0.5)
 
 
 def so2_problem_from_params(
@@ -377,26 +369,24 @@ _ROTATION_KINDS = (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION)
 
 
 def _rotation_problem(
-    group: GroupSpec,
+    group: GroupKind,
     x: PointCloud,
     x_prime: PointCloud,
     sigma: float,
 ) -> tuple[RotationCertProblem, LikelihoodStatistic]:
     check_sigma(sigma, "tight rotation certificate")
-    if group.kind not in _ROTATION_KINDS:
-        raise ValueError(f"tight rotation certificate: unsupported group {group.kind}")
-    if x.dim != group.dim or x_prime.dim != group.dim:
-        raise ValueError("tight rotation certificate: dimension mismatch")
+    if group not in _ROTATION_KINDS:
+        raise ValueError(f"tight rotation certificate: unsupported group {group}")
     _check_shapes(x, x_prime)
-    if group.kind is GroupKind.ROTO_TRANSLATION:
+    if group is GroupKind.ROTO_TRANSLATION:
         x, x_prime = center(x), center(x_prime)
-    if group.dim == 2:
+    if x.dim == 2:
         return build_so2_problem(x, x_prime, sigma), rho_so2()
     return build_so3_problem(x, x_prime, sigma), rho_so3()
 
 
 def certify_rotation_tight(
-    group: GroupSpec,
+    group: GroupKind,
     x: PointCloud,
     x_prime: PointCloud,
     p_lower: float,
@@ -408,21 +398,11 @@ def certify_rotation_tight(
     rotation (or roto-translation) invariant classifier."""
     problem, statistic = _rotation_problem(group, x, x_prime, sigma)
     outcome = mc_engine.prob_certify_reduced(problem, statistic, mc, seed, p_lower=p_lower)
-    tag = f"tight-{group.kind.value}{group.dim}"
-    return replace(outcome, method=tag)
-
-
-def _distance(group: GroupSpec | None, x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
-    """Orbit projection of x_prime toward x.  None is the trivial group of
-    the black-box certificate, whose orbit distance is ||Delta||."""
-    _check_shapes(x, x_prime)
-    if group is None:
-        return OrbitProjection(residual=float(np.linalg.norm(x_prime.data - x.data)))
-    return project(group, x, x_prime)
+    return replace(outcome, method=f"tight-{group.value}{x.dim}")
 
 
 def inverse_certificate(
-    group: GroupSpec | None,
+    group: GroupKind | None,
     x: PointCloud,
     x_prime: PointCloud,
     sigma: float,
@@ -433,15 +413,15 @@ def inverse_certificate(
     still be certified; closed form where available, otherwise Monte Carlo
     (upper bound holding with confidence 1 - alpha)."""
     check_sigma(sigma, "inverse_certificate")
-    if group is not None and group.kind in _ROTATION_KINDS:
+    if group in _ROTATION_KINDS:
         problem, statistic = _rotation_problem(group, x, x_prime, sigma)
         return mc_engine.inverse_certify_reduced(problem, statistic, mc, seed)
     # closed form: certified iff residual < sigma Phi^-1(p)
-    return std_normal_cdf(_distance(group, x, x_prime).residual / sigma)
+    return std_normal_cdf(project(group, x, x_prime).residual / sigma)
 
 
 def certify_multiclass(
-    group: GroupSpec | None,
+    group: GroupKind | None,
     x: PointCloud,
     x_prime: PointCloud,
     pa_lower: float,
@@ -469,7 +449,7 @@ def certify_multiclass(
             notes=tuple(notes) + ("pa-not-above-pb",),
         )
     radius = multiclass_radius(pa, pb, sigma)
-    if group is not None and group.kind in _ROTATION_KINDS:
+    if group in _ROTATION_KINDS:
         ss = np.random.SeedSequence(seed)
         seed_lower, seed_upper = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
         problem, statistic = _rotation_problem(group, x, x_prime, sigma)
@@ -482,29 +462,18 @@ def certify_multiclass(
         return replace(
             outcome,
             certified=outcome.bound_value > upper,
-            method=f"multiclass-tight-{group.kind.value}{group.dim}",
+            method=f"multiclass-tight-{group.value}{x.dim}",
             notes=outcome.notes + tuple(notes) + (f"competitor-upper={upper!r}",),
         )
     # closed form: Theorem-2 post-processing of the multiclass ball.  For the
     # black box and T the bound is tight, so the competitor's is reported too.
-    proj = _distance(group, x, x_prime)
-    if group is None or group.kind is GroupKind.TRANSLATION:
+    proj = project(group, x, x_prime)
+    if group is None or group is GroupKind.TRANSLATION:
         method = "multiclass-blackbox" if group is None else "multiclass-T"
         notes.append(f"competitor-upper={shift_bound(pb, -proj.residual, sigma)!r}")
     else:
-        method = f"multiclass-orbit-{group.kind.value}"
-    if not proj.exact:
-        notes.append("approximate-registration-upper-bound")
-    return CertificateOutcome(
-        certified=proj.residual < radius,
-        bound_value=shift_bound(pa, proj.residual, sigma),
-        radius=radius,
-        p_lower=pa,
-        confidence=1.0,
-        method=method,
-        residual=proj.residual,
-        notes=tuple(notes),
-    )
+        method = f"multiclass-orbit-{group.value}"
+    return shift_outcome(pa, radius, proj, sigma, method, notes)
 
 
 def multiclass_radius(pa_lower: float, pb_upper: float, sigma: float) -> float:
@@ -530,7 +499,7 @@ def _cell_fraction(index: int, resolution: int) -> tuple[int, int]:
 
 
 def pmin_grid(
-    group: GroupSpec | None,
+    group: GroupKind | None,
     norm_x: float,
     norm_delta: float,
     sigma: float,
@@ -547,9 +516,7 @@ def pmin_grid(
         raise ValueError("pmin_grid: norms must be >= 0")
     if grid_resolution < 2:
         raise ValueError("pmin_grid: resolution must be >= 2")
-    if group is not None and not (
-        group.kind is GroupKind.ROTATION and group.dim == 2
-    ):
+    if group not in (None, GroupKind.ROTATION):
         raise ValueError("pmin_grid: group must be blackbox (None) or SO(2)")
     res = grid_resolution
     fractions = [_cell_fraction(k, res) for k in range(res)]

@@ -20,7 +20,6 @@ from scipy.special import logsumexp
 
 from invarcert.geometry import (
     GroupKind,
-    GroupSpec,
     PointCloud,
     rot2,
     rotate_quarter_turn_back,
@@ -50,10 +49,9 @@ def rot3_zyx(omega) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def random_group_element(group: GroupSpec, rng: np.random.Generator, n_points: int):
-    """Sample a transformation t and return the callable Z -> t o Z."""
-    d = group.dim
-    kind = group.kind
+def random_group_element(kind: GroupKind, d: int, rng: np.random.Generator, n_points: int):
+    """Sample a transformation t of D = d coordinates and return the callable
+    Z -> t o Z."""
 
     def random_rotation() -> np.ndarray:
         if d == 2:
@@ -102,7 +100,7 @@ def invariance_audit(
     base = g.predict(x)
     flips = 0
     for _ in range(n_elements):
-        t = random_group_element(g.invariance, rng, x.n_points)
+        t = random_group_element(g.invariance, x.dim, rng, x.n_points)
         if int(g.predict_batch(t(x.data)[None])[0]) != base:
             flips += 1
     return flips

@@ -14,7 +14,6 @@ import pytest
 from invarcert.cli import main
 from invarcert.geometry import (
     GroupKind,
-    GroupSpec,
     PointCloud,
     adversarial_rotation_locus,
     center,
@@ -46,10 +45,11 @@ from reference import (
     so3_log_beta_hat,
 )
 
-SO2 = GroupSpec(GroupKind.ROTATION, 2)
-SE2 = GroupSpec(GroupKind.ROTO_TRANSLATION, 2)
-SO3 = GroupSpec(GroupKind.ROTATION, 3)
-SE3 = GroupSpec(GroupKind.ROTO_TRANSLATION, 3)
+# the digit is the dimension of the clouds each test passes
+SO2 = GroupKind.ROTATION
+SE2 = GroupKind.ROTO_TRANSLATION
+SO3 = GroupKind.ROTATION
+SE3 = GroupKind.ROTO_TRANSLATION
 
 # oracle: bisection quantile on the erf form of Phi, 40 digits
 RADIUS_08_05 = 0.4208106167864571
@@ -134,7 +134,7 @@ def test_criterion_02_tight_vs_baseline_gap(tmp_path):
 
 def test_criterion_03_translation_equivalence():
     rng = np.random.default_rng(3)
-    group = GroupSpec(GroupKind.TRANSLATION, 2)
+    group = GroupKind.TRANSLATION
     for _ in range(500):
         n = int(rng.integers(2, 9))
         x = PointCloud(rng.standard_normal((n, 2)))
@@ -275,7 +275,7 @@ def test_criterion_09_coverage():
 
     lam = (x.norm() / sigma) ** 2
     tau = sigma * math.sqrt(stats.ncx2.ppf(0.85, 10, lam))
-    g = norm_threshold_classifier(tau, 2)
+    g = norm_threshold_classifier(tau)
     reference = reference_probability(g, xp, sigma, 10_000_000, seed=90, label=1)
     problem = build_so2_problem(x, xp, sigma)
     statistic = rho_so2()
@@ -311,7 +311,7 @@ def test_criterion_10_inverse_consistency():
     width = 3.0 * math.sqrt(closed_bb * (1.0 - closed_bb) / mc.n3)
     assert abs(mc_bb - closed_bb) <= 0.01 + width
     # translation group
-    group_t = GroupSpec(GroupKind.TRANSLATION, 2)
+    group_t = GroupKind.TRANSLATION
     residual = project_translation(x, xp).residual
     closed_t = inverse_certificate(group_t, x, xp, 0.5, mc, seed=3)
     assert closed_t == pytest.approx(std_normal_cdf(residual / 0.5), abs=1e-12)

@@ -14,7 +14,7 @@ import numpy as np
 import invarcert.mc
 import invarcert.tight
 from invarcert.cli import main
-from invarcert.geometry import GroupKind, GroupSpec, PointCloud, save_points_csv
+from invarcert.geometry import GroupKind, PointCloud, save_points_csv
 from invarcert.mc import McConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,9 +57,7 @@ def test_traced_spans_stay_on_calling_thread(monkeypatch):
     tracer.install()
     try:
         for kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
-            invarcert.tight.certify_rotation_tight(
-                GroupSpec(kind, 3), x, x_prime, 0.8, 0.5, mc, seed=1
-            )
+            invarcert.tight.certify_rotation_tight(kind, x, x_prime, 0.8, 0.5, mc, seed=1)
     finally:
         tracer.uninstall()
     assert "tight.statistic" in {layer for layer, _ in threads}

@@ -138,6 +138,30 @@ class TestFixture:
         assert len(recwarn) == 0
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scenario", "rotation", "--theta", "0.7", "--norm-delta", "0.5"],
+            ["--scenario", "scaling", "--theta", "0.7", "--norm-delta", "0.5"],
+            ["--scenario", "random", "--theta", "0.7", "--norm-delta", "0.5"],
+        ],
+        ids=["rotation-with-norm-delta", "scaling", "random"],
+    )
+    def test_theta_outside_its_use_is_usage_error(self, tmp_path, capsys, flags):
+        code = main(
+            [
+                "fixture", "--norm-x", "1.0", "--seed", "1", *flags,
+                "--out-clean", str(tmp_path / "c.csv"),
+                "--out-perturbed", str(tmp_path / "p.csv"),
+                "--out", str(tmp_path / "out.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --theta: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCertify:
     def test_identical_pair_both_methods(self, tmp_path, capsys):
@@ -251,6 +275,30 @@ class TestCertify:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("source", [["--p-lower", "0.8"], ["--classifier", "norm"]])
+    def test_p_upper_requires_multiclass(self, tmp_path, capsys, monkeypatch, source):
+        import invarcert.cli as cli_mod
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("classifier ran before --p-upper was checked")
+
+        monkeypatch.setattr(cli_mod, "smooth_predict", unexpected)
+        data = np.eye(2) * 0.2
+        clean, perturbed = _write_pair(tmp_path, data, data)
+        out = tmp_path / "out.json"
+        code = main(
+            [
+                "certify", "--group", "T", "--clean", clean, "--perturbed", perturbed,
+                "--sigma", "0.5", "--seed", "1", "--method", "orbit", *source,
+                "--p-upper", "0.1", "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --p-upper: requires --multiclass\n"
+        assert not out.exists()
 
     def test_multiclass_verdict(self, tmp_path, capsys):
         data = np.eye(2) * 0.2

@@ -7,8 +7,6 @@ import pytest
 
 from invarcert.geometry import (
     EpsilonParams,
-    GroupKind,
-    GroupSpec,
     PointCloud,
     adversarial_rotation_locus,
     center,
@@ -214,11 +212,6 @@ class TestTypesAndCsv:
             PointCloud(np.zeros((3, 4)))
         with pytest.raises(ValueError):
             PointCloud(np.array([[1.0, np.nan]]))
-
-    def test_group_spec_dim(self):
-        GroupSpec(GroupKind.ROTATION, 2)
-        with pytest.raises(ValueError):
-            GroupSpec(GroupKind.ROTATION, 4)
 
     def test_csv_roundtrip_full_precision(self, tmp_path):
         rng = np.random.default_rng(9)

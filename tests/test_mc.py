@@ -99,7 +99,7 @@ class TestSmoothPredict:
             smooth_predict(_ConstantClassifier(0), PointCloud(np.zeros((1, 2))), 1.0, 10, alpha, 0)
 
     def test_deterministic(self):
-        g = norm_threshold_classifier(2.0, 2)
+        g = norm_threshold_classifier(2.0)
         x = PointCloud(np.ones((3, 2)))
         a = smooth_predict(g, x, 0.8, 2000, 0.01, seed=5)
         b = smooth_predict(g, x, 0.8, 2000, 0.01, seed=5)

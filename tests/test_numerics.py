@@ -15,6 +15,7 @@ import pytest
 from invarcert.numerics import (
     binomial_log_cdf_all,
     clopper_pearson_lower,
+    clamp_probability,
     clopper_pearson_upper,
     log_bessel_i0,
     psd_factor,
@@ -75,6 +76,11 @@ class TestStdNormal:
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):
             std_normal_quantile(p)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, 5.0, math.nan, -math.inf, math.inf])
+    def test_clamp_rejects_non_probability(self, p):
+        with pytest.raises(ValueError, match="probability must lie in"):
+            clamp_probability(p)
 
 
 class TestLogBesselI0:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from invarcert.geometry import GroupKind, GroupSpec, PointCloud, rot2
+from invarcert.geometry import GroupKind, PointCloud, rot2
 from invarcert.numerics import log_bessel_i0
 from invarcert import oracles
 from invarcert.oracles import (
@@ -32,7 +32,7 @@ class TestSyntheticClassifiers:
     def test_norm_threshold_invariance_audit(self):
         rng = np.random.default_rng(0)
         for dim in (2, 3):
-            g = norm_threshold_classifier(1.5, dim)
+            g = norm_threshold_classifier(1.5)
             x = PointCloud(rng.standard_normal((6, dim)))
             assert invariance_audit(g, x, 1000, seed=1) == 0
 
@@ -42,14 +42,12 @@ class TestSyntheticClassifiers:
         rng = np.random.default_rng(1)
         x = PointCloud(rng.standard_normal((5, 2)))
         for kind in (GroupKind.PERMUTATION, GroupKind.ORTHOGONAL):
-            g = dataclasses.replace(
-                norm_threshold_classifier(1.5, 2), invariance=GroupSpec(kind, 2)
-            )
+            g = dataclasses.replace(norm_threshold_classifier(1.5), invariance=kind)
             assert invariance_audit(g, x, 1000, seed=2) == 0
 
     def test_centered_norm_invariance_audit(self):
         rng = np.random.default_rng(2)
-        g = centered_norm_threshold_classifier(2.0, 3)
+        g = centered_norm_threshold_classifier(2.0)
         x = PointCloud(rng.standard_normal((5, 3)))
         assert invariance_audit(g, x, 1000, seed=3) == 0
 
@@ -57,7 +55,7 @@ class TestSyntheticClassifiers:
         rng = np.random.default_rng(3)
         ref = PointCloud(rng.standard_normal((5, 2)))
         g = pairwise_centroid_classifier(ref, 0.7)
-        assert g.invariance.kind is GroupKind.PERMUTATION_ROTO_TRANSLATION
+        assert g.invariance is GroupKind.PERMUTATION_ROTO_TRANSLATION
         assert invariance_audit(g, ref, 1000, seed=4) == 0
 
     def test_pairwise_centroid_recognizes_reference(self):
@@ -267,7 +265,7 @@ class TestBruteForcePermutation:
 
 class TestReferenceProbability:
     def test_constant_region(self):
-        g = norm_threshold_classifier(math.inf, 2)
+        g = norm_threshold_classifier(math.inf)
         x = PointCloud(np.zeros((2, 2)))
         est = reference_probability(g, x, 1.0, 1_000_000, seed=13)
         assert est.probability == 1.0
@@ -277,12 +275,12 @@ class TestReferenceProbability:
         # X = 0 and N*D = 4: |Z|^2 / sigma^2 is chi-square(4), so the median
         # threshold splits the mass in half
         sigma = 0.8
-        g = norm_threshold_classifier(sigma * math.sqrt(CHI2_4_MEDIAN), 2)
+        g = norm_threshold_classifier(sigma * math.sqrt(CHI2_4_MEDIAN))
         x = PointCloud(np.zeros((2, 2)))
         est = reference_probability(g, x, sigma, 1_000_000, seed=14)
         assert abs(est.probability - 0.5) <= 3.0 * est.std_error + 1e-4
 
     def test_rejects_small_n(self):
-        g = norm_threshold_classifier(1.0, 2)
+        g = norm_threshold_classifier(1.0)
         with pytest.raises(ValueError):
             reference_probability(g, PointCloud(np.zeros((2, 2))), 1.0, 1000, seed=15)

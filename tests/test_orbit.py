@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import invarcert.orbit
-from invarcert.geometry import GroupKind, GroupSpec, PointCloud, center, rot2
+from invarcert.geometry import GroupKind, PointCloud, center, rot2
 from invarcert.orbit import (
     blackbox_radius,
     certify_orbit,
@@ -321,7 +321,7 @@ class TestCertifyOrbit:
         rng = np.random.default_rng(20)
         x = PointCloud(rng.standard_normal((5, 2)))
         xp = PointCloud(x.data @ rot2(2.5).T)
-        out = certify_orbit(GroupSpec(GroupKind.ROTATION, 2), x, xp, 0.6, 0.5)
+        out = certify_orbit(GroupKind.ROTATION, x, xp, 0.6, 0.5)
         assert out.certified
         assert out.bound_value > 0.5
 
@@ -331,7 +331,7 @@ class TestCertifyOrbit:
         delta = np.array([[0.0, 1.0], [0.0, -1.0]])
         delta *= 0.41 / np.linalg.norm(delta)
         xp = PointCloud(x.data + delta)
-        out = certify_orbit(GroupSpec(GroupKind.TRANSLATION, 2), x, xp, 0.8, 0.5)
+        out = certify_orbit(GroupKind.TRANSLATION, x, xp, 0.8, 0.5)
         assert out.residual == pytest.approx(0.41, abs=1e-12)
         assert out.certified
         assert out.radius == pytest.approx(RADIUS_08_05, abs=1e-4)
@@ -341,7 +341,7 @@ class TestCertifyOrbit:
     def test_low_probability_never_certifies(self):
         rng = np.random.default_rng(21)
         x, xp = _random_pair(rng, 4, 2)
-        out = certify_orbit(GroupSpec(GroupKind.ROTATION, 2), x, PointCloud(x.data), 0.4, 0.5)
+        out = certify_orbit(GroupKind.ROTATION, x, PointCloud(x.data), 0.4, 0.5)
         assert not out.certified
         assert out.radius < 0.0
         assert "radius-nonpositive" in out.notes
@@ -349,18 +349,17 @@ class TestCertifyOrbit:
     def test_exactly_half_not_certified(self):
         # radius 0 with strict comparison certifies nothing, even at residual 0
         x = PointCloud(np.array([[1.0, 0.0]]))
-        out = certify_orbit(GroupSpec(GroupKind.ROTATION, 2), x, x, 0.5, 1.0)
+        out = certify_orbit(GroupKind.ROTATION, x, x, 0.5, 1.0)
         assert not out.certified
 
     def test_orbit_soundness_under_group_action(self):
         rng = np.random.default_rng(22)
         for kind in GroupKind:
-            group = GroupSpec(kind, 2)
             x, xp = _random_pair(rng, 5, 2, scale=0.6)
-            base = certify_orbit(group, x, xp, 0.85, 0.5)
+            base = certify_orbit(kind, x, xp, 0.85, 0.5)
             for k in range(5):
-                t = random_group_element(group, rng, x.n_points)
-                moved = certify_orbit(group, x, PointCloud(t(xp.data)), 0.85, 0.5)
+                t = random_group_element(kind, x.dim, rng, x.n_points)
+                moved = certify_orbit(kind, x, PointCloud(t(xp.data)), 0.85, 0.5)
                 if kind is GroupKind.PERMUTATION_ROTO_TRANSLATION:
                     # approximate projection: verdicts may differ, bound is sound
                     continue
@@ -371,14 +370,22 @@ class TestCertifyOrbit:
         rng = np.random.default_rng(23)
         x, xp = _random_pair(rng, 5, 2)
         out = certify_orbit(
-            GroupSpec(GroupKind.PERMUTATION_ROTO_TRANSLATION, 2), x, xp, 0.9, 0.5
+            GroupKind.PERMUTATION_ROTO_TRANSLATION, x, xp, 0.9, 0.5
         )
         assert "approximate-registration-upper-bound" in out.notes
 
     def test_project_dispatch_matches(self):
         rng = np.random.default_rng(24)
         x, xp = _random_pair(rng, 5, 3)
-        spec = GroupSpec(GroupKind.ROTO_TRANSLATION, 3)
-        assert project(spec, x, xp).residual == pytest.approx(
+        assert project(GroupKind.ROTO_TRANSLATION, x, xp).residual == pytest.approx(
             project_roto_translation(x, xp).residual, abs=1e-12
         )
+
+    def test_project_none_is_the_identity_distance(self):
+        rng = np.random.default_rng(25)
+        x, xp = _random_pair(rng, 5, 3)
+        proj = project(None, x, xp)
+        assert proj.residual == float(np.linalg.norm(xp.data - x.data))
+        assert proj.exact and proj.transform_description() == {}
+        with pytest.raises(ValueError, match="different shapes"):
+            project(None, x, PointCloud(xp.data[:4]))

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "CertificateOutcome",
     "EpsilonParams",
     "GroupKind",
-    "GroupSpec",
     "LikelihoodStatistic",
     "McConfig",
     "NumericalFailure",

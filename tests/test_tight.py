@@ -12,7 +12,6 @@ import pytest
 from invarcert import tight
 from invarcert.geometry import (
     GroupKind,
-    GroupSpec,
     PointCloud,
     center,
     epsilon_params,
@@ -58,10 +57,11 @@ from reference import (
     so3_log_beta_hat,
 )
 
-SO2 = GroupSpec(GroupKind.ROTATION, 2)
-SE2 = GroupSpec(GroupKind.ROTO_TRANSLATION, 2)
-SO3 = GroupSpec(GroupKind.ROTATION, 3)
-SE3 = GroupSpec(GroupKind.ROTO_TRANSLATION, 3)
+# the digit is the dimension of the clouds each test passes
+SO2 = GroupKind.ROTATION
+SE2 = GroupKind.ROTO_TRANSLATION
+SO3 = GroupKind.ROTATION
+SE3 = GroupKind.ROTO_TRANSLATION
 
 FAST_MC = McConfig(n2=10000, n3=10000, alpha=0.001)
 
@@ -93,7 +93,7 @@ class TestTightTranslation:
 
     def test_matches_orbit_verdict_and_value(self):
         rng = np.random.default_rng(1)
-        group = GroupSpec(GroupKind.TRANSLATION, 2)
+        group = GroupKind.TRANSLATION
         for i in range(100):
             x, xp = _pair(rng, 5, 2, scale=rng.uniform(0.1, 1.0))
             p = float(rng.uniform(0.05, 0.95))
@@ -513,7 +513,8 @@ class TestCertifyRotationTight:
             tol = 3 * _combined_se(a.bound_value, b.bound_value, mc3)
             assert abs(a.bound_value - b.bound_value) <= tol
 
-    @pytest.mark.parametrize("group", [SO3, SE3])
+    # the ids the group objects were given before groups became GroupKind values
+    @pytest.mark.parametrize("group", [SO3, SE3], ids=["group0", "group1"])
     def test_exact_rotation_certified_at_large_scale(self, group):
         # |X||X'| / sigma^2 = 1e4: a statistic that loses accuracy with the
         # data scale drops the bound of an exact rotation below 1/2
@@ -547,7 +548,7 @@ class TestCertifyRotationTight:
         x = PointCloud(np.eye(2))
         with pytest.raises(ValueError):
             certify_rotation_tight(
-                GroupSpec(GroupKind.PERMUTATION, 2), x, x, 0.8, 0.5, FAST_MC, seed=1
+                GroupKind.PERMUTATION, x, x, 0.8, 0.5, FAST_MC, seed=1
             )
 
     def test_sound_against_invariant_classifier_reference(self):
@@ -563,7 +564,7 @@ class TestCertifyRotationTight:
         delta = rng.standard_normal((5, 2))
         delta *= 0.35 / np.linalg.norm(delta)
         xp = PointCloud(x.data + delta)
-        g = centered_norm_threshold_classifier(2.4, 2)
+        g = centered_norm_threshold_classifier(2.4)
         label, p_lower = smooth_predict(g, x, sigma, 4000, 0.001, seed=15)
         assert label == 1
         reference = reference_probability(g, xp, sigma, 2_000_000, seed=16, label=1)
@@ -662,7 +663,7 @@ class TestInverseCertificate:
         rng = np.random.default_rng(23)
         x = PointCloud(rng.standard_normal((4, 2)))
         xp = PointCloud(x.data + np.array([0.4, -0.1]))
-        group = GroupSpec(GroupKind.TRANSLATION, 2)
+        group = GroupKind.TRANSLATION
         assert inverse_certificate(group, x, xp, 0.5, FAST_MC, seed=10) == pytest.approx(0.5)
 
     def test_rotation_identical_distributions(self):
@@ -737,7 +738,7 @@ class TestClosedFormsAgree:
             sigma = float(rng.uniform(0.2, 1.0))
             pa = float(rng.uniform(0.55, 0.999))
             pb = float(rng.uniform(0.0001, 1.0 - pa))
-            group = None if kind is None else GroupSpec(kind, dim)
+            group = None if kind is None else kind
             multi = certify_multiclass(group, x, xp, pa, pb, sigma, FAST_MC, seed=1)
             if group is None:
                 residual = float(np.linalg.norm(xp.data - x.data))
@@ -814,7 +815,7 @@ class TestPminGrid:
         with pytest.raises(ValueError):
             pmin_grid(None, 1.0, 0.5, 0.5, 1, FAST_MC, seed=1)
         with pytest.raises(ValueError):
-            pmin_grid(GroupSpec(GroupKind.TRANSLATION, 2), 1.0, 0.5, 0.5, 5, FAST_MC, seed=1)
+            pmin_grid(GroupKind.TRANSLATION, 1.0, 0.5, 0.5, 5, FAST_MC, seed=1)
 
 
 class TestReducedHelpers:
@@ -849,7 +850,7 @@ class TestShapeMismatch:
             call(x, xp)
 
 
-T2 = GroupSpec(GroupKind.TRANSLATION, 2)
+T2 = GroupKind.TRANSLATION
 
 
 class TestSigmaDomain:
@@ -888,6 +889,36 @@ class TestSigmaDomain:
         x, xp = _pair(np.random.default_rng(32), 6, dim)
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             call(x, xp, sigma)
+
+
+class TestProbabilityDomain:
+    """Every certificate entry point rejects a probability outside [0, 1],
+    NaN included, instead of clamping it into a certificate."""
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, 5.0, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda x, xp, p: certify_orbit(SO2, x, xp, p, 0.5), id="orbit"),
+            pytest.param(lambda x, xp, p: tight_translation(x, xp, p, 0.5), id="tight-T"),
+            pytest.param(lambda x, xp, p: certify_rotation_tight(
+                SO2, x, xp, p, 0.5, FAST_MC, seed=1), id="tight-SO2"),
+            pytest.param(lambda x, xp, p: certify_multiclass(
+                None, x, xp, p, 0.1, 0.5, FAST_MC, seed=1), id="multiclass-pa"),
+            pytest.param(lambda x, xp, p: certify_multiclass(
+                None, x, xp, 0.9, p, 0.5, FAST_MC, seed=1), id="multiclass-pb"),
+            pytest.param(lambda x, xp, p: prob_certify_reduced(
+                build_so2_problem(x, xp, 0.5), rho_so2(), FAST_MC, 1, p_lower=p),
+                id="reduced-lower"),
+            pytest.param(lambda x, xp, p: prob_certify_upper_reduced(
+                build_so2_problem(x, xp, 0.5), rho_so2(), FAST_MC, 1, p_upper=p),
+                id="reduced-upper"),
+        ],
+    )
+    def test_rejected(self, call, p):
+        x = PointCloud(np.random.default_rng(33).standard_normal((5, 2)))
+        with pytest.raises(ValueError, match="probability must lie in"):
+            call(x, PointCloud(1.1 * x.data), p)
 
 
 class TestSharedFactor:
@@ -952,5 +983,5 @@ class TestLargeScaleInputs:
                 out = certify_rotation_tight(
                     group, PointCloud(x), PointCloud(xp), 0.9, norm_x, FAST_MC, seed=1
                 )
-                assert out.method == f"tight-{group.kind.value}2"
+                assert out.method == f"tight-{group.value}2"
                 assert 0.0 <= out.bound_value <= 1.0
