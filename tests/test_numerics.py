@@ -14,8 +14,8 @@ import pytest
 
 from invarcert.numerics import (
     binomial_log_cdf_all,
-    clopper_pearson_lower,
     clamp_probability,
+    clopper_pearson_lower,
     clopper_pearson_upper,
     log_bessel_i0,
     psd_factor,
