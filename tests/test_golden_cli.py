@@ -61,6 +61,15 @@ CASES = {
         ],
         ["out.json"],
     ),
+    "certify-classifier-centered": (
+        [
+            "certify", "--group", "SE", "--clean", "cleanr.csv", "--perturbed", "pertr.csv",
+            "--sigma", "2.0", "--classifier", "centered-norm", "--tau", "16.0",
+            "--seed", "12", "--n1", "1000", "--n2", "500", "--n3", "500", "--alpha", "0.01",
+            "--multiclass", "--p-upper", "0.05", "--out", "out.json",
+        ],
+        ["out.json"],
+    ),
     "certify-classifier-pairwise": (
         [
             "certify", "--group", "SE", "--clean", "cleanr.csv", "--perturbed", "pertr.csv",
