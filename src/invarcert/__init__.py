@@ -53,7 +53,7 @@ from .tight import (
     build_so2_problem,
     build_so3_problem,
     certify_multiclass,
-    certify_rotation_tight,
+    certify_tight,
     inverse_certificate,
     multiclass_radius,
     pmin_grid,
@@ -61,7 +61,6 @@ from .tight import (
     rho_so3,
     so2_problem_from_params,
     so3_log_beta,
-    tight_translation,
 )
 
 __all__ = [
@@ -110,7 +109,7 @@ __all__ = [
     "build_so2_problem",
     "build_so3_problem",
     "certify_multiclass",
-    "certify_rotation_tight",
+    "certify_tight",
     "inverse_certificate",
     "multiclass_radius",
     "pmin_grid",
@@ -118,5 +117,4 @@ __all__ = [
     "rho_so3",
     "so2_problem_from_params",
     "so3_log_beta",
-    "tight_translation",
 ]

@@ -34,20 +34,13 @@ from .geometry import (
 )
 from .mc import ABSTAIN, McConfig, smooth_predict
 from .numerics import NumericalFailure, std_normal_cdf
-from .oracles import make_classifier
+from .oracles import CLASSIFIER_GROUPS, make_classifier
 from .orbit import CertificateOutcome, certify_orbit, project
-from .tight import (
-    certify_multiclass,
-    certify_rotation_tight,
-    pmin_grid,
-    tight_translation,
-)
+from .tight import certify_multiclass, certify_tight, pmin_grid
 
 _GROUPS = sorted(kind.value for kind in GroupKind)
 
 _TIGHT_GROUPS = {"T", "SO", "SE"}
-
-_CLASSIFIERS = ("norm", "centered-norm", "pairwise-centroid")
 
 # float flags that must be finite numbers (argparse's float() takes "nan" and "inf")
 _FINITE_FLAGS = ("sigma", "tau", "norm_x", "norm_delta", "theta")
@@ -172,6 +165,8 @@ def cmd_certify(args) -> dict:
         raise UsageError("--multiclass: requires --p-upper")
     if args.p_upper is not None and not args.multiclass:
         raise UsageError("--p-upper: requires --multiclass")
+    if args.p_lower is not None and args.classifier is not None:
+        raise UsageError("--classifier: not with --p-lower")
     group = GroupKind(args.group)
     mc = _mc_config(args)
     label, p_lower = _label_and_p_lower(args, clean)
@@ -183,13 +178,9 @@ def cmd_certify(args) -> dict:
             certify_orbit(group, clean, perturbed, p_lower, args.sigma)
         )
     if args.method in ("tight", "both"):
-        if group is GroupKind.TRANSLATION:
-            outcome = tight_translation(clean, perturbed, p_lower, args.sigma)
-        else:
-            outcome = certify_rotation_tight(
-                group, clean, perturbed, p_lower, args.sigma, mc, args.seed
-            )
-        results["tight"] = _outcome_dict(outcome)
+        results["tight"] = _outcome_dict(
+            certify_tight(group, clean, perturbed, p_lower, args.sigma, mc, args.seed)
+        )
     if args.multiclass:
         results["multiclass"] = _outcome_dict(
             certify_multiclass(
@@ -249,8 +240,8 @@ def cmd_pmin_grid(args) -> dict:
     ]
     return {
         "csv": args.out_csv,
-        "eps1_nodes": grid.eps1_nodes.tolist(),
-        "eps2_nodes": grid.eps2_nodes.tolist(),
+        "eps1_nodes": grid.nodes.tolist(),
+        "eps2_nodes": grid.nodes.tolist(),
         "adversarial_rotation_loci": loci,
         "infeasible_cells": int(grid.infeasible.sum()),
     }
@@ -322,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--perturbed", required=True)
     certify.add_argument("--sigma", type=float, required=True)
     certify.add_argument("--p-lower", type=float, default=None)
-    certify.add_argument("--classifier", choices=_CLASSIFIERS)
+    certify.add_argument("--classifier", choices=tuple(CLASSIFIER_GROUPS))
     certify.add_argument("--tau", type=float, default=1.0)
     certify.add_argument("--alpha", type=float, default=0.001)
     certify.add_argument("--n1", type=int, default=10000)
@@ -344,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     proj.set_defaults(func=cmd_project)
 
     smooth = sub.add_parser("smooth-predict", help="smoothed prediction with abstention")
-    smooth.add_argument("--classifier", required=True, choices=_CLASSIFIERS)
+    smooth.add_argument("--classifier", required=True, choices=tuple(CLASSIFIER_GROUPS))
     smooth.add_argument("--input", required=True)
     smooth.add_argument("--tau", type=float, default=1.0)
     smooth.add_argument("--sigma", type=float, required=True)

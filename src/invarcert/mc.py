@@ -1,8 +1,9 @@
 """Monte-Carlo certification: the lower-bound, upper-bound and inverse
 procedures on one two-sample core, plus smoothed prediction with abstention.
 
-A reduced problem is two Gaussian means sharing one covariance; the core draws
-both samples through the problem's one cached covariance factor.
+A reduced problem is two Gaussian means sharing one covariance, plus the
+likelihood-ratio statistic that compares them; the core draws both samples
+through the problem's one cached covariance factor.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -48,13 +50,18 @@ class McConfig:
     alpha: float = 0.001
 
     def __post_init__(self):
-        if min(self.n2, self.n3) < 100:
-            raise ValueError("McConfig: sample counts must be >= 100")
+        _check_count("McConfig", self.n2, 100)
+        _check_count("McConfig", self.n3, 100)
         _check_alpha("McConfig", self.alpha)
 
     @property
     def confidences(self) -> tuple[float, float, float]:
         return (1.0 - self.alpha, 1.0 - self.alpha / 2.0, 1.0 - self.alpha / 3.0)
+
+
+def _check_count(caller: str, n: int, floor: int) -> None:
+    if not isinstance(n, numbers.Integral) or n < floor:  # numpy integers pass
+        raise ValueError(f"{caller}: sample counts must be integers >= {floor} (got {n!r})")
 
 
 def _check_alpha(caller: str, alpha: float) -> None:
@@ -80,8 +87,7 @@ def smooth_predict(
     lower bound on the majority probability at confidence 1 - alpha; abstains
     when the bound is <= 1/2."""
     check_sigma(sigma, "smooth_predict")
-    if n < 1:
-        raise ValueError("smooth_predict: n must be >= 1")
+    _check_count("smooth_predict", n, 1)
     _check_alpha("smooth_predict", alpha)
     rng = np.random.default_rng(seed)
     counts: dict[int, int] = {}
@@ -139,9 +145,9 @@ def _generators(seed: int, count: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count))
 
 
-def _statistic_values(statistic, mean, count, rng, problem) -> np.ndarray:
+def _statistic_values(problem, mean, count, rng) -> np.ndarray:
     samples = sample_gaussian(mean, count, rng, problem.factor)
-    values = np.asarray(statistic(samples), dtype=float)
+    values = np.asarray(problem.statistic(samples), dtype=float)
     bad = np.isnan(values)
     if np.any(bad):
         raise NumericalFailure(
@@ -182,7 +188,6 @@ def _count(values: np.ndarray, kappa: float, share: float, below: bool) -> int:
 
 def _two_sample(
     problem,
-    statistic,
     rngs: tuple[np.random.Generator, np.random.Generator],
     threshold_mean: np.ndarray,
     n_threshold: int,
@@ -195,21 +200,21 @@ def _two_sample(
     ascending order statistic of n_threshold draws of the statistic under the
     problem's Gaussian centred at threshold_mean; count is how many of n_count
     draws centred at count_mean fall below kappa (or above it), ties split at
-    kappa's share.  Both draws share the problem's one covariance factor."""
+    kappa's share.  Both draws share the problem's covariance factor and
+    statistic."""
     rng_threshold, rng_count = rngs
     # only the values are used: with NaN rejected and no -0.0 among the
     # statistics, every sort kind returns the same array
     threshold_values = np.sort(
-        _statistic_values(statistic, threshold_mean, n_threshold, rng_threshold, problem)
+        _statistic_values(problem, threshold_mean, n_threshold, rng_threshold)
     )
     kappa, share = _threshold_with_share(threshold_values, n_star)
-    count_values = _statistic_values(statistic, count_mean, n_count, rng_count, problem)
+    count_values = _statistic_values(problem, count_mean, n_count, rng_count)
     return kappa, _count(count_values, kappa, share, below)
 
 
 def prob_certify_reduced(
     problem,
-    statistic,
     mc: McConfig,
     seed: int,
     *,
@@ -239,7 +244,7 @@ def prob_certify_reduced(
         notes.append("threshold-undetermined")
     else:
         kappa, count = _two_sample(
-            problem, statistic, (rng2, rng3),
+            problem, (rng2, rng3),
             problem.mean_clean, mc.n2, problem.mean_perturbed, mc.n3, n_star, below=True,
         )
         bound = clopper_pearson_lower(count, mc.n3, 1.0 - mc.alpha / 3.0)
@@ -258,7 +263,6 @@ def prob_certify_reduced(
 
 def prob_certify_upper_reduced(
     problem,
-    statistic,
     mc: McConfig,
     seed: int,
     *,
@@ -279,13 +283,13 @@ def prob_certify_upper_reduced(
     if n_star is None:
         return 1.0
     _, count = _two_sample(
-        problem, statistic, (rng2, rng3),
+        problem, (rng2, rng3),
         problem.mean_clean, mc.n2, problem.mean_perturbed, mc.n3, n_star, below=False,
     )
     return clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 3.0)
 
 
-def inverse_certify_reduced(problem, statistic, mc: McConfig, seed: int) -> float:
+def inverse_certify_reduced(problem, mc: McConfig, seed: int) -> float:
     """Upper bound on the smallest certifiable clean prediction probability.
 
     The threshold is an upper confidence bound on the median of the statistic
@@ -298,7 +302,7 @@ def inverse_certify_reduced(problem, statistic, mc: McConfig, seed: int) -> floa
     if n_star is None:
         return 1.0
     _, count = _two_sample(
-        problem, statistic, rngs,
+        problem, rngs,
         problem.mean_perturbed, mc.n2, problem.mean_clean, mc.n3, n_star, below=True,
     )
     p_min = clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 2.0)

@@ -21,6 +21,14 @@ from .geometry import GroupKind, PointCloud
 # 2**20 labelled 10**4 clouds fastest at N = 64, D = 2 and 3 (2-core Xeon).
 _PROFILE_BYTES = 2**20
 
+# Each classifier kind, by its command-line name, and the group its feature
+# is invariant under.
+CLASSIFIER_GROUPS = {
+    "norm": GroupKind.ROTATION,
+    "centered-norm": GroupKind.ROTO_TRANSLATION,
+    "pairwise-centroid": GroupKind.PERMUTATION_ROTO_TRANSLATION,
+}
+
 
 @dataclass(frozen=True)
 class SyntheticClassifier:
@@ -35,9 +43,17 @@ class SyntheticClassifier:
     """
 
     kind: str
-    invariance: GroupKind
     tau: float
     signature: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in CLASSIFIER_GROUPS:
+            raise ValueError(f"SyntheticClassifier: unknown kind {self.kind!r}")
+
+    @property
+    def invariance(self) -> GroupKind:
+        """The group this kind's feature is invariant under."""
+        return CLASSIFIER_GROUPS[self.kind]
 
     def predict_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, dtype=float)
@@ -50,16 +66,15 @@ class SyntheticClassifier:
             centered = batch - batch.mean(axis=1, keepdims=True)
             feat = np.linalg.norm(centered, axis=(1, 2))
             return (feat <= self.tau).astype(int)
-        if self.kind == "pairwise-centroid":
-            n, d = batch.shape[1:]
-            pairs = np.triu_indices(n, k=1)
-            rows = max(1, _PROFILE_BYTES // max(1, 8 * d * len(pairs[0])))
-            dist = np.empty(len(batch))
-            for start in range(0, len(batch), rows):
-                profile = _distance_profile(batch[start : start + rows], pairs)
-                dist[start : start + rows] = np.linalg.norm(profile - self.signature, axis=1)
-            return (dist <= self.tau).astype(int)
-        raise ValueError(f"SyntheticClassifier: unknown kind {self.kind!r}")
+        # pairwise-centroid
+        n, d = batch.shape[1:]
+        pairs = np.triu_indices(n, k=1)
+        rows = max(1, _PROFILE_BYTES // max(1, 8 * d * len(pairs[0])))
+        dist = np.empty(len(batch))
+        for start in range(0, len(batch), rows):
+            profile = _distance_profile(batch[start : start + rows], pairs)
+            dist[start : start + rows] = np.linalg.norm(profile - self.signature, axis=1)
+        return (dist <= self.tau).astype(int)
 
     def predict(self, x: PointCloud) -> int:
         return int(self.predict_batch(x.data[None])[0])
@@ -88,28 +103,11 @@ def _distance_profile(batch: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -
     return np.concatenate([pair, cent], axis=1)
 
 
-def norm_threshold_classifier(tau: float) -> SyntheticClassifier:
-    return SyntheticClassifier("norm", GroupKind.ROTATION, tau)
-
-
-def centered_norm_threshold_classifier(tau: float) -> SyntheticClassifier:
-    return SyntheticClassifier("centered-norm", GroupKind.ROTO_TRANSLATION, tau)
-
-
-def pairwise_centroid_classifier(reference: PointCloud, tau: float) -> SyntheticClassifier:
-    pairs = np.triu_indices(reference.n_points, k=1)
-    signature = _distance_profile(reference.data[None], pairs)[0]
-    return SyntheticClassifier(
-        "pairwise-centroid", GroupKind.PERMUTATION_ROTO_TRANSLATION, tau, signature=signature
-    )
-
-
 def make_classifier(kind: str, tau: float, reference: PointCloud) -> SyntheticClassifier:
-    """CLI-facing factory keyed by the classifier names of the command line."""
-    if kind == "norm":
-        return norm_threshold_classifier(tau)
-    if kind == "centered-norm":
-        return centered_norm_threshold_classifier(tau)
+    """The classifier of the command line's --classifier kind at threshold
+    tau; pairwise-centroid takes its signature from reference."""
+    signature = None
     if kind == "pairwise-centroid":
-        return pairwise_centroid_classifier(reference, tau)
-    raise ValueError(f"unknown classifier kind {kind!r}")
+        pairs = np.triu_indices(reference.n_points, k=1)
+        signature = _distance_profile(reference.data[None], pairs)[0]
+    return SyntheticClassifier(kind, tau, signature)

@@ -265,6 +265,8 @@ def certify_orbit(
     bound_value reports shift_bound(p, residual, sigma), which coincides
     with the verdict (strictly above 1/2 iff residual < radius).
     """
+    if not isinstance(group, GroupKind):  # None, the black box, has no orbit
+        raise ValueError(f"certify_orbit: unsupported group {group!r}")
     notes: list[str] = []
     p_eff, clamped = clamp_probability(p_lower)
     if clamped:

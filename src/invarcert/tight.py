@@ -49,23 +49,6 @@ from .orbit import (
 
 
 @dataclass(frozen=True)
-class RotationCertProblem:
-    """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate:
-    two means sharing one covariance."""
-
-    mean_perturbed: np.ndarray
-    mean_clean: np.ndarray
-    covariance: np.ndarray
-    sigma: float
-
-    @functools.cached_property
-    def factor(self) -> np.ndarray:
-        """``psd_factor(covariance)``, computed on the first draw and shared
-        by every draw from either mean.  An invalid covariance raises there."""
-        return psd_factor(self.covariance)
-
-
-@dataclass(frozen=True)
 class LikelihoodStatistic:
     """Deterministic map from sampled vectors to log likelihood-ratio values."""
 
@@ -79,20 +62,23 @@ class LikelihoodStatistic:
         return self.evaluator(samples)
 
 
-def tight_translation(
-    x: PointCloud, x_prime: PointCloud, p_lower: float, sigma: float
-) -> CertificateOutcome:
-    """Closed-form optimal certificate for translation-invariant classifiers:
-    Phi(Phi^-1(p) - ||Delta - 1 mean(Delta)|| / sigma)."""
-    notes = []
-    p_eff, clamped = clamp_probability(p_lower)
-    if clamped:
-        notes.append("p-lower-clamped")
-    proj = project_translation(x, x_prime)
-    outcome = shift_outcome(
-        p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
-    )
-    return replace(outcome, certified=outcome.bound_value > 0.5)
+@dataclass(frozen=True)
+class RotationCertProblem:
+    """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate:
+    two means sharing one covariance, and the likelihood-ratio statistic that
+    compares them."""
+
+    mean_perturbed: np.ndarray
+    mean_clean: np.ndarray
+    covariance: np.ndarray
+    sigma: float
+    statistic: LikelihoodStatistic
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """``psd_factor(covariance)``, computed on the first draw and shared
+        by every draw from either mean.  An invalid covariance raises there."""
+        return psd_factor(self.covariance)
 
 
 def so2_problem_from_params(
@@ -126,6 +112,7 @@ def so2_problem_from_params(
         mean_clean=mean_clean,
         covariance=covariance,
         sigma=sigma,
+        statistic=rho_so2(),
     )
 
 
@@ -362,6 +349,7 @@ def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> Rotat
         mean_clean=w @ vec_clean,
         covariance=(sigma * sigma) * (w @ w.T),
         sigma=sigma,
+        statistic=rho_so3(),
     )
 
 
@@ -369,23 +357,20 @@ _ROTATION_KINDS = (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION)
 
 
 def _rotation_problem(
-    group: GroupKind,
-    x: PointCloud,
-    x_prime: PointCloud,
-    sigma: float,
-) -> tuple[RotationCertProblem, LikelihoodStatistic]:
-    check_sigma(sigma, "tight rotation certificate")
+    group: GroupKind, x: PointCloud, x_prime: PointCloud, sigma: float
+) -> RotationCertProblem:
+    check_sigma(sigma, "certify_tight")
     if group not in _ROTATION_KINDS:
-        raise ValueError(f"tight rotation certificate: unsupported group {group}")
+        raise ValueError(f"certify_tight: unsupported group {group}")
     _check_shapes(x, x_prime)
     if group is GroupKind.ROTO_TRANSLATION:
         x, x_prime = center(x), center(x_prime)
     if x.dim == 2:
-        return build_so2_problem(x, x_prime, sigma), rho_so2()
-    return build_so3_problem(x, x_prime, sigma), rho_so3()
+        return build_so2_problem(x, x_prime, sigma)
+    return build_so3_problem(x, x_prime, sigma)
 
 
-def certify_rotation_tight(
+def certify_tight(
     group: GroupKind,
     x: PointCloud,
     x_prime: PointCloud,
@@ -394,11 +379,23 @@ def certify_rotation_tight(
     mc: McConfig,
     seed: int,
 ) -> CertificateOutcome:
-    """Probabilistic lower bound on the worst-case prediction probability of a
-    rotation (or roto-translation) invariant classifier."""
-    problem, statistic = _rotation_problem(group, x, x_prime, sigma)
-    outcome = mc_engine.prob_certify_reduced(problem, statistic, mc, seed, p_lower=p_lower)
-    return replace(outcome, method=f"tight-{group.value}{x.dim}")
+    """Tight lower bound on the worst-case prediction probability of a
+    classifier invariant under group.  Translation has the closed form
+    Phi(Phi^-1(p) - ||Delta - 1 mean(Delta)|| / sigma), which ignores mc and
+    seed; rotation and roto-translation get the Monte-Carlo bound."""
+    if group is not GroupKind.TRANSLATION:
+        problem = _rotation_problem(group, x, x_prime, sigma)
+        outcome = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
+        return replace(outcome, method=f"tight-{group.value}{x.dim}")
+    notes = []
+    p_eff, clamped = clamp_probability(p_lower)
+    if clamped:
+        notes.append("p-lower-clamped")
+    proj = project_translation(x, x_prime)
+    outcome = shift_outcome(
+        p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
+    )
+    return replace(outcome, certified=outcome.bound_value > 0.5)
 
 
 def inverse_certificate(
@@ -414,8 +411,9 @@ def inverse_certificate(
     (upper bound holding with confidence 1 - alpha)."""
     check_sigma(sigma, "inverse_certificate")
     if group in _ROTATION_KINDS:
-        problem, statistic = _rotation_problem(group, x, x_prime, sigma)
-        return mc_engine.inverse_certify_reduced(problem, statistic, mc, seed)
+        return mc_engine.inverse_certify_reduced(
+            _rotation_problem(group, x, x_prime, sigma), mc, seed
+        )
     # closed form: certified iff residual < sigma Phi^-1(p)
     return std_normal_cdf(project(group, x, x_prime).residual / sigma)
 
@@ -433,6 +431,10 @@ def certify_multiclass(
     """Certified iff the lower bound for the top class beats the upper bound
     for the runner-up.  Closed forms collapse to the radius comparison
     (sigma/2) (Phi^-1(pA) - Phi^-1(pB))."""
+    check_sigma(sigma, "certify_multiclass")
+    _check_shapes(x, x_prime)
+    if group is not None and not isinstance(group, GroupKind):
+        raise ValueError(f"certify_multiclass: unsupported group {group!r}")
     notes = []
     pa, clamped_a = clamp_probability(pa_lower)
     pb, clamped_b = clamp_probability(pb_upper)
@@ -452,13 +454,9 @@ def certify_multiclass(
     if group in _ROTATION_KINDS:
         ss = np.random.SeedSequence(seed)
         seed_lower, seed_upper = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
-        problem, statistic = _rotation_problem(group, x, x_prime, sigma)
-        outcome = mc_engine.prob_certify_reduced(
-            problem, statistic, mc, seed_lower, p_lower=pa
-        )
-        upper = mc_engine.prob_certify_upper_reduced(
-            problem, statistic, mc, seed_upper, p_upper=pb
-        )
+        problem = _rotation_problem(group, x, x_prime, sigma)
+        outcome = mc_engine.prob_certify_reduced(problem, mc, seed_lower, p_lower=pa)
+        upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed_upper, p_upper=pb)
         return replace(
             outcome,
             certified=outcome.bound_value > upper,
@@ -486,9 +484,8 @@ def multiclass_radius(pa_lower: float, pb_upper: float, sigma: float) -> float:
 class PminGrid:
     """p_min rasterized over normalized orientation parameters in [0,1]^2."""
 
-    eps1_nodes: np.ndarray
-    eps2_nodes: np.ndarray
-    values: np.ndarray          # values[i, j] for (eps2_nodes[i], eps1_nodes[j])
+    nodes: np.ndarray           # of both normalized parameters
+    values: np.ndarray          # values[i, j] for (eps1, eps2) = (nodes[j], nodes[i])
     infeasible: np.ndarray      # bool mask, same shape
     loci: tuple[EpsilonParams, ...]
 
@@ -525,7 +522,6 @@ def pmin_grid(
     infeasible = np.zeros((res, res), dtype=bool)
     blackbox_value = std_normal_cdf(norm_delta / sigma)
     scale = norm_x * norm_delta
-    statistic = rho_so2()
     for i, (p2, q2) in enumerate(fractions):
         for j, (p1, q1) in enumerate(fractions):
             e1, e2 = nodes[j], nodes[i]
@@ -540,13 +536,7 @@ def pmin_grid(
                 norm_x, norm_delta, e1 * scale, e2 * scale, sigma
             )
             values[i, j] = mc_engine.inverse_certify_reduced(
-                problem, statistic, mc, int(cell_seed.generate_state(1)[0])
+                problem, mc, int(cell_seed.generate_state(1)[0])
             )
     loci = tuple(adversarial_rotation_locus(norm_x, norm_delta))
-    return PminGrid(
-        eps1_nodes=nodes,
-        eps2_nodes=nodes.copy(),
-        values=values,
-        infeasible=infeasible,
-        loci=loci,
-    )
+    return PminGrid(nodes=nodes, values=values, infeasible=infeasible, loci=loci)

@@ -93,14 +93,20 @@ def random_group_element(kind: GroupKind, d: int, rng: np.random.Generator, n_po
 
 
 def invariance_audit(
-    g: SyntheticClassifier, x: PointCloud, n_elements: int, seed: int
+    g: SyntheticClassifier,
+    x: PointCloud,
+    n_elements: int,
+    seed: int,
+    group: GroupKind | None = None,
 ) -> int:
-    """Number of label flips of g over random elements of its declared group."""
+    """Number of label flips of g over random elements of group, by default
+    its declared invariance."""
+    group = g.invariance if group is None else group
     rng = np.random.default_rng(seed)
     base = g.predict(x)
     flips = 0
     for _ in range(n_elements):
-        t = random_group_element(g.invariance, x.dim, rng, x.n_points)
+        t = random_group_element(group, x.dim, rng, x.n_points)
         if int(g.predict_batch(t(x.data)[None])[0]) != base:
             flips += 1
     return flips
@@ -279,7 +285,7 @@ def so2_projection_matrix(x: PointCloud, x_prime: PointCloud, sigma: float) -> n
 
 def blackbox_reduced_problem(norm_delta: float, sigma: float) -> RotationCertProblem:
     """One-dimensional reduction of the black-box certificate: a unit-variance
-    normal shifted by ||Delta|| / sigma."""
+    normal shifted by ||Delta|| / sigma, compared by the identity statistic."""
     if sigma <= 0:
         raise ValueError("blackbox_reduced_problem: sigma must be > 0")
     return RotationCertProblem(
@@ -287,6 +293,7 @@ def blackbox_reduced_problem(norm_delta: float, sigma: float) -> RotationCertPro
         mean_clean=np.array([0.0]),
         covariance=np.array([[1.0]]),
         sigma=sigma,
+        statistic=linear_statistic(),
     )
 
 

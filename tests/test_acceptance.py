@@ -23,16 +23,14 @@ from invarcert.geometry import (
 )
 from invarcert.mc import McConfig, inverse_certify_reduced, prob_certify_reduced, smooth_predict
 from invarcert.numerics import std_normal_cdf, std_normal_quantile
-from invarcert.oracles import norm_threshold_classifier
+from invarcert.oracles import SyntheticClassifier
 from invarcert.orbit import blackbox_radius, certify_orbit, project_permutation, project_rotation, project_translation
 from invarcert.tight import (
     build_so2_problem,
-    certify_rotation_tight,
+    certify_tight,
     inverse_certificate,
     multiclass_radius,
-    rho_so2,
     so3_log_beta,
-    tight_translation,
 )
 from reference import (
     blackbox_reduced_problem,
@@ -40,7 +38,6 @@ from reference import (
     brute_force_procrustes_2d,
     haar_oracle_so2,
     haar_oracle_so3,
-    linear_statistic,
     reference_probability,
     so3_log_beta_hat,
 )
@@ -141,7 +138,7 @@ def test_criterion_03_translation_equivalence():
         xp = PointCloud(x.data + rng.uniform(0.05, 1.2) * rng.standard_normal((n, 2)))
         p = float(rng.uniform(0.05, 0.98))
         sigma = float(rng.uniform(0.2, 1.0))
-        tight = tight_translation(x, xp, p, sigma)
+        tight = certify_tight(group, x, xp, p, sigma, McConfig(), seed=1)
         residual = project_translation(x, xp).residual
         direct = std_normal_cdf(std_normal_quantile(p) - residual / sigma)
         assert abs(tight.bound_value - direct) <= 1e-12
@@ -162,8 +159,8 @@ def test_criterion_04_roto_translation_reduction():
         x = PointCloud(rng.standard_normal((n, dim)) * 0.4)
         xp = PointCloud(x.data + 0.3 * rng.standard_normal((n, dim)))
         seed = 1000 + trial
-        se_out = certify_rotation_tight(gse, x, xp, 0.85, 0.5, mc, seed=seed)
-        so_out = certify_rotation_tight(
+        se_out = certify_tight(gse, x, xp, 0.85, 0.5, mc, seed=seed)
+        so_out = certify_tight(
             gso, center(x), center(xp), 0.85, 0.5, mc, seed=seed
         )
         assert se_out.bound_value == so_out.bound_value
@@ -186,7 +183,7 @@ def test_criterion_05_strictness():
         delta *= float(rng.uniform(0.2, 1.2)) * sigma / np.linalg.norm(delta)
         p = float(rng.uniform(0.55, 0.95))
         xc, xpc = PointCloud(x), PointCloud(x + delta)
-        tight = certify_rotation_tight(SO2, xc, xpc, p, sigma, mc, seed=2000 + trial)
+        tight = certify_tight(SO2, xc, xpc, p, sigma, mc, seed=2000 + trial)
         residual = project_rotation(xc, xpc).residual
         orbit_value = std_normal_cdf(std_normal_quantile(p) - residual / sigma)
         se = math.sqrt(tight.bound_value * (1.0 - tight.bound_value) / mc.n3)
@@ -275,17 +272,16 @@ def test_criterion_09_coverage():
 
     lam = (x.norm() / sigma) ** 2
     tau = sigma * math.sqrt(stats.ncx2.ppf(0.85, 10, lam))
-    g = norm_threshold_classifier(tau)
+    g = SyntheticClassifier("norm", tau)
     reference = reference_probability(g, xp, sigma, 10_000_000, seed=90, label=1)
     problem = build_so2_problem(x, xp, sigma)
-    statistic = rho_so2()
     mc = McConfig(n2=2000, n3=2000, alpha=0.001)
     failures = 0
     for trial in range(1000):
         # the command line's sequence: smooth_predict's p_lower feeds Algorithm 1
         seed = 10_000 + trial
         _, p = smooth_predict(g, x, sigma, 1000, mc.alpha, seed)
-        out = prob_certify_reduced(problem, statistic, mc, seed=seed, p_lower=p)
+        out = prob_certify_reduced(problem, mc, seed=seed, p_lower=p)
         if out.bound_value > reference.probability:
             failures += 1
     assert failures <= 1
@@ -306,7 +302,7 @@ def test_criterion_10_inverse_consistency():
     closed_bb = inverse_certificate(None, x, xp, 0.5, mc, seed=1)
     assert closed_bb == pytest.approx(std_normal_cdf(1.0), abs=1e-12)
     mc_bb = inverse_certify_reduced(
-        blackbox_reduced_problem(0.5, 0.5), linear_statistic(), mc, seed=2
+        blackbox_reduced_problem(0.5, 0.5), mc, seed=2
     )
     width = 3.0 * math.sqrt(closed_bb * (1.0 - closed_bb) / mc.n3)
     assert abs(mc_bb - closed_bb) <= 0.01 + width
@@ -316,12 +312,12 @@ def test_criterion_10_inverse_consistency():
     closed_t = inverse_certificate(group_t, x, xp, 0.5, mc, seed=3)
     assert closed_t == pytest.approx(std_normal_cdf(residual / 0.5), abs=1e-12)
     mc_t = inverse_certify_reduced(
-        blackbox_reduced_problem(residual, 0.5), linear_statistic(), mc, seed=4
+        blackbox_reduced_problem(residual, 0.5), mc, seed=4
     )
     assert abs(mc_t - closed_t) <= 0.01 + width
     # identical distributions
     pmin = inverse_certify_reduced(
-        blackbox_reduced_problem(0.0, 0.5), linear_statistic(), mc, seed=5
+        blackbox_reduced_problem(0.0, 0.5), mc, seed=5
     )
     assert 0.50 <= pmin <= 0.53
     _report(

@@ -57,7 +57,7 @@ def test_traced_spans_stay_on_calling_thread(monkeypatch):
     tracer.install()
     try:
         for kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
-            invarcert.tight.certify_rotation_tight(kind, x, x_prime, 0.8, 0.5, mc, seed=1)
+            invarcert.tight.certify_tight(kind, x, x_prime, 0.8, 0.5, mc, seed=1)
     finally:
         tracer.uninstall()
     assert "tight.statistic" in {layer for layer, _ in threads}

@@ -300,6 +300,39 @@ class TestCertify:
         assert captured.err == "error: --p-upper: requires --multiclass\n"
         assert not out.exists()
 
+    def test_classifier_not_with_p_lower(self, tmp_path, capsys, monkeypatch):
+        import invarcert.cli as cli_mod
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("classifier ran although --p-lower was given")
+
+        monkeypatch.setattr(cli_mod, "smooth_predict", unexpected)
+        data = np.eye(2) * 0.2
+        clean, perturbed = _write_pair(tmp_path, data, data)
+        out = tmp_path / "out.json"
+        code = main(
+            [
+                "certify", "--group", "SO", "--clean", clean, "--perturbed", perturbed,
+                "--sigma", "0.5", "--seed", "1", "--p-lower", "0.8",
+                "--classifier", "norm", "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --classifier: not with --p-lower\n"
+        assert not out.exists()
+
+    def test_classifier_choices_are_the_oracle_table(self):
+        from invarcert.cli import _PARSER
+        from invarcert.oracles import CLASSIFIER_GROUPS
+
+        commands = _PARSER._subparsers._group_actions[0].choices
+        for command in ("certify", "smooth-predict"):
+            (action,) = [a for a in commands[command]._actions if a.dest == "classifier"]
+            assert tuple(action.choices) == tuple(CLASSIFIER_GROUPS)
+        assert tuple(CLASSIFIER_GROUPS) == ("norm", "centered-norm", "pairwise-centroid")
+
     def test_multiclass_verdict(self, tmp_path, capsys):
         data = np.eye(2) * 0.2
         clean, perturbed = _write_pair(tmp_path, data, data)

@@ -1,5 +1,6 @@
 """Monte-Carlo certification engine and smoothed prediction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,13 +26,9 @@ from invarcert.numerics import (
     sample_gaussian,
     std_normal_quantile,
 )
-from invarcert.oracles import norm_threshold_classifier
-from invarcert.tight import (
-    LikelihoodStatistic,
-    rho_so2,
-    so2_problem_from_params,
-)
-from reference import blackbox_reduced_problem, linear_statistic
+from invarcert.oracles import SyntheticClassifier
+from invarcert.tight import LikelihoodStatistic, so2_problem_from_params
+from reference import blackbox_reduced_problem
 
 
 class _ConstantClassifier:
@@ -66,6 +63,19 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [{"n2": math.nan}, {"n2": math.inf}, {"n2": 150.5}, {"n3": math.nan}, {"n3": 200.0}],
+        ids=["n2-nan", "n2-inf", "n2-fraction", "n3-nan", "n3-float"],
+    )
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="sample counts must be integers"):
+            McConfig(**counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        mc = McConfig(n2=np.int64(200), n3=np.int32(300))
+        assert (mc.n2, mc.n3) == (200, 300)
+
 
 class TestSmoothPredict:
     def test_constant_classifier(self):
@@ -98,8 +108,19 @@ class TestSmoothPredict:
         with pytest.raises(ValueError, match="alpha must lie in"):
             smooth_predict(_ConstantClassifier(0), PointCloud(np.zeros((1, 2))), 1.0, 10, alpha, 0)
 
+    @pytest.mark.parametrize("n", [150.5, math.nan, 100.0])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="sample counts must be integers"):
+            smooth_predict(_ConstantClassifier(0), PointCloud(np.zeros((1, 2))), 1.0, n, 0.01, 0)
+
+    def test_numpy_integer_n_accepted(self):
+        label, _ = smooth_predict(
+            _ConstantClassifier(2), PointCloud(np.zeros((1, 2))), 1.0, np.int64(100), 0.01, 0
+        )
+        assert label == 2
+
     def test_deterministic(self):
-        g = norm_threshold_classifier(2.0)
+        g = SyntheticClassifier("norm", 2.0)
         x = PointCloud(np.ones((3, 2)))
         a = smooth_predict(g, x, 0.8, 2000, 0.01, seed=5)
         b = smooth_predict(g, x, 0.8, 2000, 0.01, seed=5)
@@ -110,22 +131,23 @@ class TestProbCertifyReduced:
     def test_identical_distributions_close_below_p(self):
         problem = so2_problem_from_params(0.3, 0.0, 0.0, 0.0, 0.5)
         mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
-        out = prob_certify_reduced(problem, rho_so2(), mc, seed=1, p_lower=0.9)
+        out = prob_certify_reduced(problem, mc, seed=1, p_lower=0.9)
         assert 0.88 <= out.bound_value <= 0.90
 
     def test_constant_statistic_no_exception(self):
         # zero covariance: every statistic sample ties at the same value
         problem = so2_problem_from_params(0.0, 0.0, 0.0, 0.0, 0.5)
         constant = LikelihoodStatistic(dim=4, evaluator=lambda q: np.zeros(q.shape[0]))
+        problem = dataclasses.replace(problem, statistic=constant)
         mc = McConfig(n2=1000, n3=1000, alpha=0.01)
-        out = prob_certify_reduced(problem, constant, mc, seed=2, p_lower=0.8)
+        out = prob_certify_reduced(problem, mc, seed=2, p_lower=0.8)
         assert 0.0 <= out.bound_value <= 1.0
 
     def test_threshold_undetermined_flag(self):
         problem = blackbox_reduced_problem(0.5, 0.5)
         mc = McConfig(n2=100, n3=100, alpha=0.001)
         # p so small that even the first order statistic is not significant
-        out = prob_certify_reduced(problem, linear_statistic(), mc, seed=3, p_lower=1e-9)
+        out = prob_certify_reduced(problem, mc, seed=3, p_lower=1e-9)
         assert out.bound_value == 0.0
         assert "threshold-undetermined" in out.notes
         assert not out.certified
@@ -133,14 +155,14 @@ class TestProbCertifyReduced:
     def test_deterministic_given_seed(self):
         problem = so2_problem_from_params(0.2, 0.3, 0.02, 0.01, 0.5)
         mc = McConfig(n2=2000, n3=2000, alpha=0.01)
-        a = prob_certify_reduced(problem, rho_so2(), mc, seed=11, p_lower=0.8)
-        b = prob_certify_reduced(problem, rho_so2(), mc, seed=11, p_lower=0.8)
+        a = prob_certify_reduced(problem, mc, seed=11, p_lower=0.8)
+        b = prob_certify_reduced(problem, mc, seed=11, p_lower=0.8)
         assert a == b
 
     def test_ladder_accounting(self):
         problem = so2_problem_from_params(0.2, 0.1, 0.0, 0.0, 0.5)
         mc = McConfig(n2=500, n3=500, alpha=0.01)
-        out = prob_certify_reduced(problem, rho_so2(), mc, seed=4, p_lower=0.8)
+        out = prob_certify_reduced(problem, mc, seed=4, p_lower=0.8)
         assert out.confidences == (0.99, 0.995, 1.0 - 0.01 / 3.0)
         assert out.confidence == 0.99
         assert "p-lower-supplied" in out.notes
@@ -148,9 +170,10 @@ class TestProbCertifyReduced:
     def test_nan_statistic_raises(self):
         problem = blackbox_reduced_problem(0.5, 0.5)
         bad = LikelihoodStatistic(dim=1, evaluator=lambda q: np.full(q.shape[0], np.nan))
+        problem = dataclasses.replace(problem, statistic=bad)
         mc = McConfig(n2=200, n3=200, alpha=0.01)
         with pytest.raises(NumericalFailure, match="NaN"):
-            prob_certify_reduced(problem, bad, mc, seed=6, p_lower=0.8)
+            prob_certify_reduced(problem, mc, seed=6, p_lower=0.8)
 
 
 class TestTwoSample:
@@ -167,10 +190,10 @@ class TestTwoSample:
     @pytest.mark.parametrize("n_star", [1, 137, 500, 1000])
     @pytest.mark.parametrize("name", sorted(STATISTICS))
     def test_matches_stable_sort_reference(self, name, n_star, below):
-        problem = blackbox_reduced_problem(0.3, 1.0)
         statistic = LikelihoodStatistic(dim=1, evaluator=self.STATISTICS[name])
+        problem = dataclasses.replace(blackbox_reduced_problem(0.3, 1.0), statistic=statistic)
         got = _two_sample(
-            problem, statistic, (np.random.default_rng(1), np.random.default_rng(2)),
+            problem, (np.random.default_rng(1), np.random.default_rng(2)),
             problem.mean_clean, 1000, problem.mean_perturbed, 1000, n_star, below,
         )
         threshold = statistic(
@@ -189,14 +212,14 @@ class TestUpperReduced:
     def test_identical_distributions_close_above_p(self):
         problem = so2_problem_from_params(0.3, 0.0, 0.0, 0.0, 0.5)
         mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
-        up = prob_certify_upper_reduced(problem, rho_so2(), mc, seed=7, p_upper=0.1)
+        up = prob_certify_upper_reduced(problem, mc, seed=7, p_upper=0.1)
         assert 0.10 <= up <= 0.12
 
     def test_monotone_in_p_upper(self):
         problem = so2_problem_from_params(0.2, 0.3, 0.02, 0.01, 0.5)
         mc = McConfig(n2=5000, n3=5000, alpha=0.01)
         ups = [
-            prob_certify_upper_reduced(problem, rho_so2(), mc, seed=8, p_upper=p)
+            prob_certify_upper_reduced(problem, mc, seed=8, p_upper=p)
             for p in (0.05, 0.1, 0.2, 0.4)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))
@@ -206,22 +229,20 @@ class TestInverseReduced:
     def test_identical_distributions(self):
         problem = so2_problem_from_params(0.3, 0.0, 0.0, 0.0, 0.5)
         mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
-        pmin = inverse_certify_reduced(problem, rho_so2(), mc, seed=9)
+        pmin = inverse_certify_reduced(problem, mc, seed=9)
         assert 0.50 <= pmin <= 0.53
 
     def test_bounds(self):
         mc = McConfig(n2=1000, n3=1000, alpha=0.01)
         for shift in (0.0, 0.5, 2.0, 6.0):
             problem = blackbox_reduced_problem(shift, 1.0)
-            pmin = inverse_certify_reduced(problem, linear_statistic(), mc, seed=10)
+            pmin = inverse_certify_reduced(problem, mc, seed=10)
             assert 0.5 <= pmin <= 1.0
 
     def test_monotone_in_shift(self):
         mc = McConfig(n2=20_000, n3=20_000, alpha=0.001)
         pmins = [
-            inverse_certify_reduced(
-                blackbox_reduced_problem(shift, 1.0), linear_statistic(), mc, seed=11
-            )
+            inverse_certify_reduced(blackbox_reduced_problem(shift, 1.0), mc, seed=11)
             for shift in (0.1, 0.5, 1.0, 2.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(pmins, pmins[1:]))

@@ -1,5 +1,6 @@
 """Brute-force references and synthetic invariant classifiers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,7 @@ import pytest
 from invarcert.geometry import GroupKind, PointCloud, rot2
 from invarcert.numerics import log_bessel_i0
 from invarcert import oracles
-from invarcert.oracles import (
-    centered_norm_threshold_classifier,
-    norm_threshold_classifier,
-    pairwise_centroid_classifier,
-)
+from invarcert.oracles import SyntheticClassifier, make_classifier
 from invarcert.orbit import project_permutation, project_rotation
 from reference import (
     brute_force_permutation,
@@ -32,36 +29,48 @@ class TestSyntheticClassifiers:
     def test_norm_threshold_invariance_audit(self):
         rng = np.random.default_rng(0)
         for dim in (2, 3):
-            g = norm_threshold_classifier(1.5)
+            g = SyntheticClassifier("norm", 1.5)
             x = PointCloud(rng.standard_normal((6, dim)))
             assert invariance_audit(g, x, 1000, seed=1) == 0
 
     def test_norm_threshold_also_permutation_orthogonal_invariant(self):
-        import dataclasses
-
         rng = np.random.default_rng(1)
         x = PointCloud(rng.standard_normal((5, 2)))
         for kind in (GroupKind.PERMUTATION, GroupKind.ORTHOGONAL):
-            g = dataclasses.replace(norm_threshold_classifier(1.5), invariance=kind)
-            assert invariance_audit(g, x, 1000, seed=2) == 0
+            g = SyntheticClassifier("norm", 1.5)
+            assert invariance_audit(g, x, 1000, seed=2, group=kind) == 0
 
     def test_centered_norm_invariance_audit(self):
         rng = np.random.default_rng(2)
-        g = centered_norm_threshold_classifier(2.0)
+        g = SyntheticClassifier("centered-norm", 2.0)
         x = PointCloud(rng.standard_normal((5, 3)))
         assert invariance_audit(g, x, 1000, seed=3) == 0
 
     def test_pairwise_centroid_invariance_audit(self):
         rng = np.random.default_rng(3)
         ref = PointCloud(rng.standard_normal((5, 2)))
-        g = pairwise_centroid_classifier(ref, 0.7)
+        g = make_classifier("pairwise-centroid", 0.7, ref)
         assert g.invariance is GroupKind.PERMUTATION_ROTO_TRANSLATION
         assert invariance_audit(g, ref, 1000, seed=4) == 0
+
+    def test_kind_fixes_invariance(self):
+        assert SyntheticClassifier("norm", 1.0).invariance is GroupKind.ROTATION
+        assert SyntheticClassifier("centered-norm", 1.0).invariance is GroupKind.ROTO_TRANSLATION
+        ref = PointCloud(np.eye(3))
+        g = make_classifier("pairwise-centroid", 1.0, ref)
+        assert g.invariance is GroupKind.PERMUTATION_ROTO_TRANSLATION
+        assert "invariance" not in {f.name for f in dataclasses.fields(SyntheticClassifier)}
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown kind 'cube'"):
+            SyntheticClassifier("cube", 1.0)
+        with pytest.raises(ValueError, match="unknown kind 'cube'"):
+            make_classifier("cube", 1.0, PointCloud(np.eye(2)))
 
     def test_pairwise_centroid_recognizes_reference(self):
         rng = np.random.default_rng(4)
         ref = PointCloud(rng.standard_normal((5, 3)))
-        g = pairwise_centroid_classifier(ref, 0.2)
+        g = make_classifier("pairwise-centroid", 0.2, ref)
         assert g.predict(ref) == 1
         far = PointCloud(ref.data * 3.0)
         assert g.predict(far) == 0
@@ -69,7 +78,7 @@ class TestSyntheticClassifiers:
     def test_pairwise_centroid_chunked_labels_match(self, monkeypatch):
         rng = np.random.default_rng(5)
         ref = PointCloud(rng.standard_normal((64, 2)))
-        g = pairwise_centroid_classifier(ref, 1.0)
+        g = make_classifier("pairwise-centroid", 1.0, ref)
         batch = ref.data + 0.1 * rng.standard_normal((300, 64, 2))
         whole = g.predict_batch(batch)
         # 7 clouds a chunk, the last one short
@@ -116,7 +125,7 @@ class TestDistanceProfile:
         got = oracles._distance_profile(batch, np.triu_indices(5, k=1))
         assert got.shape == (0, 15)
         assert np.array_equal(got, reference_profile(batch))
-        g = pairwise_centroid_classifier(PointCloud(np.ones((5, d))), 1.0)
+        g = make_classifier("pairwise-centroid", 1.0, PointCloud(np.ones((5, d))))
         labels = g.predict_batch(batch)
         assert labels.shape == (0,) and labels.dtype.kind == "i"
 
@@ -127,7 +136,7 @@ class TestDistanceProfile:
         signature = reference_profile(ref.data[None])
         distance = np.linalg.norm(reference_profile(cloud[None]) - signature, axis=1)[0]
         for tau, label in ((distance, 1), (np.nextafter(distance, 0.0), 0)):
-            g = pairwise_centroid_classifier(ref, tau)
+            g = make_classifier("pairwise-centroid", tau, ref)
             assert np.array_equal(g.signature, signature[0])
             assert np.array_equal(g.predict_batch(cloud), [label])
 
@@ -142,7 +151,7 @@ class TestDistanceProfile:
         # tau at a sample's exact distance: one ulp more on any row flips it
         tau = float(np.sort(distance)[75])
         monkeypatch.setattr(oracles, "_PROFILE_BYTES", rows * 8 * d * (64 * 63 // 2))
-        labels = pairwise_centroid_classifier(ref, tau).predict_batch(batch)
+        labels = make_classifier("pairwise-centroid", tau, ref).predict_batch(batch)
         assert np.array_equal(labels, (distance <= tau).astype(int))
 
 
@@ -265,7 +274,7 @@ class TestBruteForcePermutation:
 
 class TestReferenceProbability:
     def test_constant_region(self):
-        g = norm_threshold_classifier(math.inf)
+        g = SyntheticClassifier("norm", math.inf)
         x = PointCloud(np.zeros((2, 2)))
         est = reference_probability(g, x, 1.0, 1_000_000, seed=13)
         assert est.probability == 1.0
@@ -275,12 +284,12 @@ class TestReferenceProbability:
         # X = 0 and N*D = 4: |Z|^2 / sigma^2 is chi-square(4), so the median
         # threshold splits the mass in half
         sigma = 0.8
-        g = norm_threshold_classifier(sigma * math.sqrt(CHI2_4_MEDIAN))
+        g = SyntheticClassifier("norm", sigma * math.sqrt(CHI2_4_MEDIAN))
         x = PointCloud(np.zeros((2, 2)))
         est = reference_probability(g, x, sigma, 1_000_000, seed=14)
         assert abs(est.probability - 0.5) <= 3.0 * est.std_error + 1e-4
 
     def test_rejects_small_n(self):
-        g = norm_threshold_classifier(1.0)
+        g = SyntheticClassifier("norm", 1.0)
         with pytest.raises(ValueError):
             reference_probability(g, PointCloud(np.zeros((2, 2))), 1.0, 1000, seed=15)

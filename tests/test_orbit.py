@@ -381,6 +381,11 @@ class TestCertifyOrbit:
             project_roto_translation(x, xp).residual, abs=1e-12
         )
 
+    def test_none_has_no_orbit_certificate(self):
+        x = PointCloud(np.eye(2))
+        with pytest.raises(ValueError, match="certify_orbit: unsupported group None"):
+            certify_orbit(None, x, x, 0.8, 0.5)
+
     def test_project_none_is_the_identity_distance(self):
         rng = np.random.default_rng(25)
         x, xp = _random_pair(rng, 5, 3)

@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "center",
     "certify_multiclass",
     "certify_orbit",
-    "certify_rotation_tight",
+    "certify_tight",
     "clopper_pearson_lower",
     "clopper_pearson_upper",
     "epsilon_params",
@@ -54,7 +54,6 @@ PUBLIC_NAMES = [
     "so3_log_beta",
     "std_normal_cdf",
     "std_normal_quantile",
-    "tight_translation",
 ]
 
 

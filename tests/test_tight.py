@@ -36,7 +36,7 @@ from invarcert.tight import (
     build_so2_problem,
     build_so3_problem,
     certify_multiclass,
-    certify_rotation_tight,
+    certify_tight,
     devec9,
     inverse_certificate,
     multiclass_radius,
@@ -47,7 +47,6 @@ from invarcert.tight import (
     proper_singular_values,
     so3_log_beta,
     so3_projection_matrix,
-    tight_translation,
 )
 from reference import (
     blackbox_reduced_problem,
@@ -79,7 +78,7 @@ class TestTightTranslation:
         rng = np.random.default_rng(0)
         x = PointCloud(rng.standard_normal((5, 2)))
         xp = PointCloud(x.data + np.array([0.7, -0.2]))
-        out = tight_translation(x, xp, 0.8, 0.5)
+        out = certify_tight(GroupKind.TRANSLATION, x, xp, 0.8, 0.5, FAST_MC, seed=1)
         assert out.bound_value == pytest.approx(0.8, abs=1e-12)
         assert out.certified
 
@@ -88,7 +87,7 @@ class TestTightTranslation:
         delta = np.array([[0.0, 1.0], [0.0, -1.0]])
         delta *= 0.4208 / np.linalg.norm(delta)
         x = PointCloud(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        out = tight_translation(x, PointCloud(x.data + delta), 0.8, 0.5)
+        out = certify_tight(GroupKind.TRANSLATION, x, PointCloud(x.data + delta), 0.8, 0.5, FAST_MC, seed=1)
         assert out.bound_value == pytest.approx(0.5, abs=1e-4)
 
     def test_matches_orbit_verdict_and_value(self):
@@ -97,7 +96,7 @@ class TestTightTranslation:
         for i in range(100):
             x, xp = _pair(rng, 5, 2, scale=rng.uniform(0.1, 1.0))
             p = float(rng.uniform(0.05, 0.95))
-            tight = tight_translation(x, xp, p, 0.5)
+            tight = certify_tight(group, x, xp, p, 0.5, FAST_MC, seed=1)
             orbit = certify_orbit(group, x, xp, p, 0.5)
             assert tight.certified == orbit.certified
             assert tight.bound_value == pytest.approx(orbit.bound_value, abs=1e-12)
@@ -419,7 +418,7 @@ class TestCertifyRotationTight:
         rng = np.random.default_rng(10)
         x = PointCloud(rng.standard_normal((5, 2)) * 0.3)
         mc = McConfig(n2=100_000, n3=100_000, alpha=0.001)
-        out = certify_rotation_tight(SO2, x, x, 0.8, 0.5, mc, seed=1)
+        out = certify_tight(SO2, x, x, 0.8, 0.5, mc, seed=1)
         assert 0.78 <= out.bound_value <= 0.80
         assert out.certified
 
@@ -434,7 +433,7 @@ class TestCertifyRotationTight:
             x = rng.standard_normal((8, 2))
             x *= 0.01 / np.linalg.norm(x)
             xp = x * (1.0 + nd / 0.01)
-            out = certify_rotation_tight(
+            out = certify_tight(
                 SO2, PointCloud(x), PointCloud(xp), 0.8, 0.5, mc, seed=problem_seed
             )
             certified[nd] = out.certified
@@ -450,7 +449,7 @@ class TestCertifyRotationTight:
             x, xp = _pair(rng, 5, 2, scale=float(rng.uniform(0.1, 0.5)),
                           norm_x=float(rng.uniform(0.001, sigma / 10)))
             p = float(rng.uniform(0.55, 0.95))
-            tight = certify_rotation_tight(SO2, x, xp, p, sigma, FAST_MC, seed=100 + i)
+            tight = certify_tight(SO2, x, xp, p, sigma, FAST_MC, seed=100 + i)
             res = project_rotation(x, xp).residual
             orbit_value = std_normal_cdf(std_normal_quantile(p) - res / sigma)
             se = math.sqrt(tight.bound_value * (1 - tight.bound_value) / FAST_MC.n3)
@@ -463,7 +462,7 @@ class TestCertifyRotationTight:
         rng = np.random.default_rng(13)
         x, xp = _pair(rng, 5, 2, scale=0.3)
         bounds = [
-            certify_rotation_tight(SO2, x, xp, p, 0.5, FAST_MC, seed=7).bound_value
+            certify_tight(SO2, x, xp, p, 0.5, FAST_MC, seed=7).bound_value
             for p in (0.6, 0.7, 0.8, 0.9)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(bounds, bounds[1:]))
@@ -475,7 +474,7 @@ class TestCertifyRotationTight:
         bounds = []
         for nd in (0.2, 0.4, 0.6, 0.8):
             xp = x * (1.0 + nd / 0.01)
-            out = certify_rotation_tight(
+            out = certify_tight(
                 SO2, PointCloud(x), PointCloud(xp), 0.8, 0.5, FAST_MC, seed=9
             )
             bounds.append(out.bound_value)
@@ -486,8 +485,8 @@ class TestCertifyRotationTight:
         for i, (dim, gse, gso) in enumerate(((2, SE2, SO2), (3, SE3, SO3))):
             x, xp = _pair(rng, 6, dim, scale=0.4)
             mc = McConfig(n2=500, n3=500, alpha=0.01)
-            a = certify_rotation_tight(gse, x, xp, 0.85, 0.5, mc, seed=50 + i)
-            b = certify_rotation_tight(
+            a = certify_tight(gse, x, xp, 0.85, 0.5, mc, seed=50 + i)
+            b = certify_tight(
                 gso, center(x), center(xp), 0.85, 0.5, mc, seed=50 + i
             )
             assert a.bound_value == b.bound_value
@@ -497,17 +496,17 @@ class TestCertifyRotationTight:
         rng = np.random.default_rng(16)
         for i in range(40):
             x, xp = _pair(rng, 5, 2, scale=0.25)
-            a = certify_rotation_tight(SO2, x, xp, 0.8, 0.4, FAST_MC, seed=60 + i)
+            a = certify_tight(SO2, x, xp, 0.8, 0.4, FAST_MC, seed=60 + i)
             rotated = PointCloud(xp.data @ rot2(rng.uniform(0, 2 * math.pi)).T)
-            b = certify_rotation_tight(SO2, x, rotated, 0.8, 0.4, FAST_MC, seed=60 + i)
+            b = certify_tight(SO2, x, rotated, 0.8, 0.4, FAST_MC, seed=60 + i)
             tol = 3 * _combined_se(a.bound_value, b.bound_value, FAST_MC)
             assert abs(a.bound_value - b.bound_value) <= tol
         mc3 = McConfig(n2=4000, n3=4000, alpha=0.001)
         for i in range(10):
             x, xp = _pair(rng, 5, 3, scale=0.25, norm_x=0.5)
-            a = certify_rotation_tight(SO3, x, xp, 0.8, 0.4, mc3, seed=70 + i)
+            a = certify_tight(SO3, x, xp, 0.8, 0.4, mc3, seed=70 + i)
             r = rot3_zyx(rng.uniform(-1.0, 1.0, 3))
-            b = certify_rotation_tight(
+            b = certify_tight(
                 SO3, x, PointCloud(xp.data @ r.T), 0.8, 0.4, mc3, seed=70 + i
             )
             tol = 3 * _combined_se(a.bound_value, b.bound_value, mc3)
@@ -525,7 +524,7 @@ class TestCertifyRotationTight:
             xp = xp + rng.standard_normal(3)
         sigma = float(np.linalg.norm(x)) / 100.0
         mc = McConfig(n2=1000, n3=1000, alpha=0.001)
-        out = certify_rotation_tight(group, PointCloud(x), PointCloud(xp), 0.9, sigma, mc, seed=5)
+        out = certify_tight(group, PointCloud(x), PointCloud(xp), 0.9, sigma, mc, seed=5)
         assert out.certified
 
     def test_pure_rotation_matches_zero_perturbation(self):
@@ -539,23 +538,29 @@ class TestCertifyRotationTight:
             x = PointCloud(x)
             rot = rot2(1.1) if dim == 2 else rot3_zyx([0.9, -0.4, 0.6])
             xp = PointCloud(x.data @ rot.T)
-            a = certify_rotation_tight(group, x, x, 0.8, 0.4, mc, seed=91)
-            b = certify_rotation_tight(group, x, xp, 0.8, 0.4, mc, seed=91)
+            a = certify_tight(group, x, x, 0.8, 0.4, mc, seed=91)
+            b = certify_tight(group, x, xp, 0.8, 0.4, mc, seed=91)
             tol = 3 * _combined_se(a.bound_value, b.bound_value, mc)
             assert abs(a.bound_value - b.bound_value) <= tol
 
     def test_unsupported_group(self):
         x = PointCloud(np.eye(2))
         with pytest.raises(ValueError):
-            certify_rotation_tight(
+            certify_tight(
                 GroupKind.PERMUTATION, x, x, 0.8, 0.5, FAST_MC, seed=1
             )
+
+    @pytest.mark.parametrize("group", [None, GroupKind.ORTHOGONAL], ids=["None", "O"])
+    def test_non_tight_group_rejected(self, group):
+        x = PointCloud(np.eye(2))
+        with pytest.raises(ValueError, match="certify_tight: unsupported group"):
+            certify_tight(group, x, x, 0.8, 0.5, FAST_MC, seed=1)
 
     def test_sound_against_invariant_classifier_reference(self):
         # the bound must stay below the actual perturbed probability of a
         # concrete roto-translation-invariant classifier (SE path)
         from invarcert.mc import smooth_predict
-        from invarcert.oracles import centered_norm_threshold_classifier
+        from invarcert.oracles import SyntheticClassifier
         from reference import reference_probability
 
         rng = np.random.default_rng(28)
@@ -564,11 +569,11 @@ class TestCertifyRotationTight:
         delta = rng.standard_normal((5, 2))
         delta *= 0.35 / np.linalg.norm(delta)
         xp = PointCloud(x.data + delta)
-        g = centered_norm_threshold_classifier(2.4)
+        g = SyntheticClassifier("centered-norm", 2.4)
         label, p_lower = smooth_predict(g, x, sigma, 4000, 0.001, seed=15)
         assert label == 1
         reference = reference_probability(g, xp, sigma, 2_000_000, seed=16, label=1)
-        out = certify_rotation_tight(SE2, x, xp, p_lower, sigma, FAST_MC, seed=17)
+        out = certify_tight(SE2, x, xp, p_lower, sigma, FAST_MC, seed=17)
         assert out.bound_value <= reference.probability + 3 * reference.std_error
 
 
@@ -583,7 +588,7 @@ class TestUpperBound:
     @staticmethod
     def _upper(x, xp, p, mc, seed):
         problem = build_so2_problem(x, xp, 0.5)
-        return prob_certify_upper_reduced(problem, rho_so2(), mc, seed, p_upper=p)
+        return prob_certify_upper_reduced(problem, mc, seed, p_upper=p)
 
     def test_identical_distributions(self):
         rng = np.random.default_rng(17)
@@ -601,7 +606,7 @@ class TestUpperBound:
     def test_at_least_lower_bound(self):
         rng = np.random.default_rng(19)
         x, xp = _pair(rng, 5, 2, scale=0.3)
-        lower = certify_rotation_tight(SO2, x, xp, 0.3, 0.5, FAST_MC, seed=5).bound_value
+        lower = certify_tight(SO2, x, xp, 0.3, 0.5, FAST_MC, seed=5).bound_value
         upper = self._upper(x, xp, 0.3, FAST_MC, seed=5)
         assert upper >= lower - 1e-12
 
@@ -707,11 +712,11 @@ class TestInverseCertificate:
         xp = PointCloud(x.data + delta)
         eps = epsilon_params(x, delta)
         from_clouds = inverse_certify_reduced(
-            build_so2_problem(x, xp, 0.5), rho_so2(), FAST_MC, seed=14
+            build_so2_problem(x, xp, 0.5), FAST_MC, seed=14
         )
         from_params = inverse_certify_reduced(
             so2_problem_from_params(eps.norm_x, eps.norm_delta, eps.eps1, eps.eps2, 0.5),
-            rho_so2(), FAST_MC, seed=14,
+            FAST_MC, seed=14,
         )
         assert from_clouds == from_params
 
@@ -749,12 +754,34 @@ class TestClosedFormsAgree:
             assert multi.residual == residual
             assert multi.bound_value == bound
             if kind is GroupKind.TRANSLATION:
-                assert multi.bound_value == tight_translation(x, xp, pa, sigma).bound_value
+                tight = certify_tight(kind, x, xp, pa, sigma, FAST_MC, seed=1)
+                assert multi.bound_value == tight.bound_value
             if kind in (None, GroupKind.TRANSLATION):
                 upper = std_normal_cdf(std_normal_quantile(pb) + residual / sigma)
                 assert f"competitor-upper={upper!r}" in multi.notes
             pmin = inverse_certificate(group, x, xp, sigma, FAST_MC, seed=1)
             assert pmin == std_normal_cdf(residual / sigma)
+
+
+class TestMulticlassValidation:
+    """certify_multiclass checks sigma, shapes and group before it reports
+    pa-not-above-pb."""
+
+    @pytest.mark.parametrize(
+        "group, xp_points, sigma, match",
+        [
+            (GroupKind.ROTATION, 6, -1.0, "sigma must be finite and > 0"),
+            (GroupKind.ROTATION, 5, 0.5, "different shapes"),
+            ("SO", 6, 0.5, "unsupported group 'SO'"),
+        ],
+        ids=["sigma", "shapes", "group-string"],
+    )
+    def test_rejected_when_pa_not_above_pb(self, group, xp_points, sigma, match):
+        rng = np.random.default_rng(34)
+        x = PointCloud(rng.standard_normal((6, 2)))
+        xp = PointCloud(rng.standard_normal((xp_points, 2)))
+        with pytest.raises(ValueError, match=match):
+            certify_multiclass(group, x, xp, 0.3, 0.4, sigma, FAST_MC, seed=1)
 
 
 class TestPminGrid:
@@ -766,7 +793,7 @@ class TestPminGrid:
 
     def test_feasibility_mask_is_unit_disc(self):
         grid = pmin_grid(None, 1.0, 0.5, 0.5, 12, FAST_MC, seed=2)
-        nodes = grid.eps1_nodes
+        nodes = grid.nodes
         for i in range(12):
             for j in range(12):
                 outside = math.hypot(nodes[j], nodes[i]) > 1.0 + 1e-12
@@ -802,7 +829,7 @@ class TestPminGrid:
         gain = std_normal_cdf(nd / sigma) - grid.values
         gain[grid.infeasible] = -np.inf
         i, j = np.unravel_index(np.argmax(gain), gain.shape)
-        e1, e2 = grid.eps1_nodes[j], grid.eps2_nodes[i]
+        e1, e2 = grid.nodes[j], grid.nodes[i]
         dist = min(
             math.hypot(e1 - l.eps1_normalized, e2 - abs(l.eps2_normalized))
             for l in grid.loci
@@ -816,6 +843,23 @@ class TestPminGrid:
             pmin_grid(None, 1.0, 0.5, 0.5, 1, FAST_MC, seed=1)
         with pytest.raises(ValueError):
             pmin_grid(GroupKind.TRANSLATION, 1.0, 0.5, 0.5, 5, FAST_MC, seed=1)
+
+
+class TestProblemStatistic:
+    """Each reduced problem carries the statistic of its dimension."""
+
+    def test_builders_attach_their_statistic(self):
+        x, xp = _pair(np.random.default_rng(35), 5, 2)
+        x3, xp3 = _pair(np.random.default_rng(36), 5, 3)
+        problems = [
+            build_so2_problem(x, xp, 0.5),
+            so2_problem_from_params(1.0, 0.5, 0.1, 0.2, 0.5),
+            build_so3_problem(x3, xp3, 0.5),
+        ]
+        for problem, dim in zip(problems, (4, 4, 18)):
+            assert problem.statistic.dim == problem.mean_clean.size == dim
+        q = np.random.default_rng(37).standard_normal((3, 4))
+        assert np.array_equal(problems[0].statistic(q), rho_so2()(q))
 
 
 class TestReducedHelpers:
@@ -834,8 +878,8 @@ class TestShapeMismatch:
         [
             lambda x, xp: certify_multiclass(None, x, xp, 0.8, 0.1, 0.5, FAST_MC, seed=1),
             lambda x, xp: inverse_certificate(None, x, xp, 0.5, FAST_MC, seed=1),
-            lambda x, xp: certify_rotation_tight(SO2, x, xp, 0.8, 0.5, FAST_MC, seed=1),
-            lambda x, xp: certify_rotation_tight(SE2, x, xp, 0.8, 0.5, FAST_MC, seed=1),
+            lambda x, xp: certify_tight(SO2, x, xp, 0.8, 0.5, FAST_MC, seed=1),
+            lambda x, xp: certify_tight(SE2, x, xp, 0.8, 0.5, FAST_MC, seed=1),
             lambda x, xp: inverse_certificate(SO2, x, xp, 0.5, FAST_MC, seed=1),
             lambda x, xp: inverse_certificate(SE2, x, xp, 0.5, FAST_MC, seed=1),
         ],
@@ -871,15 +915,15 @@ class TestSigmaDomain:
                          id="inverse-T"),
             pytest.param(2, lambda x, xp, s: inverse_certificate(SO2, x, xp, s, FAST_MC, seed=1),
                          id="inverse-SO2"),
-            pytest.param(3, lambda x, xp, s: certify_rotation_tight(
+            pytest.param(3, lambda x, xp, s: certify_tight(
                 SO3, x, xp, 0.8, s, FAST_MC, seed=1), id="tight-SO3"),
-            pytest.param(2, lambda x, xp, s: certify_rotation_tight(
+            pytest.param(2, lambda x, xp, s: certify_tight(
                 SE2, x, xp, 0.8, s, FAST_MC, seed=1), id="tight-SE2"),
             pytest.param(2, lambda x, xp, s: certify_multiclass(
                 T2, x, xp, 0.9, 0.05, s, FAST_MC, seed=1), id="multiclass-T"),
             pytest.param(2, lambda x, xp, s: certify_multiclass(
                 SO2, x, xp, 0.9, 0.05, s, FAST_MC, seed=1), id="multiclass-SO2"),
-            pytest.param(2, lambda x, xp, s: tight_translation(x, xp, 0.8, s),
+            pytest.param(2, lambda x, xp, s: certify_tight(T2, x, xp, 0.8, s, FAST_MC, seed=1),
                          id="tight-translation"),
             pytest.param(2, lambda x, xp, s: certify_orbit(SO2, x, xp, 0.8, s),
                          id="orbit-SO2"),
@@ -900,18 +944,19 @@ class TestProbabilityDomain:
         "call",
         [
             pytest.param(lambda x, xp, p: certify_orbit(SO2, x, xp, p, 0.5), id="orbit"),
-            pytest.param(lambda x, xp, p: tight_translation(x, xp, p, 0.5), id="tight-T"),
-            pytest.param(lambda x, xp, p: certify_rotation_tight(
+            pytest.param(lambda x, xp, p: certify_tight(
+                GroupKind.TRANSLATION, x, xp, p, 0.5, FAST_MC, seed=1), id="tight-T"),
+            pytest.param(lambda x, xp, p: certify_tight(
                 SO2, x, xp, p, 0.5, FAST_MC, seed=1), id="tight-SO2"),
             pytest.param(lambda x, xp, p: certify_multiclass(
                 None, x, xp, p, 0.1, 0.5, FAST_MC, seed=1), id="multiclass-pa"),
             pytest.param(lambda x, xp, p: certify_multiclass(
                 None, x, xp, 0.9, p, 0.5, FAST_MC, seed=1), id="multiclass-pb"),
             pytest.param(lambda x, xp, p: prob_certify_reduced(
-                build_so2_problem(x, xp, 0.5), rho_so2(), FAST_MC, 1, p_lower=p),
+                build_so2_problem(x, xp, 0.5), FAST_MC, 1, p_lower=p),
                 id="reduced-lower"),
             pytest.param(lambda x, xp, p: prob_certify_upper_reduced(
-                build_so2_problem(x, xp, 0.5), rho_so2(), FAST_MC, 1, p_upper=p),
+                build_so2_problem(x, xp, 0.5), FAST_MC, 1, p_upper=p),
                 id="reduced-upper"),
         ],
     )
@@ -954,14 +999,14 @@ class TestSharedFactor:
 
     def test_invalid_covariance_raises_on_first_draw(self):
         asymmetric = np.array([[1.0, 0.5], [0.0, 1.0]])
-        problem = RotationCertProblem(np.zeros(2), np.zeros(2), asymmetric, 0.5)
         statistic = LikelihoodStatistic(dim=2, evaluator=lambda q: q[:, 0])
+        problem = RotationCertProblem(np.zeros(2), np.zeros(2), asymmetric, 0.5, statistic)
         mc = McConfig(n2=100, n3=100, alpha=0.001)
         # no order statistic qualifies, so nothing is drawn
-        out = prob_certify_reduced(problem, statistic, mc, seed=3, p_lower=1e-9)
+        out = prob_certify_reduced(problem, mc, seed=3, p_lower=1e-9)
         assert "threshold-undetermined" in out.notes
         with pytest.raises(ValueError, match="not symmetric"):
-            prob_certify_reduced(problem, statistic, mc, seed=3, p_lower=0.9)
+            prob_certify_reduced(problem, mc, seed=3, p_lower=0.9)
 
 
 class TestLargeScaleInputs:
@@ -980,7 +1025,7 @@ class TestLargeScaleInputs:
                 eps.norm_x * eps.norm_delta, rel=1e-12
             )
             for group in (SO2, SE2):
-                out = certify_rotation_tight(
+                out = certify_tight(
                     group, PointCloud(x), PointCloud(xp), 0.9, norm_x, FAST_MC, seed=1
                 )
                 assert out.method == f"tight-{group.value}2"
