@@ -484,7 +484,7 @@ def multiclass_radius(pa_lower: float, pb_upper: float, sigma: float) -> float:
 class PminGrid:
     """p_min rasterized over normalized orientation parameters in [0,1]^2."""
 
-    nodes: np.ndarray           # of both normalized parameters
+    nodes: np.ndarray           # the normalized eps1 and eps2 share one set of nodes
     values: np.ndarray          # values[i, j] for (eps1, eps2) = (nodes[j], nodes[i])
     infeasible: np.ndarray      # bool mask, same shape
     loci: tuple[EpsilonParams, ...]

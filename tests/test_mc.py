@@ -62,15 +62,9 @@ class TestMcConfig:
             McConfig(alpha=0.6)
         with pytest.raises(ValueError):
             McConfig(alpha=0.0)
-
-    @pytest.mark.parametrize(
-        "counts",
-        [{"n2": math.nan}, {"n2": math.inf}, {"n2": 150.5}, {"n3": math.nan}, {"n3": 200.0}],
-        ids=["n2-nan", "n2-inf", "n2-fraction", "n3-nan", "n3-float"],
-    )
-    def test_counts_must_be_integers(self, counts):
-        with pytest.raises(ValueError, match="sample counts must be integers"):
-            McConfig(**counts)
+        for counts in ({"n2": math.nan}, {"n2": math.inf}, {"n2": 150.5}, {"n3": math.nan}):
+            with pytest.raises(ValueError, match="sample counts must be integers"):
+                McConfig(**counts)
 
     def test_numpy_integer_counts_accepted(self):
         mc = McConfig(n2=np.int64(200), n3=np.int32(300))

@@ -56,9 +56,6 @@ class TestSyntheticClassifiers:
     def test_kind_fixes_invariance(self):
         assert SyntheticClassifier("norm", 1.0).invariance is GroupKind.ROTATION
         assert SyntheticClassifier("centered-norm", 1.0).invariance is GroupKind.ROTO_TRANSLATION
-        ref = PointCloud(np.eye(3))
-        g = make_classifier("pairwise-centroid", 1.0, ref)
-        assert g.invariance is GroupKind.PERMUTATION_ROTO_TRANSLATION
         assert "invariance" not in {f.name for f in dataclasses.fields(SyntheticClassifier)}
 
     def test_unknown_kind_rejected_at_construction(self):
