@@ -171,7 +171,8 @@ _MF_MIDDLE_WIDTH = 2.0
 _MF_TAIL = 45.0
 # Largest accepted error estimate of log beta (relative error of beta).
 _MF_MAX_ERROR = 1e-6
-# Matrices per batch of node evaluations, bounding the temporaries.
+# Matrices per batch of node evaluations, bounding the temporaries; a
+# matrix's value does not depend on its batch.
 _MF_CHUNK = 2048
 
 
@@ -192,10 +193,9 @@ def _panels(span: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray, np.
     return nodes, weights, np.tile(_UNIT_ERROR_WEIGHTS, count) / count
 
 
-def _graded(h: np.ndarray, length: np.ndarray):
-    """Nodes on [0, length] graded geometrically toward 0 from scale h:
-    p = h sinh(tau) on equal tau panels.  Returns nodes and both weights."""
-    tau_max = np.arcsinh(length / h)
+def _graded(h: np.ndarray, tau_max: np.ndarray):
+    """Nodes on [0, h sinh(tau_max)] graded geometrically toward 0 from scale
+    h: p = h sinh(tau) on equal tau panels.  Returns nodes and both weights."""
     t, w, dw = _panels(tau_max, _MF_GRADED_WIDTH)
     e = np.exp(tau_max * t)
     jac = 0.5 * h * tau_max * (e + 1.0 / e)
@@ -213,6 +213,13 @@ def _mf_sum(sin2, cos2, a, b, k, w, dw) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(f * w, axis=1), np.abs(diff).sum(axis=1)
 
 
+def _count_groups(span: np.ndarray, width: float) -> list[np.ndarray]:
+    """Indices of the rows of ``span`` (n, 1) that get the same number of
+    ``_panels`` at ``width`` when each row is sized on its own."""
+    counts = np.maximum(1.0, np.ceil(span[:, 0] / width))
+    return [np.flatnonzero(counts == count) for count in np.unique(counts)]
+
+
 def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log of int_0^pi 1/2 sin t i0e(a(1 - cos t)) i0e(b(1 + cos t)) exp(-k(1 - cos t)) dt
     for proper singular values s (n, 3), and the estimated error of that log.
@@ -222,8 +229,9 @@ def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pi/2 - p ~ 1/sqrt(2b).  Three parts resolve them: [0, p1] graded toward
     0, equal panels on [p1, p2] for the Gaussian, and [p2, pi/2] graded
     toward pi/2 -- dropped when the Gaussian is cut off at p2 (theta = 2 p2
-    is then about 9.5/sqrt(k)).  Panel counts follow the largest spread in
-    the batch.
+    is then about 9.5/sqrt(k)).  Each row sizes the panel counts of its parts
+    from its own spreads, and rows with equal counts share one rule, so a
+    row's value does not depend on the other rows of the batch.
     """
     a = 0.5 * (s[:, 0:1] - s[:, 1:2])
     b = 0.5 * (s[:, 0:1] + s[:, 1:2])
@@ -236,25 +244,36 @@ def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         far_h = np.minimum(p1, 1.0 / np.sqrt(2.0 * b))
     cut = cutoff < 0.5 * math.pi
     p2 = np.where(cut, cutoff, 0.5 * math.pi - p1)
+    value = np.zeros(s.shape[0])
+    error = np.zeros(s.shape[0])
 
-    p, w, dw = _graded(near_h, p1)
-    sin2 = np.sin(p) ** 2
-    value, error = _mf_sum(sin2, 1.0 - sin2, a, b, k, w, dw)
+    tau = np.arcsinh(p1 / near_h)
+    for rows in _count_groups(tau, _MF_GRADED_WIDTH):
+        p, w, dw = _graded(near_h[rows], tau[rows])
+        sin2 = np.sin(p) ** 2
+        value[rows], error[rows] = _mf_sum(sin2, 1.0 - sin2, a[rows], b[rows], k[rows], w, dw)
 
     width = p2 - p1
-    t, w, dw = _panels(width / gauss, _MF_MIDDLE_WIDTH)
-    p = p1 + width * t
-    mid_value, mid_error = _mf_sum(np.sin(p) ** 2, np.cos(p) ** 2, a, b, k, width * w, width * dw)
-    value += mid_value
-    error += mid_error
+    span = width / gauss
+    for rows in _count_groups(span, _MF_MIDDLE_WIDTH):
+        t, w, dw = _panels(span[rows], _MF_MIDDLE_WIDTH)
+        p = p1[rows] + width[rows] * t
+        mid_value, mid_error = _mf_sum(
+            np.sin(p) ** 2, np.cos(p) ** 2, a[rows], b[rows], k[rows],
+            width[rows] * w, width[rows] * dw,
+        )
+        value[rows] += mid_value
+        error[rows] += mid_error
 
-    whole = ~cut[:, 0]
-    if np.any(whole):
-        psi, w, dw = _graded(far_h[whole], p1[whole])   # psi = pi/2 - p
+    whole = np.flatnonzero(~cut[:, 0])
+    tau = np.arcsinh(p1[whole] / far_h[whole])
+    for group in _count_groups(tau, _MF_GRADED_WIDTH):
+        rows = whole[group]
+        psi, w, dw = _graded(far_h[rows], tau[group])   # psi = pi/2 - p
         cos2 = np.sin(psi) ** 2
-        far_value, far_error = _mf_sum(1.0 - cos2, cos2, a[whole], b[whole], k[whole], w, dw)
-        value[whole] += far_value
-        error[whole] += far_error
+        far_value, far_error = _mf_sum(1.0 - cos2, cos2, a[rows], b[rows], k[rows], w, dw)
+        value[rows] += far_value
+        error[rows] += far_error
     return np.log(value), error / value
 
 

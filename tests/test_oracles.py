@@ -64,6 +64,16 @@ class TestSyntheticClassifiers:
         with pytest.raises(ValueError, match="unknown kind 'cube'"):
             make_classifier("cube", 1.0, PointCloud(np.eye(2)))
 
+    @pytest.mark.parametrize("signature", [None, np.zeros((2, 3)), np.array([0.0, np.nan])])
+    def test_pairwise_centroid_needs_finite_1d_signature(self, signature):
+        with pytest.raises(ValueError, match="finite 1-D signature"):
+            SyntheticClassifier("pairwise-centroid", 1.0, signature)
+
+    @pytest.mark.parametrize("kind", ["norm", "centered-norm"])
+    def test_norm_kinds_reject_a_signature(self, kind):
+        with pytest.raises(ValueError, match="takes no signature"):
+            SyntheticClassifier(kind, 1.0, np.zeros(3))
+
     def test_pairwise_centroid_recognizes_reference(self):
         rng = np.random.default_rng(4)
         ref = PointCloud(rng.standard_normal((5, 3)))

@@ -292,6 +292,71 @@ class TestSo3BetaHat:
                 table[0] = 0.0
 
 
+def _mixed_scale_batch(rows, seed):
+    """3 x 3 matrices whose Frobenius norms mix 1, 10, 1e3 and 1e5, so that
+    rows need different panel counts."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, 3, 3))
+    norms = np.array([1.0, 10.0, 1e3, 1e5])[rng.integers(0, 4, rows)]
+    return m * (norms / np.linalg.norm(m, axis=(1, 2)))[:, None, None]
+
+
+class TestSo3RowIndependence:
+    """Each matrix's log beta and error estimate depend on that matrix alone,
+    as the order-statistic bound over i.i.d. statistic values assumes."""
+
+    @pytest.mark.parametrize("rows", [2047, 2048, 2049])
+    def test_row_equals_single_row_call(self, rows):
+        m = _mixed_scale_batch(rows, seed=rows)
+        value, error = so3_log_beta(m)
+        for i in range(rows):
+            single_value, single_error = so3_log_beta(m[i : i + 1])
+            assert single_value[0] == value[i] and single_error[0] == error[i], i
+
+    def test_permuting_rows_permutes_output(self):
+        m = _mixed_scale_batch(2049, seed=21)
+        order = np.random.default_rng(22).permutation(2049)
+        value, error = so3_log_beta(m)
+        moved_value, moved_error = so3_log_beta(m[order])
+        assert np.array_equal(moved_value, value[order])
+        assert np.array_equal(moved_error, error[order])
+
+    def test_chunk_size_changes_no_value(self, monkeypatch):
+        m = _mixed_scale_batch(300, seed=23)
+        value, error = so3_log_beta(m)
+        monkeypatch.setattr(tight, "_MF_CHUNK", 7)
+        small_value, small_error = so3_log_beta(m)
+        assert np.array_equal(small_value, value) and np.array_equal(small_error, error)
+
+    def test_empty_batch(self):
+        value, error = so3_log_beta(np.zeros((0, 3, 3)))
+        assert value.shape == (0,) and error.shape == (0,)
+
+
+class TestSo3RuleValidation:
+    def test_error_within_estimate(self, monkeypatch):
+        # random proper singular values at scales 1 to 1e12, a third of them
+        # rank 1 and a third with s3 = -s2 (k = 0); the reference is the same
+        # rule on panels 40 times narrower
+        rng = np.random.default_rng(2016)
+        count = 2000
+        scale = 10.0 ** rng.uniform(0.0, 12.0, count)
+        s = np.sort(rng.uniform(0.0, 1.0, (count, 3)), axis=1)[:, ::-1] * scale[:, None]
+        s[:, 2] *= rng.choice([-1.0, 1.0], count)
+        kind = rng.integers(0, 3, count)
+        s[kind == 1, 1:] = 0.0
+        s[kind == 2, 2] = -s[kind == 2, 1]
+        value, estimate = tight._log_mf_integral(s)
+        monkeypatch.setattr(tight, "_MF_GRADED_WIDTH", tight._MF_GRADED_WIDTH / 40)
+        monkeypatch.setattr(tight, "_MF_MIDDLE_WIDTH", tight._MF_MIDDLE_WIDTH / 40)
+        reference = np.concatenate(
+            [tight._log_mf_integral(s[i : i + 250])[0] for i in range(0, count, 250)]
+        )
+        error = np.abs(value - reference)
+        worst = int(np.argmax(error / estimate))
+        assert np.all(error <= estimate), (s[worst], error[worst], estimate[worst])
+
+
 def _so3_samples(rows, scale, seed):
     """18-dim samples whose two 3 x 3 halves each have Frobenius norm ``scale``."""
     q = np.random.default_rng(seed).standard_normal((rows, 2, 9))
