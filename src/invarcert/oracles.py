@@ -49,13 +49,14 @@ class SyntheticClassifier:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_GROUPS:
             raise ValueError(f"SyntheticClassifier: unknown kind {self.kind!r}")
-        if self.kind != "pairwise-centroid":
-            if self.signature is not None:
-                raise ValueError(f"SyntheticClassifier: kind {self.kind!r} takes no signature")
-            return
-        signature = None if self.signature is None else np.asarray(self.signature, dtype=float)
-        if signature is None or signature.ndim != 1 or not np.all(np.isfinite(signature)):
-            raise ValueError("SyntheticClassifier: pairwise-centroid needs a finite 1-D signature")
+        if self.kind == "pairwise-centroid":
+            signature = np.asarray(self.signature, dtype=float)  # None reads as a 0-d NaN
+            if signature.ndim != 1 or not np.all(np.isfinite(signature)):
+                raise ValueError(
+                    "SyntheticClassifier: pairwise-centroid needs a finite 1-D signature"
+                )
+        elif self.signature is not None:
+            raise ValueError(f"SyntheticClassifier: kind {self.kind!r} takes no signature")
 
     @property
     def invariance(self) -> GroupKind:
