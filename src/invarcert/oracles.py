@@ -7,6 +7,7 @@ invariance holds exactly.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,16 @@ class SyntheticClassifier:
         return CLASSIFIER_GROUPS[self.kind]
 
     def predict_batch(self, batch: np.ndarray) -> np.ndarray:
+        """0/1 label of each cloud of batch, shape (clouds, N, D) or (N, D).
+
+        A pairwise-centroid batch is profiled in row chunks.  When it spans
+        more than one chunk, a worker thread labels the second half of the
+        chunks while the calling thread labels the first.  There is no setting
+        for this: every chunk holds the rows it would hold on one thread, so
+        the labels are bit-identical to labelling the chunks in turn.
+        If both halves fail, the calling thread's error propagates, and the
+        worker is joined before this returns or raises.
+        """
         batch = np.asarray(batch, dtype=float)
         if batch.ndim == 2:
             batch = batch[None]
@@ -77,11 +88,28 @@ class SyntheticClassifier:
         # pairwise-centroid
         n, d = batch.shape[1:]
         pairs = np.triu_indices(n, k=1)
+        if len(self.signature) != len(pairs[0]) + n:
+            raise ValueError(
+                f"SyntheticClassifier: pairwise-centroid signature has length "
+                f"{len(self.signature)}, clouds of {n} points need {len(pairs[0]) + n}"
+            )
         rows = max(1, _PROFILE_BYTES // max(1, 8 * d * len(pairs[0])))
         dist = np.empty(len(batch))
-        for start in range(0, len(batch), rows):
-            profile = _distance_profile(batch[start : start + rows], pairs)
-            dist[start : start + rows] = np.linalg.norm(profile - self.signature, axis=1)
+
+        def label(begin: int, end: int) -> None:
+            for start in range(begin, end, rows):
+                profile = _distance_profile(batch[start : start + rows], pairs)
+                dist[start : start + rows] = np.linalg.norm(profile - self.signature, axis=1)
+
+        chunks = -(-len(batch) // rows)
+        cut = min(len(batch), -(-chunks // 2) * rows)
+        if cut == len(batch):
+            label(0, cut)
+        else:
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                second = worker.submit(label, cut, len(batch))
+                label(0, cut)
+                second.result()
         return (dist <= self.tau).astype(int)
 
     def predict(self, x: PointCloud) -> int:

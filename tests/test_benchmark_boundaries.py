@@ -16,6 +16,7 @@ import invarcert.tight
 from invarcert.cli import main
 from invarcert.geometry import GroupKind, PointCloud, save_points_csv
 from invarcert.mc import McConfig
+from invarcert.oracles import make_classifier
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,7 +38,8 @@ def test_tracer_finds_every_layer(monkeypatch):
 
 def test_traced_spans_stay_on_calling_thread(monkeypatch):
     # the tracer keeps one span stack, so a span opened on a worker thread
-    # would take the wrong parent; rho_so3's worker must run untraced code only
+    # would take the wrong parent; the workers of rho_so3 and of
+    # predict_batch must run untraced code only
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -54,13 +56,17 @@ def test_traced_spans_stay_on_calling_thread(monkeypatch):
     x = PointCloud(rng.standard_normal((6, 3)))
     x_prime = PointCloud(x.data + 0.3 * rng.standard_normal((6, 3)))
     mc = McConfig(n2=100, n3=100)
+    # N = 64, D = 2: 32 clouds a profile chunk, so 100 noisy copies span 4
+    reference = PointCloud(rng.standard_normal((64, 2)))
+    g = make_classifier("pairwise-centroid", 1.0, reference)
     tracer.install()
     try:
         for kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
             invarcert.tight.certify_tight(kind, x, x_prime, 0.8, 0.5, mc, seed=1)
+        invarcert.mc.smooth_predict(g, reference, 0.1, 100, 0.01, seed=2)
     finally:
         tracer.uninstall()
-    assert "tight.statistic" in {layer for layer, _ in threads}
+    assert {"tight.statistic", "oracles.predict_batch"} <= {layer for layer, _ in threads}
     assert {ident for _, ident in threads} == {threading.get_ident()}
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -73,6 +75,12 @@ class TestSyntheticClassifiers:
     def test_norm_kinds_reject_a_signature(self, kind):
         with pytest.raises(ValueError, match="takes no signature"):
             SyntheticClassifier(kind, 1.0, np.zeros(3))
+
+    @pytest.mark.parametrize("length", [3, 0])
+    def test_pairwise_centroid_signature_length_checked(self, length):
+        g = SyntheticClassifier("pairwise-centroid", 1.0, np.zeros(length))
+        with pytest.raises(ValueError, match=f"has length {length}, clouds of 4 points need 10"):
+            g.predict_batch(np.zeros((1, 4, 2)))
 
     def test_pairwise_centroid_recognizes_reference(self):
         rng = np.random.default_rng(4)
@@ -160,6 +168,87 @@ class TestDistanceProfile:
         monkeypatch.setattr(oracles, "_PROFILE_BYTES", rows * 8 * d * (64 * 63 // 2))
         labels = make_classifier("pairwise-centroid", tau, ref).predict_batch(batch)
         assert np.array_equal(labels, (distance <= tau).astype(int))
+
+
+def raising_profile(monkeypatch, on_caller, on_worker):
+    """Make _distance_profile raise on the calling thread and/or the worker;
+    returns the set of threads that profiled a chunk."""
+    caller = threading.get_ident()
+    profile = oracles._distance_profile
+    seen = set()
+
+    def wrapped(batch, pairs):
+        ident = threading.get_ident()
+        seen.add(ident)
+        if on_caller and ident == caller:
+            raise RuntimeError("chunk failed on the caller")
+        if on_worker and ident != caller:
+            raise RuntimeError("chunk failed on the worker")
+        return profile(batch, pairs)
+
+    monkeypatch.setattr(oracles, "_distance_profile", wrapped)
+    return seen
+
+
+class TestPredictBatchThreads:
+    """A pairwise-centroid batch of several chunks is labelled on two threads."""
+
+    @staticmethod
+    def classifier_and_batch(clouds):
+        # N = 64, D = 2: 32 clouds a chunk
+        rng = np.random.default_rng(clouds)
+        ref = PointCloud(rng.standard_normal((64, 2)))
+        batch = ref.data + 0.1 * rng.standard_normal((clouds, 64, 2))
+        distance = np.linalg.norm(reference_profile(batch) - reference_profile(ref.data[None]), axis=1)
+        return make_classifier("pairwise-centroid", float(np.median(distance)), ref), batch
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        g, batch = self.classifier_and_batch(100)
+        before = threading.active_count()
+        seen = raising_profile(monkeypatch, on_caller=False, on_worker=False)
+        g.predict_batch(batch)
+        assert len(seen) == 2
+        assert threading.active_count() == before
+        raising_profile(monkeypatch, on_caller=False, on_worker=True)
+        with pytest.raises(RuntimeError, match="on the worker"):
+            g.predict_batch(batch)
+        assert threading.active_count() == before
+
+    def test_one_chunk_starts_no_worker(self, monkeypatch):
+        g, batch = self.classifier_and_batch(32)
+        seen = raising_profile(monkeypatch, on_caller=False, on_worker=False)
+        g.predict_batch(batch)
+        g.predict(PointCloud(batch[0]))
+        assert seen == {threading.get_ident()}
+
+    def test_caller_error_wins(self, monkeypatch):
+        g, batch = self.classifier_and_batch(100)
+        raising_profile(monkeypatch, on_caller=True, on_worker=True)
+        with pytest.raises(RuntimeError, match="on the caller"):
+            g.predict_batch(batch)
+
+    def test_concurrent_callers_agree(self):
+        # more callers than cores share one classifier, each with its own worker
+        g, batch = self.classifier_and_batch(300)
+        expected = g.predict_batch(batch)
+        assert 0 < expected.sum() < 300
+        results = [None] * 4
+
+        def run(i):
+            results[i] = g.predict_batch(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(np.array_equal(r, expected) for r in results)
 
 
 class TestHaarOracleSo2:
