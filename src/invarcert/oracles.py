@@ -101,8 +101,7 @@ class SyntheticClassifier:
                 profile = _distance_profile(batch[start : start + rows], pairs)
                 dist[start : start + rows] = np.linalg.norm(profile - self.signature, axis=1)
 
-        chunks = -(-len(batch) // rows)
-        cut = min(len(batch), -(-chunks // 2) * rows)
+        cut = min(len(batch), -(-len(batch) // (2 * rows)) * rows)  # after half the chunks
         if cut == len(batch):
             label(0, cut)
         else:
