@@ -471,11 +471,11 @@ def certify_multiclass(
         )
     radius = multiclass_radius(pa, pb, sigma)
     if group in _ROTATION_KINDS:
-        ss = np.random.SeedSequence(seed)
-        seed_lower, seed_upper = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
+        # both stages read the call's own seed: the lower stage is
+        # certify_tight's outcome, and the upper stage reads the same draws
         problem = _rotation_problem(group, x, x_prime, sigma)
-        outcome = mc_engine.prob_certify_reduced(problem, mc, seed_lower, p_lower=pa)
-        upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed_upper, p_upper=pb)
+        outcome = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=pa)
+        upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=pb)
         return replace(
             outcome,
             certified=outcome.bound_value > upper,
