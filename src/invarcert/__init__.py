@@ -54,6 +54,7 @@ from .tight import (
     build_so3_problem,
     certify_multiclass,
     certify_tight,
+    certify_tight_and_multiclass,
     inverse_certificate,
     multiclass_radius,
     pmin_grid,
@@ -110,6 +111,7 @@ __all__ = [
     "build_so3_problem",
     "certify_multiclass",
     "certify_tight",
+    "certify_tight_and_multiclass",
     "inverse_certificate",
     "multiclass_radius",
     "pmin_grid",

@@ -36,7 +36,7 @@ from .mc import ABSTAIN, McConfig, smooth_predict
 from .numerics import NumericalFailure, std_normal_cdf
 from .oracles import CLASSIFIER_GROUPS, make_classifier
 from .orbit import CertificateOutcome, certify_orbit, project
-from .tight import certify_multiclass, certify_tight, pmin_grid
+from .tight import certify_multiclass, certify_tight_and_multiclass, pmin_grid
 
 _GROUPS = sorted(kind.value for kind in GroupKind)
 
@@ -177,16 +177,19 @@ def cmd_certify(args) -> dict:
         results["orbit"] = _outcome_dict(
             certify_orbit(group, clean, perturbed, p_lower, args.sigma)
         )
+    multiclass = None
     if args.method in ("tight", "both"):
-        results["tight"] = _outcome_dict(
-            certify_tight(group, clean, perturbed, p_lower, args.sigma, mc, args.seed)
+        # one call, so that a rotation's tight and multiclass bounds share draws
+        tight, multiclass = certify_tight_and_multiclass(
+            group, clean, perturbed, p_lower, args.sigma, mc, args.seed, p_upper=args.p_upper
         )
-    if args.multiclass:
-        results["multiclass"] = _outcome_dict(
-            certify_multiclass(
-                group, clean, perturbed, p_lower, args.p_upper, args.sigma, mc, args.seed
-            )
+        results["tight"] = _outcome_dict(tight)
+    elif args.multiclass:
+        multiclass = certify_multiclass(
+            group, clean, perturbed, p_lower, args.p_upper, args.sigma, mc, args.seed
         )
+    if multiclass is not None:
+        results["multiclass"] = _outcome_dict(multiclass)
     return results
 
 

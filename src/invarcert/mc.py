@@ -3,7 +3,11 @@ procedures on one two-sample core, plus smoothed prediction with abstention.
 
 A reduced problem is two Gaussian means sharing one covariance, plus the
 likelihood-ratio statistic that compares them; the core draws both samples
-through the problem's one cached covariance factor.
+through the problem's one cached covariance factor.  The lower and upper
+procedures read one pair of samples for a seed, the sorted clean statistic
+and the perturbed statistic, drawn once per problem.  So the lower stage of
+a multi-class certificate is the tight certificate itself, with the same
+seed and the same draws, and its upper stage reads the same pair.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
@@ -11,7 +15,10 @@ threshold, and a final binomial bound, at significances (alpha, alpha/2,
 alpha/3).  The first stage is ``smooth_predict``'s: the procedures here take
 its p_lower (or any caller's) as an argument.  By the union bound all three
 hold jointly with probability at least 1 - 11 alpha / 6, not 1 - alpha; the
-reported ``confidence`` still reads 1 - alpha.
+reported ``confidence`` still reads 1 - alpha.  Sharing draws needs no
+independence between the lower and the upper bound: each keeps its own
+coverage, and the union bound charges a multi-class verdict alpha/2 +
+alpha/3 for each stage, plus p_lower's alpha.
 """
 
 from __future__ import annotations
@@ -186,31 +193,55 @@ def _count(values: np.ndarray, kappa: float, share: float, below: bool) -> int:
     return int(np.count_nonzero(values > kappa)) + int(math.floor((1.0 - share) * eq))
 
 
-def _two_sample(
+def _draw(
     problem,
     rngs: tuple[np.random.Generator, np.random.Generator],
     threshold_mean: np.ndarray,
     n_threshold: int,
     count_mean: np.ndarray,
     n_count: int,
-    n_star: int,
-    below: bool,
-) -> tuple[float, int]:
-    """The skeleton shared by the three procedures: kappa is the n_star-th
-    ascending order statistic of n_threshold draws of the statistic under the
-    problem's Gaussian centred at threshold_mean; count is how many of n_count
-    draws centred at count_mean fall below kappa (or above it), ties split at
-    kappa's share.  Both draws share the problem's covariance factor and
-    statistic."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The statistic at n_threshold draws from the problem's Gaussian centred
+    at threshold_mean, sorted, and at n_count draws centred at count_mean.
+    Both draws share the problem's covariance factor and statistic."""
     rng_threshold, rng_count = rngs
     # only the values are used: with NaN rejected and no -0.0 among the
     # statistics, every sort kind returns the same array
     threshold_values = np.sort(
         _statistic_values(problem, threshold_mean, n_threshold, rng_threshold)
     )
-    kappa, share = _threshold_with_share(threshold_values, n_star)
     count_values = _statistic_values(problem, count_mean, n_count, rng_count)
+    return threshold_values, count_values
+
+
+def _cut(
+    threshold_values: np.ndarray, count_values: np.ndarray, n_star: int, below: bool
+) -> tuple[float, int]:
+    """kappa is the n_star-th of the sorted threshold_values; count is how
+    many count_values fall below kappa (or above it), ties split at kappa's
+    share."""
+    kappa, share = _threshold_with_share(threshold_values, n_star)
     return kappa, _count(count_values, kappa, share, below)
+
+
+def _clean_and_perturbed(problem, mc: McConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of samples behind the lower and the upper bound: the sorted
+    statistic at mc.n2 clean draws from child 2 of ``SeedSequence(seed)
+    .spawn(3)``, and at mc.n3 perturbed draws from child 3.  Drawn on the
+    first call for (n2, n3, seed) and kept, read-only, in the problem's
+    ``statistic_samples``, so both procedures on one problem draw once."""
+    key = (mc.n2, mc.n3, seed)
+    if key not in problem.statistic_samples:
+        # three streams, the first unused: spawning two would change every
+        # draw and so every pinned value
+        _, rng2, rng3 = _generators(seed, 3)
+        drawn = _draw(
+            problem, (rng2, rng3), problem.mean_clean, mc.n2, problem.mean_perturbed, mc.n3
+        )
+        for values in drawn:
+            values.setflags(write=False)
+        problem.statistic_samples[key] = drawn
+    return problem.statistic_samples[key]
 
 
 def prob_certify_reduced(
@@ -231,9 +262,6 @@ def prob_certify_reduced(
     confidence stays conservative.  Every outcome carries the note
     "p-lower-supplied".
     """
-    # three streams, the first unused (as in prob_certify_upper_reduced):
-    # spawning two would change every draw and so every pinned value
-    _, rng2, rng3 = _generators(seed, 3)
     notes = ["p-lower-supplied"]
     p_eff, clamped = clamp_probability(p_lower)
     if clamped:
@@ -243,10 +271,7 @@ def prob_certify_reduced(
     if n_star is None:
         notes.append("threshold-undetermined")
     else:
-        kappa, count = _two_sample(
-            problem, (rng2, rng3),
-            problem.mean_clean, mc.n2, problem.mean_perturbed, mc.n3, n_star, below=True,
-        )
+        kappa, count = _cut(*_clean_and_perturbed(problem, mc, seed), n_star, below=True)
         bound = clopper_pearson_lower(count, mc.n3, 1.0 - mc.alpha / 3.0)
     return CertificateOutcome(
         certified=bound > 0.5,
@@ -277,15 +302,11 @@ def prob_certify_upper_reduced(
     the certificate sound; returns the vacuous bound 1.0 when no order
     statistic qualifies.
     """
-    _, rng2, rng3 = _generators(seed, 3)
     p_eff, _ = clamp_probability(p_upper)
     n_star = lower_quantile_index(mc.n2, 1.0 - p_eff, mc.alpha / 2.0)
     if n_star is None:
         return 1.0
-    _, count = _two_sample(
-        problem, (rng2, rng3),
-        problem.mean_clean, mc.n2, problem.mean_perturbed, mc.n3, n_star, below=False,
-    )
+    _, count = _cut(*_clean_and_perturbed(problem, mc, seed), n_star, below=False)
     return clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 3.0)
 
 
@@ -301,10 +322,8 @@ def inverse_certify_reduced(problem, mc: McConfig, seed: int) -> float:
     n_star = upper_quantile_index(mc.n2, 0.5, mc.alpha)
     if n_star is None:
         return 1.0
-    _, count = _two_sample(
-        problem, rngs,
-        problem.mean_perturbed, mc.n2, problem.mean_clean, mc.n3, n_star, below=True,
-    )
+    drawn = _draw(problem, rngs, problem.mean_perturbed, mc.n2, problem.mean_clean, mc.n3)
+    _, count = _cut(*drawn, n_star, below=True)
     p_min = clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 2.0)
     # any certificate needs p > 1/2, so 1/2 is a free lower bound on p_min
     return min(max(p_min, 0.5), 1.0)

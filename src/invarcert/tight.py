@@ -80,6 +80,13 @@ class RotationCertProblem:
         by every draw from either mean.  An invalid covariance raises there."""
         return psd_factor(self.covariance)
 
+    @functools.cached_property
+    def statistic_samples(self) -> dict:
+        """Statistic samples drawn on this problem, filled by the Monte-Carlo
+        engine: procedures that read the same streams of one seed draw them
+        once."""
+        return {}
+
 
 def so2_problem_from_params(
     norm_x: float, norm_delta: float, eps1: float, eps2: float, sigma: float
@@ -402,19 +409,54 @@ def certify_tight(
     classifier invariant under group.  Translation has the closed form
     Phi(Phi^-1(p) - ||Delta - 1 mean(Delta)|| / sigma), which ignores mc and
     seed; rotation and roto-translation get the Monte-Carlo bound."""
-    if group is not GroupKind.TRANSLATION:
-        problem = _rotation_problem(group, x, x_prime, sigma)
-        outcome = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
-        return replace(outcome, method=f"tight-{group.value}{x.dim}")
-    notes = []
-    p_eff, clamped = clamp_probability(p_lower)
-    if clamped:
-        notes.append("p-lower-clamped")
-    proj = project_translation(x, x_prime)
-    outcome = shift_outcome(
-        p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
+    return certify_tight_and_multiclass(group, x, x_prime, p_lower, sigma, mc, seed)[0]
+
+
+def certify_tight_and_multiclass(
+    group: GroupKind,
+    x: PointCloud,
+    x_prime: PointCloud,
+    p_lower: float,
+    sigma: float,
+    mc: McConfig,
+    seed: int,
+    p_upper: float | None = None,
+) -> tuple[CertificateOutcome, CertificateOutcome | None]:
+    """``certify_tight``'s outcome and, when p_upper is given,
+    ``certify_multiclass``'s with pa_lower = p_lower (else None).  For
+    rotation and roto-translation both come from one reduced problem: the
+    multiclass lower stage is the tight outcome itself, and its upper stage
+    reads the same pair of statistic samples."""
+    if group is GroupKind.TRANSLATION:
+        notes = []
+        p_eff, clamped = clamp_probability(p_lower)
+        if clamped:
+            notes.append("p-lower-clamped")
+        proj = project_translation(x, x_prime)
+        outcome = shift_outcome(
+            p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
+        )
+        tight = replace(outcome, certified=outcome.bound_value > 0.5)
+        if p_upper is None:
+            return tight, None
+        return tight, certify_multiclass(group, x, x_prime, p_lower, p_upper, sigma, mc, seed)
+    problem = _rotation_problem(group, x, x_prime, sigma)
+    lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
+    tight = replace(lower, method=f"tight-{group.value}{x.dim}")
+    if p_upper is None:
+        return tight, None
+    pa, pb, notes, refused = _multiclass_inputs(group, x, x_prime, p_lower, p_upper, sigma)
+    if refused is not None:
+        return tight, refused
+    upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=pb)
+    # a clamped pa is reported once, by the multiclass "p-clamped" note
+    lower_notes = tuple(note for note in lower.notes if note != "p-lower-clamped")
+    return tight, replace(
+        lower,
+        certified=lower.bound_value > upper,
+        method=f"multiclass-tight-{group.value}{x.dim}",
+        notes=lower_notes + tuple(notes) + (f"competitor-upper={upper!r}",),
     )
-    return replace(outcome, certified=outcome.bound_value > 0.5)
 
 
 def inverse_certificate(
@@ -437,6 +479,39 @@ def inverse_certificate(
     return std_normal_cdf(project(group, x, x_prime).residual / sigma)
 
 
+def _multiclass_inputs(
+    group: GroupKind | None,
+    x: PointCloud,
+    x_prime: PointCloud,
+    pa_lower: float,
+    pb_upper: float,
+    sigma: float,
+) -> tuple[float, float, list[str], CertificateOutcome | None]:
+    """certify_multiclass's checks: the clamped pa and pb, the notes so far,
+    and the uncertified outcome when pa <= pb (else None)."""
+    check_sigma(sigma, "certify_multiclass")
+    _check_shapes(x, x_prime)
+    if group is not None and not isinstance(group, GroupKind):
+        raise ValueError(f"certify_multiclass: unsupported group {group!r}")
+    notes = []
+    pa, clamped_a = clamp_probability(pa_lower)
+    pb, clamped_b = clamp_probability(pb_upper)
+    if clamped_a or clamped_b:
+        notes.append("p-clamped")
+    refused = None
+    if pa <= pb:
+        refused = CertificateOutcome(
+            certified=False,
+            bound_value=0.0,
+            radius=0.0,
+            p_lower=pa,
+            confidence=1.0,
+            method="multiclass",
+            notes=tuple(notes) + ("pa-not-above-pb",),
+        )
+    return pa, pb, notes, refused
+
+
 def certify_multiclass(
     group: GroupKind | None,
     x: PointCloud,
@@ -449,41 +524,26 @@ def certify_multiclass(
 ) -> CertificateOutcome:
     """Certified iff the lower bound for the top class beats the upper bound
     for the runner-up.  Closed forms collapse to the radius comparison
-    (sigma/2) (Phi^-1(pA) - Phi^-1(pB))."""
-    check_sigma(sigma, "certify_multiclass")
-    _check_shapes(x, x_prime)
-    if group is not None and not isinstance(group, GroupKind):
-        raise ValueError(f"certify_multiclass: unsupported group {group!r}")
-    notes = []
-    pa, clamped_a = clamp_probability(pa_lower)
-    pb, clamped_b = clamp_probability(pb_upper)
-    if clamped_a or clamped_b:
-        notes.append("p-clamped")
-    if pa <= pb:
-        return CertificateOutcome(
-            certified=False,
-            bound_value=0.0,
-            radius=0.0,
-            p_lower=pa,
-            confidence=1.0,
-            method="multiclass",
-            notes=tuple(notes) + ("pa-not-above-pb",),
-        )
-    radius = multiclass_radius(pa, pb, sigma)
+    (sigma/2) (Phi^-1(pA) - Phi^-1(pB)).
+
+    For rotation and roto-translation the lower stage is
+    ``certify_tight(group, x, x_prime, pa_lower, sigma, mc, seed)`` itself,
+    with the same seed and the same draws, and the upper bound is
+    ``prob_certify_upper_reduced`` on the same problem and seed: both stages
+    read one pair of statistic samples.  Each bound keeps its own coverage,
+    so the union bound charges the verdict alpha/2 + alpha/3 for each stage,
+    plus the alpha of whatever produced pa_lower and pb_upper.
+    """
+    pa, pb, notes, refused = _multiclass_inputs(group, x, x_prime, pa_lower, pb_upper, sigma)
+    if refused is not None:
+        return refused
     if group in _ROTATION_KINDS:
-        # both stages read the call's own seed: the lower stage is
-        # certify_tight's outcome, and the upper stage reads the same draws
-        problem = _rotation_problem(group, x, x_prime, sigma)
-        outcome = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=pa)
-        upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=pb)
-        return replace(
-            outcome,
-            certified=outcome.bound_value > upper,
-            method=f"multiclass-tight-{group.value}{x.dim}",
-            notes=outcome.notes + tuple(notes) + (f"competitor-upper={upper!r}",),
-        )
+        return certify_tight_and_multiclass(
+            group, x, x_prime, pa_lower, sigma, mc, seed, p_upper=pb_upper
+        )[1]
     # closed form: Theorem-2 post-processing of the multiclass ball.  For the
     # black box and T the bound is tight, so the competitor's is reported too.
+    radius = multiclass_radius(pa, pb, sigma)
     proj = project(group, x, x_prime)
     if group is None or group is GroupKind.TRANSLATION:
         method = "multiclass-blackbox" if group is None else "multiclass-T"

@@ -63,10 +63,13 @@ def test_traced_spans_stay_on_calling_thread(monkeypatch):
     try:
         for kind in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION):
             invarcert.tight.certify_tight(kind, x, x_prime, 0.8, 0.5, mc, seed=1)
+            invarcert.tight.certify_multiclass(kind, x, x_prime, 0.8, 0.1, 0.5, mc, seed=1)
         invarcert.mc.smooth_predict(g, reference, 0.1, 100, 0.01, seed=2)
     finally:
         tracer.uninstall()
-    assert {"tight.statistic", "oracles.predict_batch"} <= {layer for layer, _ in threads}
+    assert {"tight.statistic", "mc.reduced", "oracles.predict_batch"} <= {
+        layer for layer, _ in threads
+    }
     assert {ident for _, ident in threads} == {threading.get_ident()}
 
 

@@ -422,6 +422,32 @@ class TestCertify:
         assert "--n1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_se3_multiclass_draws_once(self, tmp_path, capsys, monkeypatch):
+        # the tight and both multiclass stages read one clean and one
+        # perturbed sample: the statistic runs on n2 rows, then on n3
+        from invarcert.tight import LikelihoodStatistic
+
+        rows = []
+        real_call = LikelihoodStatistic.__call__
+
+        def counting_call(self, samples):
+            rows.append(np.atleast_2d(samples).shape[0])
+            return real_call(self, samples)
+
+        monkeypatch.setattr(LikelihoodStatistic, "__call__", counting_call)
+        rng = np.random.default_rng(52)
+        data = rng.standard_normal((6, 3))
+        clean, perturbed = _write_pair(tmp_path, data, data + 0.1 * rng.standard_normal((6, 3)))
+        code, doc = _run(
+            capsys, "certify", "--group", "SE", "--method", "both", "--multiclass",
+            "--clean", clean, "--perturbed", perturbed, "--sigma", "0.5",
+            "--p-lower", "0.9", "--p-upper", "0.05", "--seed", "1", "--n2", "300", "--n3", "200",
+        )
+        assert code == 0
+        assert rows == [300, 200]
+        results = doc["results"]
+        assert results["multiclass"]["bound_value"] == results["tight"]["bound_value"]
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import invarcert.tight as tight_mod
         from invarcert.tight import LikelihoodStatistic

@@ -11,8 +11,9 @@ from invarcert.mc import (
     ABSTAIN,
     McConfig,
     _count,
+    _cut,
+    _draw,
     _threshold_with_share,
-    _two_sample,
     inverse_certify_reduced,
     lower_quantile_index,
     prob_certify_reduced,
@@ -186,10 +187,11 @@ class TestTwoSample:
     def test_matches_stable_sort_reference(self, name, n_star, below):
         statistic = LikelihoodStatistic(dim=1, evaluator=self.STATISTICS[name])
         problem = dataclasses.replace(blackbox_reduced_problem(0.3, 1.0), statistic=statistic)
-        got = _two_sample(
+        drawn = _draw(
             problem, (np.random.default_rng(1), np.random.default_rng(2)),
-            problem.mean_clean, 1000, problem.mean_perturbed, 1000, n_star, below,
+            problem.mean_clean, 1000, problem.mean_perturbed, 1000,
         )
+        got = _cut(*drawn, n_star, below)
         threshold = statistic(
             sample_gaussian(problem.mean_clean, 1000, np.random.default_rng(1), problem.factor)
         )

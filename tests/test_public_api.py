@@ -25,6 +25,7 @@ PUBLIC_NAMES = [
     "certify_multiclass",
     "certify_orbit",
     "certify_tight",
+    "certify_tight_and_multiclass",
     "clopper_pearson_lower",
     "clopper_pearson_upper",
     "epsilon_params",

@@ -1,6 +1,7 @@
 """Tight certificates: closed-form translation, reduced rotation problems,
 multi-class combination, inverse certificates and the parameter grid."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -37,6 +38,7 @@ from invarcert.tight import (
     build_so3_problem,
     certify_multiclass,
     certify_tight,
+    certify_tight_and_multiclass,
     devec9,
     inverse_certificate,
     multiclass_radius,
@@ -819,6 +821,88 @@ class TestClosedFormsAgree:
                 assert f"competitor-upper={upper!r}" in multi.notes
             pmin = inverse_certificate(group, x, xp, sigma, FAST_MC, seed=1)
             assert pmin == std_normal_cdf(residual / sigma)
+
+
+class TestSharedDraws:
+    """An SO or SE multiclass certificate reads the tight certificate's draws:
+    its lower stage is certify_tight at the same seed, and its upper bound is
+    prob_certify_upper_reduced on the same problem and seed.  This extends the
+    translation-only equality of TestClosedFormsAgree to the Monte-Carlo
+    groups."""
+
+    MC = McConfig(n2=1000, n3=1000, alpha=0.001)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
+                             ids=["SO", "SE"])
+    def test_multiclass_reads_tight_draws(self, kind, dim):
+        rng = np.random.default_rng(60 + dim)
+        for seed in (3, 4):
+            x, xp = _pair(rng, 6, dim, scale=0.1)
+            sigma, pa, pb = 0.5, 0.9, 0.05
+            tight = certify_tight(kind, x, xp, pa, sigma, self.MC, seed)
+            multi = certify_multiclass(kind, x, xp, pa, pb, sigma, self.MC, seed)
+            assert multi.bound_value == tight.bound_value
+            assert multi.kappa_log == tight.kappa_log
+            if kind is GroupKind.ROTO_TRANSLATION:
+                x, xp = center(x), center(xp)
+            build = build_so2_problem if dim == 2 else build_so3_problem
+            upper = prob_certify_upper_reduced(build(x, xp, sigma), self.MC, seed, p_upper=pb)
+            assert multi.notes[-1] == f"competitor-upper={upper!r}"
+            assert multi.certified == (tight.bound_value > upper)
+            assert multi.method == f"multiclass-tight-{kind.value}{dim}"
+
+    @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
+                             ids=["SO", "SE"])
+    def test_one_call_returns_both(self, kind):
+        x, xp = _pair(np.random.default_rng(64), 5, 2)
+        tight = certify_tight(kind, x, xp, 0.9, 0.5, self.MC, 5)
+        multi = certify_multiclass(kind, x, xp, 0.9, 0.05, 0.5, self.MC, 5)
+        assert certify_tight_and_multiclass(kind, x, xp, 0.9, 0.5, self.MC, 5) == (tight, None)
+        assert certify_tight_and_multiclass(
+            kind, x, xp, 0.9, 0.5, self.MC, 5, p_upper=0.05
+        ) == (tight, multi)
+        refused = certify_tight_and_multiclass(kind, x, xp, 0.3, 0.5, self.MC, 5, p_upper=0.4)
+        assert refused == (certify_tight(kind, x, xp, 0.3, 0.5, self.MC, 5),
+                           certify_multiclass(kind, x, xp, 0.3, 0.4, 0.5, self.MC, 5))
+        assert "pa-not-above-pb" in refused[1].notes
+
+    def test_clamped_pa_reported_once(self):
+        x, xp = _pair(np.random.default_rng(65), 5, 2, scale=0.05)
+        tight, multi = certify_tight_and_multiclass(SO2, x, xp, 1.0, 0.5, self.MC, 6, p_upper=0.0)
+        assert tight.notes == ("p-lower-supplied", "p-lower-clamped")
+        assert multi.notes[:2] == ("p-lower-supplied", "p-clamped")
+        assert multi.bound_value == tight.bound_value
+
+    def test_problem_draws_once_per_seed(self):
+        x, xp = _pair(np.random.default_rng(66), 5, 2)
+        rows = []
+        statistic = rho_so2()
+
+        def counting(q):
+            rows.append(q.shape[0])
+            return statistic(q)
+
+        problem = dataclasses.replace(
+            build_so2_problem(x, xp, 0.5), statistic=LikelihoodStatistic(4, counting)
+        )
+        mc = McConfig(n2=300, n3=200, alpha=0.001)
+        for seed in (7, 8):
+            lower = prob_certify_reduced(problem, mc, seed, p_lower=0.9)
+            upper = prob_certify_upper_reduced(problem, mc, seed, p_upper=0.05)
+            again = prob_certify_reduced(problem, mc, seed, p_lower=0.8)
+            # a fresh problem draws the same values
+            fresh = build_so2_problem(x, xp, 0.5)
+            assert upper == prob_certify_upper_reduced(fresh, mc, seed, p_upper=0.05)
+            assert lower == prob_certify_reduced(fresh, mc, seed, p_lower=0.9)
+            assert again == prob_certify_reduced(fresh, mc, seed, p_lower=0.8)
+        assert rows == [300, 200, 300, 200]
+        for values in problem.statistic_samples.values():
+            assert not any(v.flags.writeable for v in values)
+        # the inverse procedure reads other streams and keeps no samples
+        inverse_certify_reduced(problem, mc, 7)
+        assert rows[4:] == [300, 200]
+        assert len(problem.statistic_samples) == 2
 
 
 class TestMulticlassValidation:
