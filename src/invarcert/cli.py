@@ -45,10 +45,9 @@ _TIGHT_GROUPS = {"T", "SO", "SE"}
 # float flags that must be finite numbers (argparse's float() takes "nan" and "inf")
 _FINITE_FLAGS = ("sigma", "tau", "norm_x", "norm_delta", "theta")
 
-_READ_PATHS = ("clean", "perturbed", "input")
 _NOT_PARAMETERS = {
     "func", "command", "out", "out_csv", "out_clean", "out_perturbed",
-    *_READ_PATHS,
+    "clean", "perturbed", "input", "sha256",
 }
 
 
@@ -56,23 +55,23 @@ class UsageError(Exception):
     """Input or flag error; maps to exit code 2."""
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
-
-
-def _load_cloud(path: str, flag: str) -> PointCloud:
+def _load_cloud(args, name: str) -> PointCloud:
+    """The cloud in the file that flag --name names, read once: the bytes
+    parsed are the bytes whose digest the manifest lists in args.sha256."""
+    path = getattr(args, name)
     try:
-        return load_points_csv(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        cloud = load_points_csv(path, data)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
+        raise UsageError(f"--{name}: {exc}") from exc
+    args.sha256[name] = hashlib.sha256(data).hexdigest()
+    return cloud
 
 
 def _load_pair(args) -> tuple[PointCloud, PointCloud]:
-    clean = _load_cloud(args.clean, "--clean")
-    perturbed = _load_cloud(args.perturbed, "--perturbed")
+    clean = _load_cloud(args, "clean")
+    perturbed = _load_cloud(args, "perturbed")
     if clean.data.shape != perturbed.data.shape:
         raise UsageError("--perturbed: shape differs from --clean")
     return clean, perturbed
@@ -88,8 +87,8 @@ def _outcome_dict(outcome: CertificateOutcome) -> dict:
 
 def _document(args, results: dict) -> dict:
     """Output document; the manifest's parameters are every parsed flag except
-    the file paths, and each read path is listed under inputs with its
-    digest."""
+    the file paths, and each file read is listed under inputs with the
+    digest of the bytes parsed."""
     flags = vars(args)
     return {
         "schema": 1,
@@ -98,8 +97,7 @@ def _document(args, results: dict) -> dict:
             "command": args.command,
             "parameters": {k: v for k, v in flags.items() if k not in _NOT_PARAMETERS},
             "inputs": {
-                k: {"path": flags[k], "sha256": _sha256(flags[k])}
-                for k in _READ_PATHS if k in flags
+                k: {"path": flags[k], "sha256": digest} for k, digest in args.sha256.items()
             },
             "version": __version__,
         },
@@ -204,7 +202,7 @@ def cmd_project(args) -> dict:
 
 
 def cmd_smooth_predict(args) -> dict:
-    cloud = _load_cloud(args.input, "--input")
+    cloud = _load_cloud(args, "input")
     label, p_lower = _label_and_p_lower(args, cloud)
     return {
         "label": "ABSTAIN" if label == ABSTAIN else label,
@@ -389,6 +387,7 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    args.sha256 = {}   # flag name -> digest of each file read, filled by _load_cloud
     try:
         _check_float_flags(args)
         _emit(_document(args, args.func(args)), args.out)

@@ -8,6 +8,7 @@ row-broadcast vector.
 from __future__ import annotations
 
 import enum
+import io
 import math
 from dataclasses import dataclass
 
@@ -134,24 +135,29 @@ def adversarial_rotation_locus(norm_x: float, norm_delta: float) -> list[Epsilon
     ]
 
 
-def load_points_csv(path) -> PointCloud:
-    """Read the shared CSV point format: one row per point, no header."""
+def load_points_csv(path, data: bytes | None = None) -> PointCloud:
+    """Read the shared CSV point format: one row per point, no header, UTF-8
+    with or without a byte-order mark.  ``data``, when given, is the file's
+    content already read, and ``path`` only names it in error messages."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(f"{path}: ragged row at line {lineno}")
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric field at line {lineno}") from exc
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(f"{path}: ragged row at line {lineno}")
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric field at line {lineno}") from exc
     if not rows:
         raise ValueError(f"{path}: no points")
     return PointCloud(np.array(rows))

@@ -1,6 +1,7 @@
 """Command-line interface: flags, JSON/CSV outputs, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 
@@ -467,6 +468,78 @@ class TestCertify:
             ]
         )
         assert code == 3
+
+
+class TestInputFiles:
+    """Each input file is read once per call, and the manifest digests the
+    bytes that were parsed."""
+
+    COMMANDS = {
+        "certify": ["certify", "--group", "SO", "--sigma", "0.5", "--p-lower", "0.9",
+                    "--seed", "1", "--n2", "200", "--n3", "200"],
+        "project": ["project", "--group", "SE"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_input_opened_once(self, tmp_path, capsys, monkeypatch, command):
+        import builtins
+
+        rng = np.random.default_rng(50)
+        data = rng.standard_normal((5, 2))
+        clean, perturbed = _write_pair(tmp_path, data, data + 0.1)
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        code, doc = _run(capsys, *self.COMMANDS[command], "--clean", clean, "--perturbed", perturbed)
+        monkeypatch.undo()
+        assert code == 0
+        assert opened.count(clean) == opened.count(perturbed) == 1
+        for flag, path in (("clean", clean), ("perturbed", perturbed)):
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert doc["manifest"]["inputs"][flag] == {"path": path, "sha256": digest}
+
+    def test_digest_is_of_bytes_parsed(self, tmp_path, capsys, monkeypatch):
+        import invarcert.cli as cli_mod
+
+        data = np.eye(2) * 0.3
+        clean, perturbed = _write_pair(tmp_path, data, data + 0.05)
+        with open(clean, "rb") as fh:
+            parsed = fh.read()
+        load = cli_mod.load_points_csv
+
+        def load_then_rewrite(path, *args):
+            cloud = load(path, *args)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("9.0,9.0\n9.0,9.0\n")
+            return cloud
+
+        monkeypatch.setattr(cli_mod, "load_points_csv", load_then_rewrite)
+        code, doc = _run(capsys, *self.COMMANDS["project"], "--clean", clean, "--perturbed", perturbed)
+        assert code == 0
+        assert doc["manifest"]["inputs"]["clean"]["sha256"] == hashlib.sha256(parsed).hexdigest()
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        data = np.random.default_rng(51).standard_normal((4, 2))
+        clean, perturbed = _write_pair(tmp_path, data, data + 0.2)
+        with open(clean, "rb") as fh:
+            plain = fh.read()
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain)
+        docs = []
+        for path in (clean, str(bom)):
+            code, doc = _run(capsys, *self.COMMANDS["certify"], "--clean", path, "--perturbed", perturbed)
+            assert code == 0
+            docs.append(doc)
+        assert docs[0]["results"] == docs[1]["results"]
+        assert docs[1]["manifest"]["inputs"]["clean"]["sha256"] == hashlib.sha256(
+            bom.read_bytes()
+        ).hexdigest()
 
 
 class TestNonFinite:

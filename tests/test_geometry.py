@@ -232,3 +232,15 @@ class TestTypesAndCsv:
         path.write_text("1.0,x\n")
         with pytest.raises(ValueError):
             load_points_csv(path)
+
+    def test_csv_byte_order_mark_is_skipped(self, tmp_path):
+        plain = b"1.0,2.0\r\n-3.5,4.25\n"
+        with_bom = tmp_path / "bom.csv"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + plain)
+        without = tmp_path / "plain.csv"
+        without.write_bytes(plain)
+        expected = load_points_csv(without).data
+        assert np.array_equal(expected, [[1.0, 2.0], [-3.5, 4.25]])
+        assert np.array_equal(load_points_csv(with_bom).data, expected)
+        # content already read parses like the file it came from
+        assert np.array_equal(load_points_csv(with_bom, with_bom.read_bytes()).data, expected)
