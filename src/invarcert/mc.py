@@ -226,10 +226,11 @@ def _cut(
 
 def _clean_and_perturbed(problem, mc: McConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The pair of samples behind the lower and the upper bound: the sorted
-    statistic at mc.n2 clean draws from child 2 of ``SeedSequence(seed)
-    .spawn(3)``, and at mc.n3 perturbed draws from child 3.  Drawn on the
-    first call for (n2, n3, seed) and kept, read-only, in the problem's
-    ``statistic_samples``, so both procedures on one problem draw once."""
+    statistic at mc.n2 clean draws from the second child of
+    ``SeedSequence(seed).spawn(3)``, and at mc.n3 perturbed draws from the
+    third.  Drawn on the first call for (n2, n3, seed) and kept, read-only,
+    in the problem's ``statistic_samples``, so both procedures on one problem
+    draw once."""
     key = (mc.n2, mc.n3, seed)
     if key not in problem.statistic_samples:
         # three streams, the first unused: spawning two would change every
