@@ -23,6 +23,7 @@ from invarcert.mc import (
 )
 from invarcert.numerics import (
     NumericalFailure,
+    binomial_log_cdf_all,
     clopper_pearson_lower,
     sample_gaussian,
     std_normal_quantile,
@@ -279,3 +280,42 @@ class TestOrderStatisticBounds:
 
     def test_no_index_when_rate_too_low(self):
         assert lower_quantile_index(100, 1e-9, 0.0005) is None
+
+    QUANTILE_ALPHA = 1e-3
+
+    @staticmethod
+    def _brute_lower(trials, level, significance):
+        # largest n >= 1 with log Pr[Bin(trials, level) <= n] < log significance
+        logcdf = binomial_log_cdf_all(trials, level)
+        found = None
+        for n in range(1, trials + 1):
+            if logcdf[n] < math.log(significance):
+                found = n
+        return found
+
+    @staticmethod
+    def _brute_upper(trials, level, significance):
+        # smallest n >= 1 with log Pr[Bin(trials, level) >= n] < log significance,
+        # the tail read as Pr[Bin(trials, 1 - level) <= trials - n]
+        logcdf = binomial_log_cdf_all(trials, 1.0 - level)
+        for n in range(trials + 1):
+            if logcdf[trials - n] < math.log(significance):
+                return max(n, 1)
+        return None
+
+    @pytest.mark.parametrize("trials", [100, 101, 1000, 10_000])
+    def test_indices_match_their_definitions(self, trials):
+        alpha = self.QUANTILE_ALPHA
+        got = {"lower": [], "upper": []}
+        for level in (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9):
+            for significance in (alpha, alpha / 2.0, alpha / 3.0):
+                lower = lower_quantile_index(trials, level, significance)
+                upper = upper_quantile_index(trials, level, significance)
+                assert lower == self._brute_lower(trials, level, significance)
+                assert upper == self._brute_upper(trials, level, significance)
+                got["lower"].append(lower)
+                got["upper"].append(upper)
+        # both None edges are reached, and so are proper indices
+        for indices in got.values():
+            assert None in indices
+            assert any(n is not None for n in indices)
