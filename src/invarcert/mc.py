@@ -115,37 +115,38 @@ def smooth_predict(
     return label, p_lower
 
 
-# Pure in their arguments, and pmin_grid asks every cell for the same index,
-# so both are cached; each returns an int or None, never a mutable value.
-@functools.lru_cache(maxsize=64)
+# Pure in its arguments, and pmin_grid asks every cell for the same index, so
+# it is cached; it returns an int, never a mutable value.
+@functools.lru_cache(maxsize=128)
+def _count_below(trials: int, level: float, significance: float) -> int:
+    """m = #{k : log Pr[Bin(trials, level) <= k] < log significance}.
+
+    The log-CDF never decreases (``logaddexp.accumulate`` never does), so
+    these k are the prefix 0..m-1, and both order-statistic indices read m.
+    """
+    logcdf = binomial_log_cdf_all(trials, level)
+    return int(np.searchsorted(logcdf, math.log(significance), side="left"))
+
+
 def lower_quantile_index(trials: int, level: float, significance: float) -> int | None:
     """Largest 1-based index n with Pr[Bin(trials, level) <= n] < significance.
 
     The n-th ascending order statistic of an i.i.d. sample is then a lower
     confidence bound on the level-quantile.  None when no index qualifies.
     """
-    logcdf = binomial_log_cdf_all(trials, level)
-    cutoff = math.log(significance)
-    idx = int(np.searchsorted(logcdf, cutoff, side="left")) - 1
-    if idx < 1:
-        return None
-    return min(idx, trials)
+    n = _count_below(trials, level, significance) - 1
+    return n if n >= 1 else None
 
 
-@functools.lru_cache(maxsize=64)
 def upper_quantile_index(trials: int, level: float, significance: float) -> int | None:
     """Smallest 1-based index n with Pr[Bin(trials, level) >= n] < significance.
 
     The n-th ascending order statistic is then an upper confidence bound on
-    the level-quantile.
+    the level-quantile.  None when no index qualifies.
     """
     # Pr[X >= n] = Pr[n' <= trials - n] for n' ~ Bin(trials, 1 - level)
-    logtail = binomial_log_cdf_all(trials, 1.0 - level)[::-1]
-    cutoff = math.log(significance)
-    idx = int(np.searchsorted(-logtail, -cutoff, side="right"))
-    if idx > trials:
-        return None
-    return max(idx, 1)
+    n = int(trials) + 1 - _count_below(trials, 1.0 - level, significance)
+    return max(n, 1) if n <= trials else None
 
 
 def _generators(seed: int, count: int) -> tuple[np.random.Generator, ...]:
@@ -165,32 +166,6 @@ def _statistic_values(problem, mean, count, rng) -> np.ndarray:
             f"|cov|={np.linalg.norm(problem.covariance):.6g}"
         )
     return values
-
-
-def _threshold_with_share(sorted_values: np.ndarray, n_star: int) -> tuple[float, float]:
-    """Threshold kappa = n_star-th ascending order statistic, plus the
-    fraction of its tie group lying at or below position n_star.
-
-    For continuous statistics ties never occur and the share is irrelevant;
-    when the law has an atom (e.g. a rank-deficient problem makes the
-    statistic constant), counting the full tie group would overshoot the
-    Neyman-Pearson value, so tied samples are later counted at this share,
-    mimicking the randomized tie-break of the optimal classifier.
-    """
-    kappa = float(sorted_values[n_star - 1])
-    lo = int(np.searchsorted(sorted_values, kappa, side="left"))
-    hi = int(np.searchsorted(sorted_values, kappa, side="right"))
-    share = (n_star - lo) / (hi - lo)
-    return kappa, share
-
-
-def _count(values: np.ndarray, kappa: float, share: float, below: bool) -> int:
-    """Samples strictly below (or above) kappa, plus the tie group at the
-    share that lies on the same side of the threshold sample."""
-    eq = int(np.count_nonzero(values == kappa))
-    if below:
-        return int(np.count_nonzero(values < kappa)) + int(math.floor(share * eq))
-    return int(np.count_nonzero(values > kappa)) + int(math.floor((1.0 - share) * eq))
 
 
 def _draw(
@@ -218,10 +193,24 @@ def _cut(
     threshold_values: np.ndarray, count_values: np.ndarray, n_star: int, below: bool
 ) -> tuple[float, int]:
     """kappa is the n_star-th of the sorted threshold_values; count is how
-    many count_values fall below kappa (or above it), ties split at kappa's
-    share."""
-    kappa, share = _threshold_with_share(threshold_values, n_star)
-    return kappa, _count(count_values, kappa, share, below)
+    many count_values fall strictly below kappa (or above it), plus kappa's
+    tie group at the share that lies on the same side of the threshold.
+
+    The share is the fraction of kappa's tie group in threshold_values at or
+    below position n_star.  For continuous statistics ties never occur and
+    the share is irrelevant; when the law has an atom (e.g. a rank-deficient
+    problem makes the statistic constant), counting the full tie group would
+    overshoot the Neyman-Pearson value, so tied samples are counted at this
+    share, mimicking the randomized tie-break of the optimal classifier.
+    """
+    kappa = float(threshold_values[n_star - 1])
+    lo = int(np.searchsorted(threshold_values, kappa, side="left"))
+    hi = int(np.searchsorted(threshold_values, kappa, side="right"))
+    share = (n_star - lo) / (hi - lo)
+    ties = int(np.count_nonzero(count_values == kappa))
+    if below:
+        return kappa, int(np.count_nonzero(count_values < kappa)) + math.floor(share * ties)
+    return kappa, int(np.count_nonzero(count_values > kappa)) + math.floor((1.0 - share) * ties)
 
 
 def _clean_and_perturbed(problem, mc: McConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -191,19 +191,19 @@ def proper_singular_values(m: np.ndarray) -> np.ndarray:
     return s
 
 
-def _panels(span: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enough equal panels on [0, 1] that each row's ``span`` spreads at most
-    ``width`` over one: nodes, K15 weights and K15 - G7 weights."""
-    count = max(1, math.ceil(float(np.max(span, initial=0.0)) / width))
+def _panels(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` equal panels on [0, 1]: nodes, K15 weights and K15 - G7
+    weights."""
     nodes = ((np.arange(count)[:, None] + _UNIT_NODES) / count).ravel()
     weights = np.tile(_UNIT_WEIGHTS, count) / count
     return nodes, weights, np.tile(_UNIT_ERROR_WEIGHTS, count) / count
 
 
-def _graded(h: np.ndarray, tau_max: np.ndarray):
+def _graded(h: np.ndarray, tau_max: np.ndarray, count: int):
     """Nodes on [0, h sinh(tau_max)] graded geometrically toward 0 from scale
-    h: p = h sinh(tau) on equal tau panels.  Returns nodes and both weights."""
-    t, w, dw = _panels(tau_max, _MF_GRADED_WIDTH)
+    h: p = h sinh(tau) on ``count`` equal tau panels.  Returns nodes and both
+    weights."""
+    t, w, dw = _panels(count)
     e = np.exp(tau_max * t)
     jac = 0.5 * h * tau_max * (e + 1.0 / e)
     return 0.5 * h * (e - 1.0 / e), jac * w, jac * dw
@@ -220,11 +220,11 @@ def _mf_sum(sin2, cos2, a, b, k, w, dw) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(f * w, axis=1), np.abs(diff).sum(axis=1)
 
 
-def _count_groups(span: np.ndarray, width: float) -> list[np.ndarray]:
-    """Indices of the rows of ``span`` (n, 1) that get the same number of
-    ``_panels`` at ``width`` when each row is sized on its own."""
+def _count_groups(span: np.ndarray, width: float) -> list[tuple[int, np.ndarray]]:
+    """The panel counts that spread each row of ``span`` (n, 1) at most
+    ``width`` over one panel, each with the indices of its rows."""
     counts = np.maximum(1.0, np.ceil(span[:, 0] / width))
-    return [np.flatnonzero(counts == count) for count in np.unique(counts)]
+    return [(int(count), np.flatnonzero(counts == count)) for count in np.unique(counts)]
 
 
 def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,15 +255,15 @@ def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     error = np.zeros(s.shape[0])
 
     tau = np.arcsinh(p1 / near_h)
-    for rows in _count_groups(tau, _MF_GRADED_WIDTH):
-        p, w, dw = _graded(near_h[rows], tau[rows])
+    for count, rows in _count_groups(tau, _MF_GRADED_WIDTH):
+        p, w, dw = _graded(near_h[rows], tau[rows], count)
         sin2 = np.sin(p) ** 2
         value[rows], error[rows] = _mf_sum(sin2, 1.0 - sin2, a[rows], b[rows], k[rows], w, dw)
 
     width = p2 - p1
     span = width / gauss
-    for rows in _count_groups(span, _MF_MIDDLE_WIDTH):
-        t, w, dw = _panels(span[rows], _MF_MIDDLE_WIDTH)
+    for count, rows in _count_groups(span, _MF_MIDDLE_WIDTH):
+        t, w, dw = _panels(count)
         p = p1[rows] + width[rows] * t
         mid_value, mid_error = _mf_sum(
             np.sin(p) ** 2, np.cos(p) ** 2, a[rows], b[rows], k[rows],
@@ -274,9 +274,9 @@ def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     whole = np.flatnonzero(~cut[:, 0])
     tau = np.arcsinh(p1[whole] / far_h[whole])
-    for group in _count_groups(tau, _MF_GRADED_WIDTH):
+    for count, group in _count_groups(tau, _MF_GRADED_WIDTH):
         rows = whole[group]
-        psi, w, dw = _graded(far_h[rows], tau[group])   # psi = pi/2 - p
+        psi, w, dw = _graded(far_h[rows], tau[group], count)   # psi = pi/2 - p
         cos2 = np.sin(psi) ** 2
         far_value, far_error = _mf_sum(1.0 - cos2, cos2, a[rows], b[rows], k[rows], w, dw)
         value[rows] += far_value
@@ -436,27 +436,15 @@ def certify_tight_and_multiclass(
         outcome = shift_outcome(
             p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
         )
-        tight = replace(outcome, certified=outcome.bound_value > 0.5)
-        if p_upper is None:
-            return tight, None
-        return tight, certify_multiclass(group, x, x_prime, p_lower, p_upper, sigma, mc, seed)
-    problem = _rotation_problem(group, x, x_prime, sigma)
-    lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
-    tight = replace(lower, method=f"tight-{group.value}{x.dim}")
+        tight, stage = replace(outcome, certified=outcome.bound_value > 0.5), None
+    else:
+        problem = _rotation_problem(group, x, x_prime, sigma)
+        lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
+        tight = replace(lower, method=f"tight-{group.value}{x.dim}")
+        stage = problem, tight
     if p_upper is None:
         return tight, None
-    pa, pb, notes, refused = _multiclass_inputs(group, x, x_prime, p_lower, p_upper, sigma)
-    if refused is not None:
-        return tight, refused
-    upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=pb)
-    # a clamped pa is reported once, by the multiclass "p-clamped" note
-    lower_notes = tuple(note for note in lower.notes if note != "p-lower-clamped")
-    return tight, replace(
-        lower,
-        certified=lower.bound_value > upper,
-        method=f"multiclass-tight-{group.value}{x.dim}",
-        notes=lower_notes + tuple(notes) + (f"competitor-upper={upper!r}",),
-    )
+    return tight, _multiclass(group, x, x_prime, p_lower, p_upper, sigma, mc, seed, stage)
 
 
 def inverse_certificate(
@@ -477,39 +465,6 @@ def inverse_certificate(
         )
     # closed form: certified iff residual < sigma Phi^-1(p)
     return std_normal_cdf(project(group, x, x_prime).residual / sigma)
-
-
-def _multiclass_inputs(
-    group: GroupKind | None,
-    x: PointCloud,
-    x_prime: PointCloud,
-    pa_lower: float,
-    pb_upper: float,
-    sigma: float,
-) -> tuple[float, float, list[str], CertificateOutcome | None]:
-    """certify_multiclass's checks: the clamped pa and pb, the notes so far,
-    and the uncertified outcome when pa <= pb (else None)."""
-    check_sigma(sigma, "certify_multiclass")
-    _check_shapes(x, x_prime)
-    if group is not None and not isinstance(group, GroupKind):
-        raise ValueError(f"certify_multiclass: unsupported group {group!r}")
-    notes = []
-    pa, clamped_a = clamp_probability(pa_lower)
-    pb, clamped_b = clamp_probability(pb_upper)
-    if clamped_a or clamped_b:
-        notes.append("p-clamped")
-    refused = None
-    if pa <= pb:
-        refused = CertificateOutcome(
-            certified=False,
-            bound_value=0.0,
-            radius=0.0,
-            p_lower=pa,
-            confidence=1.0,
-            method="multiclass",
-            notes=tuple(notes) + ("pa-not-above-pb",),
-        )
-    return pa, pb, notes, refused
 
 
 def certify_multiclass(
@@ -534,13 +489,41 @@ def certify_multiclass(
     so the union bound charges the verdict alpha/2 + alpha/3 for each stage,
     plus the alpha of whatever produced pa_lower and pb_upper.
     """
-    pa, pb, notes, refused = _multiclass_inputs(group, x, x_prime, pa_lower, pb_upper, sigma)
-    if refused is not None:
-        return refused
+    return _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed)
+
+
+def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, stage=None):
+    """``certify_multiclass``: its checks, then its verdict.  For rotation
+    and roto-translation, ``stage`` is the reduced problem and its tight
+    outcome when the caller already has them; otherwise both are built here."""
+    check_sigma(sigma, "certify_multiclass")
+    _check_shapes(x, x_prime)
+    if group is not None and not isinstance(group, GroupKind):
+        raise ValueError(f"certify_multiclass: unsupported group {group!r}")
+    notes = []
+    pa, clamped_a = clamp_probability(pa_lower)
+    pb, clamped_b = clamp_probability(pb_upper)
+    if clamped_a or clamped_b:
+        notes.append("p-clamped")
+    if pa <= pb:
+        return CertificateOutcome(
+            certified=False, bound_value=0.0, radius=0.0, p_lower=pa, confidence=1.0,
+            method="multiclass", notes=tuple(notes) + ("pa-not-above-pb",),
+        )
     if group in _ROTATION_KINDS:
-        return certify_tight_and_multiclass(
-            group, x, x_prime, pa_lower, sigma, mc, seed, p_upper=pb_upper
-        )[1]
+        if stage is None:
+            problem = _rotation_problem(group, x, x_prime, sigma)
+            stage = problem, mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=pa_lower)
+        problem, lower = stage
+        upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=pb)
+        # a clamped pa is reported once, by the multiclass "p-clamped" note
+        lower_notes = tuple(note for note in lower.notes if note != "p-lower-clamped")
+        return replace(
+            lower,
+            certified=lower.bound_value > upper,
+            method=f"multiclass-tight-{group.value}{x.dim}",
+            notes=lower_notes + tuple(notes) + (f"competitor-upper={upper!r}",),
+        )
     # closed form: Theorem-2 post-processing of the multiclass ball.  For the
     # black box and T the bound is tight, so the competitor's is reported too.
     radius = multiclass_radius(pa, pb, sigma)

@@ -10,10 +10,8 @@ from invarcert.geometry import PointCloud
 from invarcert.mc import (
     ABSTAIN,
     McConfig,
-    _count,
     _cut,
     _draw,
-    _threshold_with_share,
     inverse_certify_reduced,
     lower_quantile_index,
     prob_certify_reduced,
@@ -198,11 +196,10 @@ class TestTwoSample:
         )
         stable = np.sort(threshold, kind="stable")
         assert np.sort(threshold).tobytes() == stable.tobytes()
-        kappa, share = _threshold_with_share(stable, n_star)
         counted = statistic(
             sample_gaussian(problem.mean_perturbed, 1000, np.random.default_rng(2), problem.factor)
         )
-        assert repr(got) == repr((kappa, _count(counted, kappa, share, below)))
+        assert repr(got) == repr(_cut(stable, counted, n_star, below))
 
 
 class TestUpperReduced:

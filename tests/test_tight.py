@@ -272,7 +272,7 @@ class TestSo3BetaHat:
 
     def test_rule_integrates_polynomials_exactly(self):
         # four panels on [0, 1]: Kronrod exact to degree 22, Gauss to 13
-        nodes, weights, error_weights = tight._panels(np.array([1.0]), 0.25)
+        nodes, weights, error_weights = tight._panels(4)
         assert nodes.size == 60 and np.all(np.diff(nodes) > 0)
         rng = np.random.default_rng(13)
         for degree, w in ((21, weights), (13, weights - error_weights)):
