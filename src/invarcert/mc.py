@@ -218,8 +218,8 @@ def _clean_and_perturbed(problem, mc: McConfig, seed: int) -> tuple[np.ndarray, 
     statistic at mc.n2 clean draws from the second child of
     ``SeedSequence(seed).spawn(3)``, and at mc.n3 perturbed draws from the
     third.  Drawn on the first call for (n2, n3, seed) and kept, read-only,
-    in the problem's ``statistic_samples``, so both procedures on one problem
-    draw once."""
+    in the problem's ``statistic_samples`` until another key is drawn, so
+    both procedures on one problem draw once."""
     key = (mc.n2, mc.n3, seed)
     if key not in problem.statistic_samples:
         # three streams, the first unused: spawning two would change every
@@ -230,6 +230,7 @@ def _clean_and_perturbed(problem, mc: McConfig, seed: int) -> tuple[np.ndarray, 
         )
         for values in drawn:
             values.setflags(write=False)
+        problem.statistic_samples.clear()
         problem.statistic_samples[key] = drawn
     return problem.statistic_samples[key]
 

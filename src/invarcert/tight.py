@@ -82,9 +82,9 @@ class RotationCertProblem:
 
     @functools.cached_property
     def statistic_samples(self) -> dict:
-        """Statistic samples drawn on this problem, filled by the Monte-Carlo
-        engine: procedures that read the same streams of one seed draw them
-        once."""
+        """Statistic samples of the latest (n2, n3, seed) drawn on this
+        problem, filled by the Monte-Carlo engine: procedures that read the
+        same streams of one seed draw them once, and a new seed replaces them."""
         return {}
 
 

@@ -902,7 +902,8 @@ class TestSharedDraws:
         # the inverse procedure reads other streams and keeps no samples
         inverse_certify_reduced(problem, mc, 7)
         assert rows[4:] == [300, 200]
-        assert len(problem.statistic_samples) == 2
+        # only the latest seed's samples are kept
+        assert len(problem.statistic_samples) == 1
 
 
 class TestMulticlassValidation:
