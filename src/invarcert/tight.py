@@ -74,6 +74,14 @@ class RotationCertProblem:
     sigma: float
     statistic: LikelihoodStatistic
 
+    def __post_init__(self):
+        entries = (self.mean_perturbed, self.mean_clean, self.covariance)
+        if not (self.sigma * self.sigma > 0.0 and all(np.isfinite(e).all() for e in entries)):
+            raise NumericalFailure(
+                f"reduced problem at sigma={self.sigma!r}: sigma^2 underflows or an entry"
+                " is not finite"
+            )
+
     @functools.cached_property
     def factor(self) -> np.ndarray:
         """``psd_factor(covariance)``, computed on the first draw and shared
@@ -94,16 +102,15 @@ def so2_problem_from_params(
     """Reduced 4-dim problem from the scalar parameters (|X|, |Delta|, eps1, eps2).
 
     All entries depend only on ratios to sigma^2, so scaling (X, Delta, sigma)
-    by a common factor leaves the problem unchanged.
+    by a common factor leaves the problem unchanged.  A sigma^2 that
+    underflows, or an entry that overflows, raises NumericalFailure.
     """
     check_sigma(sigma, "so2_problem_from_params")
-    s2 = sigma * sigma
     nx2 = norm_x * norm_x
     nd2 = norm_delta * norm_delta
-    a = (2.0 * eps1 + nx2 + nd2) / s2  # |X'|^2 / sigma^2
-    b = (eps1 + nx2) / s2              # <X', X> / sigma^2
-    c = eps2 / s2
-    d = nx2 / s2
+    # |X'|^2, <X', X>, eps2 and |X|^2, each over sigma^2
+    with np.errstate(all="ignore"):  # non-finite entries are refused below
+        a, b, c, d = np.array([2.0 * eps1 + nx2 + nd2, eps1 + nx2, eps2, nx2]) / (sigma * sigma)
     mean_perturbed = np.array([a, 0.0, b, c])
     mean_clean = np.array([b, -c, d, 0.0])
     covariance = np.array(
@@ -367,13 +374,14 @@ def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> Rotat
     if x.dim != 3 or x_prime.dim != 3:
         raise ValueError("build_so3_problem: requires D = 3")
     _check_shapes(x, x_prime)
-    w = so3_projection_matrix(x, x_prime, sigma)
-    vec_clean = x.data.T.ravel()
-    vec_pert = x_prime.data.T.ravel()
+    with np.errstate(all="ignore"):  # non-finite entries are refused by the problem
+        w = so3_projection_matrix(x, x_prime, sigma)
+        mean_perturbed, mean_clean = w @ x_prime.data.T.ravel(), w @ x.data.T.ravel()
+        covariance = (sigma * sigma) * (w @ w.T)
     return RotationCertProblem(
-        mean_perturbed=w @ vec_pert,
-        mean_clean=w @ vec_clean,
-        covariance=(sigma * sigma) * (w @ w.T),
+        mean_perturbed=mean_perturbed,
+        mean_clean=mean_clean,
+        covariance=covariance,
         sigma=sigma,
         statistic=rho_so3(),
     )

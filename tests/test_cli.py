@@ -597,6 +597,39 @@ class TestNonFinite:
         assert "--sigma: must be > 0" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
+    # 2-D clouds certify at 1e-150 and 1e300; every other case leaves sigma^2
+    # underflowed or a reduced-problem entry overflowed
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-170", "1e-160", "1e-150", "1e300"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["certify", "--group", "SO", "--clean", "c2.csv", "--perturbed", "p2.csv"],
+            ["certify", "--group", "SE", "--clean", "c2.csv", "--perturbed", "p2.csv"],
+            ["certify", "--group", "SO", "--clean", "c3.csv", "--perturbed", "p3.csv"],
+            ["certify", "--group", "SE", "--clean", "c3.csv", "--perturbed", "p3.csv"],
+            ["pmin-grid", "--group", "SO2", "--norm-x", "1.0", "--norm-delta", "0.5",
+             "--resolution", "3", "--out-csv", "grid.csv"],
+        ],
+        ids=["SO2", "SE2", "SO3", "SE3", "pmin-SO2"],
+    )
+    def test_extreme_sigma_is_numerical_failure(self, tmp_path, capsys, monkeypatch, command,
+                                                sigma):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(36)
+        for dim in (2, 3):
+            data = rng.standard_normal((6, dim))
+            moved = data + 0.1 * rng.standard_normal((6, dim))
+            save_points_csv(tmp_path / f"c{dim}.csv", PointCloud(data))
+            save_points_csv(tmp_path / f"p{dim}.csv", PointCloud(moved))
+        flags = [] if command[0] == "pmin-grid" else ["--p-lower", "0.9"]
+        code = main([*command, *flags, "--sigma", sigma, "--seed", "1",
+                     "--n2", "100", "--n3", "100", "--alpha", "0.01"])
+        captured = capsys.readouterr()
+        fails = "c3.csv" in command or float(sigma) < 1e-155
+        assert code == (3 if fails else 0)
+        if fails:
+            assert f"reduced problem at sigma={float(sigma)!r}" in captured.err
+
     def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         import invarcert.cli as cli_mod
 

@@ -3,6 +3,7 @@ multi-class combination, inverse certificates and the parameter grid."""
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -1150,6 +1151,33 @@ class TestSharedFactor:
         assert "threshold-undetermined" in out.notes
         with pytest.raises(ValueError, match="not symmetric"):
             prob_certify_reduced(problem, mc, seed=3, p_lower=0.9)
+
+
+class TestExtremeSigma:
+    """A reduced problem whose sigma^2 underflows, or whose entries overflow,
+    raises NumericalFailure naming the scale; 2-D clouds of unit scale still
+    certify at sigma 1e-150 and 1e300."""
+
+    MC = McConfig(n2=100, n3=100, alpha=0.01)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e-160, 1e-150, 1e300])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
+                             ids=["SO", "SE"])
+    def test_certifies_or_fails_numerically(self, kind, dim, sigma):
+        x, xp = _pair(np.random.default_rng(33), 6, dim)
+        if dim == 3 or sigma < 1e-155:
+            message = re.escape(f"reduced problem at sigma={sigma!r}")
+            with pytest.raises(NumericalFailure, match=message):
+                certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
+        else:
+            out = certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
+            assert 0.0 <= out.bound_value <= 1.0
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e-160])
+    def test_pmin_grid_so2(self, sigma):
+        with pytest.raises(NumericalFailure, match=f"reduced problem at sigma={sigma!r}"):
+            pmin_grid(SO2, 1.0, 0.5, sigma, 3, self.MC, seed=1)
 
 
 class TestLargeScaleInputs:
