@@ -1,0 +1,88 @@
+"""Source hygiene without a linter: every import in ``src/invarcert`` is used,
+and every private module-level name is referenced from ``src/`` itself, so
+that no helper stays alive only for the tests."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "invarcert"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import (at any depth) that the module never loads
+    and does not list in ``__all__``."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(set(bound) - loaded - _exported(tree))
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` for each private module-level name that no module
+    loads, reads as an attribute or imports."""
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in referenced
+    )
+
+
+def _source_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_unused_imports(module):
+    assert unused_imports(_source_trees()[module]) == []
+
+
+def test_every_private_name_is_referenced_from_src():
+    assert unreferenced_privates(_source_trees()) == []
+
+
+def test_checks_catch_what_they_look_for():
+    a = ast.parse(
+        "import os\nimport numpy as np\nfrom .b import _used, public\n"
+        "__all__ = ['public']\n_LIMIT = 3\ndef _dead():\n    return np.pi\n"
+    )
+    b = ast.parse("def _used():\n    pass\nclass _Orphan:\n    pass\n_x, _y = 1, 2\n")
+    assert unused_imports(a) == ["_used", "os"]
+    assert unreferenced_privates({"a": a, "b": b}) == [
+        "a._LIMIT", "a._dead", "b._Orphan", "b._x", "b._y"
+    ]
