@@ -7,7 +7,9 @@ through the problem's one cached covariance factor.  The lower and upper
 procedures read one pair of samples for a seed, the sorted clean statistic
 and the perturbed statistic, drawn once per problem.  So the lower stage of
 a multi-class certificate is the tight certificate itself, with the same
-seed and the same draws, and its upper stage reads the same pair.
+seed and the same draws, and its upper stage reads the same pair.  Every
+procedure cuts its samples with one tie-aware function, ``_cut``, and both
+order-statistic indices come from one cached binomial search.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio

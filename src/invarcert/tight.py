@@ -3,7 +3,10 @@
 Translation admits a closed form.  Rotation and roto-translation reduce to a
 pair of low-dimensional Gaussians (4-dim in 2D, 18-dim in 3D) compared through
 a likelihood-ratio statistic; the Monte-Carlo engine turns those into
-probabilistic bounds.  Roto-translation is rotation after centering.
+probabilistic bounds.  Roto-translation is rotation after centering.  One
+private routine checks and decides every multi-class certificate, for both
+``certify_multiclass`` and ``certify_tight_and_multiclass``; a reduced problem
+whose sigma^2 underflows or whose entries overflow raises NumericalFailure.
 """
 
 from __future__ import annotations
