@@ -379,15 +379,13 @@ def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> Rotat
     _check_shapes(x, x_prime)
     with np.errstate(all="ignore"):  # non-finite entries are refused by the problem
         w = so3_projection_matrix(x, x_prime, sigma)
-        mean_perturbed, mean_clean = w @ x_prime.data.T.ravel(), w @ x.data.T.ravel()
-        covariance = (sigma * sigma) * (w @ w.T)
-    return RotationCertProblem(
-        mean_perturbed=mean_perturbed,
-        mean_clean=mean_clean,
-        covariance=covariance,
-        sigma=sigma,
-        statistic=rho_so3(),
-    )
+        return RotationCertProblem(
+            mean_perturbed=w @ x_prime.data.T.ravel(),
+            mean_clean=w @ x.data.T.ravel(),
+            covariance=(sigma * sigma) * (w @ w.T),
+            sigma=sigma,
+            statistic=rho_so3(),
+        )
 
 
 _ROTATION_KINDS = (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION)
