@@ -112,7 +112,7 @@ def so2_problem_from_params(
     nx2 = norm_x * norm_x
     nd2 = norm_delta * norm_delta
     # |X'|^2, <X', X>, eps2 and |X|^2, each over sigma^2
-    with np.errstate(all="ignore"):  # non-finite entries are refused below
+    with np.errstate(all="ignore"):  # non-finite entries are refused by the problem
         a, b, c, d = np.array([2.0 * eps1 + nx2 + nd2, eps1 + nx2, eps2, nx2]) / (sigma * sigma)
     mean_perturbed = np.array([a, 0.0, b, c])
     mean_clean = np.array([b, -c, d, 0.0])
