@@ -1,15 +1,16 @@
 """Monte-Carlo certification: the lower-bound, upper-bound and inverse
 procedures on one two-sample core, plus smoothed prediction with abstention.
 
-A reduced problem is two Gaussian means sharing one covariance, plus the
-likelihood-ratio statistic that compares them; the core draws both samples
-through the problem's one cached covariance factor.  The lower and upper
-procedures read one pair of samples for a seed, the sorted clean statistic
-and the perturbed statistic, drawn once per problem.  So the lower stage of
-a multi-class certificate is the tight certificate itself, with the same
-seed and the same draws, and its upper stage reads the same pair.  Every
-procedure cuts its samples with one tie-aware function, ``_cut``, and both
-order-statistic indices come from one cached binomial search.
+This module owns the reduced problem, ``RotationCertProblem``: two Gaussian
+means sharing one covariance, plus the ``LikelihoodStatistic`` that compares
+them.  Every draw goes through the problem's one cached covariance factor.
+The lower and upper procedures read one pair of samples for a seed, the
+sorted clean statistic and the perturbed statistic, drawn once and kept in
+the problem's ``statistic_samples``.  So both stages of a multi-class
+certificate, the lower one being the tight certificate itself, read the same
+draws.  Every procedure cuts its samples with one tie-aware function,
+``_cut``, and both order-statistic indices come from one cached binomial
+search.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
@@ -28,8 +29,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import dataclass, field
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -41,10 +42,10 @@ from .numerics import (
     clamp_probability,
     clopper_pearson_lower,
     clopper_pearson_upper,
+    psd_factor,
     sample_gaussian,
-    std_normal_quantile,
 )
-from .orbit import CertificateOutcome
+from .orbit import CertificateOutcome, blackbox_radius
 
 ABSTAIN = -1
 
@@ -76,6 +77,49 @@ def _check_count(caller: str, n: int, floor: int) -> None:
 def _check_alpha(caller: str, alpha: float) -> None:
     if not 0.0 < alpha < 0.5:  # NaN fails too
         raise ValueError(f"{caller}: alpha must lie in (0, 0.5) (got {alpha})")
+
+
+@dataclass(frozen=True)
+class LikelihoodStatistic:
+    """Deterministic map from sampled vectors to log likelihood-ratio values."""
+
+    dim: int
+    evaluator: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, samples: np.ndarray) -> np.ndarray:
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        if samples.shape[1] != self.dim:
+            raise ValueError("LikelihoodStatistic: sample dimension mismatch")
+        return self.evaluator(samples)
+
+
+@dataclass(frozen=True)
+class RotationCertProblem:
+    """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate:
+    two means sharing one covariance, and the likelihood-ratio statistic that
+    compares them.  ``statistic_samples`` keeps the samples of the latest
+    (n2, n3, seed) drawn on it; a new key replaces them."""
+
+    mean_perturbed: np.ndarray
+    mean_clean: np.ndarray
+    covariance: np.ndarray
+    sigma: float
+    statistic: LikelihoodStatistic
+    statistic_samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        entries = (self.mean_perturbed, self.mean_clean, self.covariance)
+        if not (self.sigma * self.sigma > 0.0 and all(np.isfinite(e).all() for e in entries)):
+            raise NumericalFailure(
+                f"reduced problem at sigma={self.sigma!r}: sigma^2 underflows or an entry"
+                " is not finite"
+            )
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """``psd_factor(covariance)``, computed on the first draw and shared
+        by every draw from either mean.  An invalid covariance raises there."""
+        return psd_factor(self.covariance)
 
 
 class BaseClassifier(Protocol):
@@ -269,7 +313,7 @@ def prob_certify_reduced(
     return CertificateOutcome(
         certified=bound > 0.5,
         bound_value=bound,
-        radius=problem.sigma * std_normal_quantile(p_eff),
+        radius=blackbox_radius(p_eff, problem.sigma),
         p_lower=p_eff,
         confidence=1.0 - mc.alpha,
         method="tight-reduced",

@@ -1,22 +1,20 @@
 """Tight gray-box certificates.
 
 Translation admits a closed form.  Rotation and roto-translation reduce to a
-pair of low-dimensional Gaussians (4-dim in 2D, 18-dim in 3D) compared through
-a likelihood-ratio statistic; the Monte-Carlo engine turns those into
-probabilistic bounds.  Roto-translation is rotation after centering.  One
-private routine checks and decides every multi-class certificate, for both
-``certify_multiclass`` and ``certify_tight_and_multiclass``; a reduced problem
-whose sigma^2 underflows or whose entries overflow raises NumericalFailure.
+pair of low-dimensional Gaussians (4-dim in 2D, 18-dim in 3D); this module
+builds that reduced problem, with its likelihood-ratio statistic, and
+assembles certificates from what the Monte-Carlo engine (``mc``) decides on
+it.  Roto-translation is rotation after centering.  One private routine
+checks and decides every multi-class certificate, for both
+``certify_multiclass`` and ``certify_tight_and_multiclass``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -30,13 +28,12 @@ from .geometry import (
     center,
     epsilon_params,
 )
-from .mc import McConfig
+from .mc import LikelihoodStatistic, McConfig, RotationCertProblem
 from .numerics import (
     NumericalFailure,
     check_sigma,
     clamp_probability,
     log_bessel_i0,
-    psd_factor,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -49,54 +46,6 @@ from .orbit import (
     shift_bound,
     shift_outcome,
 )
-
-
-@dataclass(frozen=True)
-class LikelihoodStatistic:
-    """Deterministic map from sampled vectors to log likelihood-ratio values."""
-
-    dim: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if samples.shape[1] != self.dim:
-            raise ValueError("LikelihoodStatistic: sample dimension mismatch")
-        return self.evaluator(samples)
-
-
-@dataclass(frozen=True)
-class RotationCertProblem:
-    """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate:
-    two means sharing one covariance, and the likelihood-ratio statistic that
-    compares them."""
-
-    mean_perturbed: np.ndarray
-    mean_clean: np.ndarray
-    covariance: np.ndarray
-    sigma: float
-    statistic: LikelihoodStatistic
-
-    def __post_init__(self):
-        entries = (self.mean_perturbed, self.mean_clean, self.covariance)
-        if not (self.sigma * self.sigma > 0.0 and all(np.isfinite(e).all() for e in entries)):
-            raise NumericalFailure(
-                f"reduced problem at sigma={self.sigma!r}: sigma^2 underflows or an entry"
-                " is not finite"
-            )
-
-    @functools.cached_property
-    def factor(self) -> np.ndarray:
-        """``psd_factor(covariance)``, computed on the first draw and shared
-        by every draw from either mean.  An invalid covariance raises there."""
-        return psd_factor(self.covariance)
-
-    @functools.cached_property
-    def statistic_samples(self) -> dict:
-        """Statistic samples of the latest (n2, n3, seed) drawn on this
-        problem, filled by the Monte-Carlo engine: procedures that read the
-        same streams of one seed draw them once, and a new seed replaces them."""
-        return {}
 
 
 def so2_problem_from_params(
@@ -434,8 +383,9 @@ def certify_tight_and_multiclass(
     """``certify_tight``'s outcome and, when p_upper is given,
     ``certify_multiclass``'s with pa_lower = p_lower (else None).  For
     rotation and roto-translation both come from one reduced problem: the
-    multiclass lower stage is the tight outcome itself, and its upper stage
-    reads the same pair of statistic samples."""
+    multiclass lower stage is the tight outcome itself, read again from the
+    same draws, and its upper stage reads the same pair of statistic
+    samples."""
     if group is GroupKind.TRANSLATION:
         notes = []
         p_eff, clamped = clamp_probability(p_lower)
@@ -445,15 +395,14 @@ def certify_tight_and_multiclass(
         outcome = shift_outcome(
             p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
         )
-        tight, stage = replace(outcome, certified=outcome.bound_value > 0.5), None
+        tight, problem = replace(outcome, certified=outcome.bound_value > 0.5), None
     else:
         problem = _rotation_problem(group, x, x_prime, sigma)
         lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
         tight = replace(lower, method=f"tight-{group.value}{x.dim}")
-        stage = problem, tight
     if p_upper is None:
         return tight, None
-    return tight, _multiclass(group, x, x_prime, p_lower, p_upper, sigma, mc, seed, stage)
+    return tight, _multiclass(group, x, x_prime, p_lower, p_upper, sigma, mc, seed, problem)
 
 
 def inverse_certificate(
@@ -501,10 +450,11 @@ def certify_multiclass(
     return _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed)
 
 
-def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, stage=None):
+def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=None):
     """``certify_multiclass``: its checks, then its verdict.  For rotation
-    and roto-translation, ``stage`` is the reduced problem and its tight
-    outcome when the caller already has them; otherwise both are built here."""
+    and roto-translation both stages read the draws of ``problem``, the
+    reduced problem when the caller already has one; otherwise it is built
+    here."""
     check_sigma(sigma, "certify_multiclass")
     _check_shapes(x, x_prime)
     if group is not None and not isinstance(group, GroupKind):
@@ -520,10 +470,9 @@ def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, stage=No
             method="multiclass", notes=tuple(notes) + ("pa-not-above-pb",),
         )
     if group in _ROTATION_KINDS:
-        if stage is None:
+        if problem is None:
             problem = _rotation_problem(group, x, x_prime, sigma)
-            stage = problem, mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=pa_lower)
-        problem, lower = stage
+        lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=pa_lower)
         upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=pb)
         # a clamped pa is reported once, by the multiclass "p-clamped" note
         lower_notes = tuple(note for note in lower.notes if note != "p-lower-clamped")
