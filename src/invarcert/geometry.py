@@ -53,6 +53,11 @@ class PointCloud:
         return float(np.linalg.norm(self.data))
 
 
+def check_same_shape(x: PointCloud, x_prime: PointCloud) -> None:
+    if x.data.shape != x_prime.data.shape:
+        raise ValueError("point clouds have different shapes")
+
+
 def center_matrix(data: np.ndarray) -> np.ndarray:
     return data - data.mean(axis=0, keepdims=True)
 

@@ -110,16 +110,24 @@ class RotationCertProblem:
     def __post_init__(self):
         entries = (self.mean_perturbed, self.mean_clean, self.covariance)
         if not (self.sigma * self.sigma > 0.0 and all(np.isfinite(e).all() for e in entries)):
-            raise NumericalFailure(
-                f"reduced problem at sigma={self.sigma!r}: sigma^2 underflows or an entry"
-                " is not finite"
-            )
+            raise self._failure("sigma^2 underflows or an entry is not finite")
+
+    def _failure(self, reason: str) -> NumericalFailure:
+        return NumericalFailure(f"reduced problem at sigma={self.sigma!r}: {reason}")
 
     @functools.cached_property
     def factor(self) -> np.ndarray:
         """``psd_factor(covariance)``, computed on the first draw and shared
-        by every draw from either mean.  An invalid covariance raises there."""
-        return psd_factor(self.covariance)
+        by every draw from either mean.  An invalid covariance raises its
+        ValueError there; one whose factor overflows, NumericalFailure."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                factor = psd_factor(self.covariance)
+        except np.linalg.LinAlgError:  # eigh on an overflowed symmetrization
+            factor = None
+        if factor is None or not np.isfinite(factor).all():
+            raise self._failure("the covariance factor overflows")
+        return factor
 
 
 class BaseClassifier(Protocol):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import GroupKind, PointCloud, center_matrix
+from .geometry import GroupKind, PointCloud, center_matrix, check_same_shape
 from .numerics import check_sigma, clamp_probability, std_normal_cdf, std_normal_quantile
 
 _REGISTRATION_STOP = 1e-9
@@ -90,14 +90,9 @@ def shift_bound(p: float, residual: float, sigma: float) -> float:
     return std_normal_cdf(std_normal_quantile(p) - residual / sigma)
 
 
-def _check_shapes(x: PointCloud, x_prime: PointCloud) -> None:
-    if x.data.shape != x_prime.data.shape:
-        raise ValueError("point clouds have different shapes")
-
-
 def project_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     """Optimal translation is minus the column-mean of Delta."""
-    _check_shapes(x, x_prime)
+    check_same_shape(x, x_prime)
     delta = x_prime.data - x.data
     mean = delta.mean(axis=0)
     residual = float(np.linalg.norm(delta - mean))
@@ -108,7 +103,7 @@ def _procrustes(x: PointCloud, x_prime: PointCloud, proper: bool) -> OrbitProjec
     # min over R of ||X' R^T - X||; standard factorization U S V^T = (X')^T X,
     # optimal map V U^T, with the last singular direction sign-flipped when a
     # proper rotation is required and det(V U^T) < 0.
-    _check_shapes(x, x_prime)
+    check_same_shape(x, x_prime)
     u, _, vt = np.linalg.svd(x_prime.data.T @ x.data)
     v = vt.T
     if proper:
@@ -136,7 +131,7 @@ def project_orthogonal(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
 
 def project_roto_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     """Kabsch: center both clouds, then rotation-only Procrustes."""
-    _check_shapes(x, x_prime)
+    check_same_shape(x, x_prime)
     xc = center_matrix(x.data)
     xpc = center_matrix(x_prime.data)
     proj = _procrustes(PointCloud(xc), PointCloud(xpc), proper=True)
@@ -147,7 +142,7 @@ def project_roto_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProject
 
 def project_permutation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     """Minimum-cost row assignment with cost C[n, m] = ||X'_n - X_m||^2."""
-    _check_shapes(x, x_prime)
+    check_same_shape(x, x_prime)
     # one coordinate plane at a time, summed in coordinate order: the same
     # bits as summing an (N, N, D) difference array over its last axis
     xp, xd = x_prime.data, x.data
@@ -173,7 +168,7 @@ def project_registration_upper(
     The residual is monotonically nonincreasing and starts at ||X' - X||, so
     the identity transform is always a valid fallback.
     """
-    _check_shapes(x, x_prime)
+    check_same_shape(x, x_prime)
     if max_iters < 1:
         raise ValueError("project_registration_upper: max_iters must be >= 1")
     current = x_prime.data.copy()
@@ -222,7 +217,7 @@ def project(
     trivial group of the black-box certificate, whose orbit distance is
     ||X' - X||."""
     if group is None:
-        _check_shapes(x, x_prime)
+        check_same_shape(x, x_prime)
         return OrbitProjection(residual=float(np.linalg.norm(x_prime.data - x.data)))
     projector = _PROJECTORS.get(group)
     if projector is None:

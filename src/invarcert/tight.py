@@ -26,6 +26,7 @@ from .geometry import (
     PointCloud,
     adversarial_rotation_locus,
     center,
+    check_same_shape,
     epsilon_params,
 )
 from .mc import LikelihoodStatistic, McConfig, RotationCertProblem
@@ -39,7 +40,6 @@ from .numerics import (
 )
 from .orbit import (
     CertificateOutcome,
-    _check_shapes,
     blackbox_radius,
     project,
     project_translation,
@@ -202,6 +202,12 @@ def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = 0.5 * (s[:, 0:1] - s[:, 1:2])
     b = 0.5 * (s[:, 0:1] + s[:, 1:2])
     k = np.maximum(s[:, 1:2] + s[:, 2:3], 0.0)
+    bad = np.flatnonzero(~np.isfinite(a + b + k))   # a, b, k >= 0
+    if bad.size:
+        raise NumericalFailure(
+            "so3_log_beta: singular-value sums overflow at proper singular values"
+            f" {s[bad[0]].tolist()}"
+        )
     with np.errstate(divide="ignore"):
         gauss = 1.0 / np.sqrt(2.0 * k)
         p1 = np.minimum(0.25 * math.pi, gauss)
@@ -325,7 +331,7 @@ def so3_projection_matrix(x: PointCloud, x_prime: PointCloud, sigma: float) -> n
 def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> RotationCertProblem:
     if x.dim != 3 or x_prime.dim != 3:
         raise ValueError("build_so3_problem: requires D = 3")
-    _check_shapes(x, x_prime)
+    check_same_shape(x, x_prime)
     with np.errstate(all="ignore"):  # non-finite entries are refused by the problem
         w = so3_projection_matrix(x, x_prime, sigma)
         return RotationCertProblem(
@@ -346,7 +352,7 @@ def _rotation_problem(
     check_sigma(sigma, "certify_tight")
     if group not in _ROTATION_KINDS:
         raise ValueError(f"certify_tight: unsupported group {group}")
-    _check_shapes(x, x_prime)
+    check_same_shape(x, x_prime)
     if group is GroupKind.ROTO_TRANSLATION:
         x, x_prime = center(x), center(x_prime)
     if x.dim == 2:
@@ -456,7 +462,7 @@ def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=
     reduced problem when the caller already has one; otherwise it is built
     here."""
     check_sigma(sigma, "certify_multiclass")
-    _check_shapes(x, x_prime)
+    check_same_shape(x, x_prime)
     if group is not None and not isinstance(group, GroupKind):
         raise ValueError(f"certify_multiclass: unsupported group {group!r}")
     notes = []

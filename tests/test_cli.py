@@ -598,8 +598,11 @@ class TestNonFinite:
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
     # 2-D clouds certify at 1e-150 and 1e300; every other case leaves sigma^2
-    # underflowed or a reduced-problem entry overflowed
-    @pytest.mark.parametrize("sigma", ["1e-300", "1e-170", "1e-160", "1e-150", "1e300"])
+    # underflowed, a reduced-problem entry overflowed or, for pmin-grid at
+    # 1e-154 and 1.1e-154, the covariance factor overflowed
+    @pytest.mark.parametrize(
+        "sigma", ["1e-300", "1e-170", "1e-160", "1e-154", "1.1e-154", "1e-150", "1e300"]
+    )
     @pytest.mark.parametrize(
         "command",
         [
@@ -625,7 +628,7 @@ class TestNonFinite:
         code = main([*command, *flags, "--sigma", sigma, "--seed", "1",
                      "--n2", "100", "--n3", "100", "--alpha", "0.01"])
         captured = capsys.readouterr()
-        fails = "c3.csv" in command or float(sigma) < 1e-155
+        fails = "c3.csv" in command or float(sigma) < 1e-153
         assert code == (3 if fails else 0)
         if fails:
             assert f"reduced problem at sigma={float(sigma)!r}" in captured.err

@@ -1,6 +1,7 @@
 """Source hygiene without a linter: every import in ``src/invarcert`` is used,
-and every private module-level name is referenced from ``src/`` itself, so
-that no helper stays alive only for the tests."""
+every private module-level name is referenced from ``src/`` itself, so that
+no helper stays alive only for the tests, and no module imports another
+module's private name."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,17 @@ def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
     )
 
 
+def private_imports(tree: ast.Module) -> list[str]:
+    """``module.name`` for each private name imported from a sibling module."""
+    return sorted(
+        f"{node.module}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for a in node.names
+        if a.name.startswith("_") and not a.name.endswith("__")
+    )
+
+
 def _source_trees() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
@@ -76,6 +88,11 @@ def test_every_private_name_is_referenced_from_src():
     assert unreferenced_privates(_source_trees()) == []
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_private_name_imported_from_a_sibling(module):
+    assert private_imports(_source_trees()[module]) == []
+
+
 def test_checks_catch_what_they_look_for():
     a = ast.parse(
         "import os\nimport numpy as np\nfrom .b import _used, public\n"
@@ -83,6 +100,8 @@ def test_checks_catch_what_they_look_for():
     )
     b = ast.parse("def _used():\n    pass\nclass _Orphan:\n    pass\n_x, _y = 1, 2\n")
     assert unused_imports(a) == ["_used", "os"]
+    assert private_imports(a) == ["b._used"]
+    assert private_imports(ast.parse("from . import __version__\nfrom .b import c")) == []
     assert unreferenced_privates({"a": a, "b": b}) == [
         "a._LIMIT", "a._dead", "b._Orphan", "b._x", "b._y"
     ]

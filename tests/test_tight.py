@@ -225,6 +225,14 @@ class TestSo3BetaHat:
         with pytest.raises(NumericalFailure):
             so3_log_beta(np.full((1, 3, 3), np.nan))
 
+    @pytest.mark.parametrize("diag", [[1e308] * 3, [8e307] * 3, [1e308, 1e308, -1e308]])
+    def test_overflowing_singular_value_sums_raise(self, diag):
+        # finite entries whose a = (s1 - s2)/2, b = (s1 + s2)/2 or k = s2 + s3 overflow
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailure, match="singular-value sums overflow"
+        ):
+            so3_log_beta(np.diag(diag)[None])
+
     @pytest.mark.parametrize("norm", [0.0, 1.0, 20.0, 1e3, 1e5])
     @pytest.mark.parametrize("kind", ["general", "rank1", "k0"])
     def test_against_mpmath(self, kind, norm):
@@ -610,6 +618,29 @@ class TestCertifyRotationTight:
             b = certify_tight(group, x, xp, 0.8, 0.4, mc, seed=91)
             tol = 3 * _combined_se(a.bound_value, b.bound_value, mc)
             assert abs(a.bound_value - b.bound_value) <= tol
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: an exact rotation's rank-deficient covariance turns the"
+        " statistic into rounding noise, and the bound exceeds p in 10-17 of 30 seeds",
+    )
+    def test_exact_rotation_bound_never_exceeds_p(self):
+        # X' = X R^T (plus a translation for SE): an invariant classifier has
+        # probability p at X', so no sound lower bound exceeds p
+        mc = McConfig(n2=1000, n3=1000, alpha=1e-3)
+        bounds = []
+        for group in (SO2, SE2):
+            for scale in (10.0, 1e3, 1e5):    # |X|^2 / sigma^2 at sigma = 1
+                for seed in range(30):
+                    rng = np.random.default_rng(seed)
+                    x = rng.standard_normal((32, 2))
+                    x *= math.sqrt(scale) / np.linalg.norm(x)
+                    xp = x @ rot2(rng.uniform(0.0, 2.0 * math.pi)).T
+                    if group is SE2:
+                        xp = xp + rng.standard_normal(2)
+                    out = certify_tight(group, PointCloud(x), PointCloud(xp), 0.9, 1.0, mc, seed)
+                    bounds.append(out.bound_value)
+        assert max(bounds) <= 0.9 + 1e-12
 
     def test_unsupported_group(self):
         x = PointCloud(np.eye(2))
@@ -1154,19 +1185,23 @@ class TestSharedFactor:
 
 
 class TestExtremeSigma:
-    """A reduced problem whose sigma^2 underflows, or whose entries overflow,
-    raises NumericalFailure naming the scale; 2-D clouds of unit scale still
-    certify at sigma 1e-150 and 1e300."""
+    """A reduced problem whose sigma^2 underflows, whose entries overflow, or
+    whose covariance factor overflows raises NumericalFailure naming the
+    scale; 2-D clouds of unit scale still certify at sigma 1e-150 and 1e300.
+    At 3e-154 and 3.6e-154 on the 2-D pair below, and at 1e-154 and 1.1e-154
+    on pmin_grid's, the entries are finite but the factor is not."""
 
     MC = McConfig(n2=100, n3=100, alpha=0.01)
 
-    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e-160, 1e-150, 1e300])
+    @pytest.mark.parametrize(
+        "sigma", [1e-300, 1e-170, 1e-160, 1e-154, 1.1e-154, 3e-154, 3.6e-154, 1e-150, 1e300]
+    )
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
                              ids=["SO", "SE"])
     def test_certifies_or_fails_numerically(self, kind, dim, sigma):
         x, xp = _pair(np.random.default_rng(33), 6, dim)
-        if dim == 3 or sigma < 1e-155:
+        if dim == 3 or sigma < 1e-153:
             message = re.escape(f"reduced problem at sigma={sigma!r}")
             with pytest.raises(NumericalFailure, match=message):
                 certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
@@ -1174,7 +1209,7 @@ class TestExtremeSigma:
             out = certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
             assert 0.0 <= out.bound_value <= 1.0
 
-    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e-160])
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e-160, 1e-154, 1.1e-154])
     def test_pmin_grid_so2(self, sigma):
         with pytest.raises(NumericalFailure, match=f"reduced problem at sigma={sigma!r}"):
             pmin_grid(SO2, 1.0, 0.5, sigma, 3, self.MC, seed=1)
