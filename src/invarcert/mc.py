@@ -98,7 +98,9 @@ class RotationCertProblem:
     """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate:
     two means sharing one covariance, and the likelihood-ratio statistic that
     compares them.  ``statistic_samples`` keeps the samples of the latest
-    (n2, n3, seed) drawn on it; a new key replaces them."""
+    (n2, n3, seed) drawn on it; a new key replaces them.  A sigma^2 that
+    underflows, or an entry or factor that is not finite, raises
+    NumericalFailure naming sigma."""
 
     mean_perturbed: np.ndarray
     mean_clean: np.ndarray
