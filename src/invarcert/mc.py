@@ -4,13 +4,17 @@ procedures on one two-sample core, plus smoothed prediction with abstention.
 This module owns the reduced problem, ``RotationCertProblem``: two Gaussian
 means sharing one covariance, plus the ``LikelihoodStatistic`` that compares
 them.  Every draw goes through the problem's one cached covariance factor.
-The lower and upper procedures read one pair of samples for a seed, the
-sorted clean statistic and the perturbed statistic, drawn once and kept in
-the problem's ``statistic_samples``.  So both stages of a multi-class
-certificate, the lower one being the tight certificate itself, read the same
-draws.  Every procedure cuts its samples with one tie-aware function,
-``_cut``, and both order-statistic indices come from one cached binomial
-search.
+
+One seed rule serves all three procedures: child c of
+``SeedSequence(seed).spawn(3)`` draws around (perturbed, clean,
+perturbed)[c].  Each procedure reads a threshold sample (n2 draws, sorted)
+from one child and a count sample (n3 draws) from the next: the lower and
+the upper bound read children 1-2, the inverse reads children 0-1.  The pair
+is drawn once and kept in the problem's ``statistic_samples``, so both
+stages of a multi-class certificate, the lower one being the tight
+certificate itself, read the same draws.  Every procedure cuts its pair with
+one tie-aware function, ``_cut``, and both order-statistic indices come from
+one cached binomial search.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
@@ -97,8 +101,9 @@ class LikelihoodStatistic:
 class RotationCertProblem:
     """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate:
     two means sharing one covariance, and the likelihood-ratio statistic that
-    compares them.  ``statistic_samples`` keeps the samples of the latest
-    (n2, n3, seed) drawn on it; a new key replaces them.  A sigma^2 that
+    compares them.  ``statistic_samples`` keeps the sample pair of the
+    latest (n2, n3, seed, first child) any procedure drew on it; a new key
+    replaces it.  A sigma^2 that
     underflows, or an entry or factor that is not finite, raises
     NumericalFailure naming sigma."""
 
@@ -205,10 +210,6 @@ def upper_quantile_index(trials: int, level: float, significance: float) -> int 
     return max(n, 1) if n <= trials else None
 
 
-def _generators(seed: int, count: int) -> tuple[np.random.Generator, ...]:
-    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count))
-
-
 def _statistic_values(problem, mean, count, rng) -> np.ndarray:
     samples = sample_gaussian(mean, count, rng, problem.factor)
     values = np.asarray(problem.statistic(samples), dtype=float)
@@ -222,27 +223,6 @@ def _statistic_values(problem, mean, count, rng) -> np.ndarray:
             f"|cov|={np.linalg.norm(problem.covariance):.6g}"
         )
     return values
-
-
-def _draw(
-    problem,
-    rngs: tuple[np.random.Generator, np.random.Generator],
-    threshold_mean: np.ndarray,
-    n_threshold: int,
-    count_mean: np.ndarray,
-    n_count: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The statistic at n_threshold draws from the problem's Gaussian centred
-    at threshold_mean, sorted, and at n_count draws centred at count_mean.
-    Both draws share the problem's covariance factor and statistic."""
-    rng_threshold, rng_count = rngs
-    # only the values are used: with NaN rejected and no -0.0 among the
-    # statistics, every sort kind returns the same array
-    threshold_values = np.sort(
-        _statistic_values(problem, threshold_mean, n_threshold, rng_threshold)
-    )
-    count_values = _statistic_values(problem, count_mean, n_count, rng_count)
-    return threshold_values, count_values
 
 
 def _cut(
@@ -269,25 +249,24 @@ def _cut(
     return kappa, int(np.count_nonzero(count_values > kappa)) + math.floor((1.0 - share) * ties)
 
 
-def _clean_and_perturbed(problem, mc: McConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of samples behind the lower and the upper bound: the sorted
-    statistic at mc.n2 clean draws from the second child of
-    ``SeedSequence(seed).spawn(3)``, and at mc.n3 perturbed draws from the
-    third.  Drawn on the first call for (n2, n3, seed) and kept, read-only,
-    in the problem's ``statistic_samples`` until another key is drawn, so
-    both procedures on one problem draw once."""
-    key = (mc.n2, mc.n3, seed)
+def _samples(problem, mc: McConfig, seed: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair a procedure cuts, by the module's seed rule: the sorted
+    statistic at mc.n2 draws from child ``first`` and the statistic at mc.n3
+    draws from child ``first + 1``.  Drawn on the first call for (n2, n3,
+    seed, first) and kept, read-only, in the problem's ``statistic_samples``
+    until another key is drawn."""
+    key = (mc.n2, mc.n3, seed, first)
     if key not in problem.statistic_samples:
-        # three streams, the first unused: spawning two would change every
-        # draw and so every pinned value
-        _, rng2, rng3 = _generators(seed, 3)
-        drawn = _draw(
-            problem, (rng2, rng3), problem.mean_clean, mc.n2, problem.mean_perturbed, mc.n3
-        )
-        for values in drawn:
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(first + 2)]
+        means = (problem.mean_perturbed, problem.mean_clean, problem.mean_perturbed)
+        # only the values are used: with NaN rejected and no -0.0 among the
+        # statistics, every sort kind returns the same array
+        threshold = np.sort(_statistic_values(problem, means[first], mc.n2, rngs[first]))
+        count = _statistic_values(problem, means[first + 1], mc.n3, rngs[first + 1])
+        for values in (threshold, count):
             values.setflags(write=False)
         problem.statistic_samples.clear()
-        problem.statistic_samples[key] = drawn
+        problem.statistic_samples[key] = (threshold, count)
     return problem.statistic_samples[key]
 
 
@@ -318,7 +297,7 @@ def prob_certify_reduced(
     if n_star is None:
         notes.append("threshold-undetermined")
     else:
-        kappa, count = _cut(*_clean_and_perturbed(problem, mc, seed), n_star, below=True)
+        kappa, count = _cut(*_samples(problem, mc, seed, first=1), n_star, below=True)
         bound = clopper_pearson_lower(count, mc.n3, 1.0 - mc.alpha / 3.0)
     return CertificateOutcome(
         certified=bound > 0.5,
@@ -353,7 +332,7 @@ def prob_certify_upper_reduced(
     n_star = lower_quantile_index(mc.n2, 1.0 - p_eff, mc.alpha / 2.0)
     if n_star is None:
         return 1.0
-    _, count = _cut(*_clean_and_perturbed(problem, mc, seed), n_star, below=False)
+    _, count = _cut(*_samples(problem, mc, seed, first=1), n_star, below=False)
     return clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 3.0)
 
 
@@ -365,12 +344,10 @@ def inverse_certify_reduced(problem, mc: McConfig, seed: int) -> float:
     probability of falling below it is then upper-bounded at confidence
     1 - alpha/2.  Returns the vacuous 1.0 when the median index is undefined.
     """
-    rngs = _generators(seed, 2)
     n_star = upper_quantile_index(mc.n2, 0.5, mc.alpha)
     if n_star is None:
         return 1.0
-    drawn = _draw(problem, rngs, problem.mean_perturbed, mc.n2, problem.mean_clean, mc.n3)
-    _, count = _cut(*drawn, n_star, below=True)
+    _, count = _cut(*_samples(problem, mc, seed, first=0), n_star, below=True)
     p_min = clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 2.0)
     # any certificate needs p > 1/2, so 1/2 is a free lower bound on p_min
     return min(max(p_min, 0.5), 1.0)

@@ -11,7 +11,7 @@ from invarcert.mc import (
     ABSTAIN,
     McConfig,
     _cut,
-    _draw,
+    _samples,
     inverse_certify_reduced,
     lower_quantile_index,
     prob_certify_reduced,
@@ -186,20 +186,50 @@ class TestTwoSample:
     def test_matches_stable_sort_reference(self, name, n_star, below):
         statistic = LikelihoodStatistic(dim=1, evaluator=self.STATISTICS[name])
         problem = dataclasses.replace(blackbox_reduced_problem(0.3, 1.0), statistic=statistic)
-        drawn = _draw(
-            problem, (np.random.default_rng(1), np.random.default_rng(2)),
-            problem.mean_clean, 1000, problem.mean_perturbed, 1000,
-        )
-        got = _cut(*drawn, n_star, below)
+        got = _cut(*_samples(problem, McConfig(1000, 1000), 12, first=1), n_star, below)
+        # the lower and upper bounds' streams: children 1 (clean) and 2 (perturbed)
+        _, clean, perturbed = np.random.SeedSequence(12).spawn(3)
         threshold = statistic(
-            sample_gaussian(problem.mean_clean, 1000, np.random.default_rng(1), problem.factor)
+            sample_gaussian(problem.mean_clean, 1000, np.random.default_rng(clean), problem.factor)
         )
         stable = np.sort(threshold, kind="stable")
         assert np.sort(threshold).tobytes() == stable.tobytes()
-        counted = statistic(
-            sample_gaussian(problem.mean_perturbed, 1000, np.random.default_rng(2), problem.factor)
-        )
+        counted = statistic(sample_gaussian(
+            problem.mean_perturbed, 1000, np.random.default_rng(perturbed), problem.factor
+        ))
         assert repr(got) == repr(_cut(stable, counted, n_star, below))
+
+
+def _never_evaluated(q):
+    raise AssertionError("no statistic row may be drawn")
+
+
+class TestVacuousBounds:
+    # 2^-100 ~ 7.9e-31: at n2 = 100 no order statistic of a p = 1/2 quantile
+    # is significant at alpha = 1e-31, so neither procedure draws
+    MC = McConfig(100, 100, alpha=1e-31)
+
+    def _problem(self):
+        statistic = LikelihoodStatistic(dim=1, evaluator=_never_evaluated)
+        return dataclasses.replace(blackbox_reduced_problem(0.5, 0.5), statistic=statistic)
+
+    def test_upper_bound(self):
+        problem = self._problem()
+        assert prob_certify_upper_reduced(problem, self.MC, seed=1, p_upper=0.5) == 1.0
+        assert problem.statistic_samples == {}
+
+    def test_inverse_bound(self):
+        problem = self._problem()
+        assert inverse_certify_reduced(problem, self.MC, seed=1) == 1.0
+        assert problem.statistic_samples == {}
+
+
+class TestLikelihoodStatistic:
+    def test_dimension_mismatch(self):
+        statistic = LikelihoodStatistic(dim=2, evaluator=lambda q: q[:, 0])
+        assert statistic(np.ones((3, 2))).tolist() == [1.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="sample dimension mismatch"):
+            statistic(np.ones((3, 4)))
 
 
 class TestUpperReduced:

@@ -21,12 +21,15 @@ from invarcert.geometry import (
 )
 from invarcert.mc import (
     McConfig,
+    _cut,
     inverse_certify_reduced,
     prob_certify_reduced,
     prob_certify_upper_reduced,
+    upper_quantile_index,
 )
 from invarcert.numerics import (
     NumericalFailure,
+    clopper_pearson_upper,
     sample_gaussian,
     std_normal_cdf,
     std_normal_quantile,
@@ -931,11 +934,25 @@ class TestSharedDraws:
         assert rows == [300, 200, 300, 200]
         for values in problem.statistic_samples.values():
             assert not any(v.flags.writeable for v in values)
-        # the inverse procedure reads other streams and keeps no samples
-        inverse_certify_reduced(problem, mc, 7)
+        # the inverse reads children 0-1 of the same seed rule and keeps its
+        # pair too: a second call draws nothing
+        p_min = inverse_certify_reduced(problem, mc, 7)
         assert rows[4:] == [300, 200]
-        # only the latest seed's samples are kept
-        assert len(problem.statistic_samples) == 1
+        assert inverse_certify_reduced(problem, mc, 7) == p_min
+        assert rows[4:] == [300, 200]
+        # only the latest pair is kept, read-only
+        (kept,) = problem.statistic_samples.values()
+        assert not any(v.flags.writeable for v in kept)
+        # perturbed threshold sample from child 0, clean count from child 1
+        perturbed, clean = (np.random.default_rng(s) for s in np.random.SeedSequence(7).spawn(2))
+        threshold = np.sort(statistic(sample_gaussian(problem.mean_perturbed, 300, perturbed,
+                                                      problem.factor)))
+        counted = statistic(sample_gaussian(problem.mean_clean, 200, clean, problem.factor))
+        assert threshold.tobytes() == kept[0].tobytes()
+        assert counted.tobytes() == kept[1].tobytes()
+        n_star = upper_quantile_index(300, 0.5, mc.alpha)
+        _, count = _cut(threshold, counted, n_star, below=True)
+        assert p_min == max(clopper_pearson_upper(count, 200, 1.0 - mc.alpha / 2.0), 0.5)
 
 
 class TestMulticlassValidation:
