@@ -918,3 +918,46 @@ class TestSharedParser:
         assert not json_path.exists()
         assert printed["results"] == written["results"]
         assert printed["manifest"] == written["manifest"]
+
+
+class TestUsageErrors:
+    """Each usage error exits 2, names its flag or scenario on stderr and
+    writes no file."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["certify", "--group", "SO", "--sigma", "0.5", "--seed", "1"],
+             "--p-lower or --classifier is required"),
+            (["fixture", "--scenario", "random", "--norm-x", "0", "--norm-delta", "0.5"],
+             "--norm-x: must be > 0"),
+            (["fixture", "--scenario", "scaling", "--norm-x", "1.0"],
+             "--norm-delta: required for the scaling scenario"),
+            (["fixture", "--scenario", "rotation", "--norm-x", "1.0", "--theta", "0.5",
+              "--dim", "3"],
+             "--scenario rotation: requires --dim 2"),
+            (["fixture", "--scenario", "rotation", "--norm-x", "1.0"],
+             "--theta or --norm-delta: required for rotation scenario"),
+            (["fixture", "--scenario", "random", "--norm-x", "1.0"],
+             "--norm-delta: required for the random scenario"),
+        ],
+        ids=["certify-no-p-lower", "fixture-zero-norm-x", "scaling-no-norm-delta",
+             "rotation-dim-3", "rotation-no-theta", "random-no-norm-delta"],
+    )
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, argv, message):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        clean, perturbed = _write_pair(inputs, np.eye(2) * 0.2, np.eye(2)[::-1] * 0.2)
+        out = tmp_path / "out"
+        out.mkdir()
+        if argv[0] == "certify":
+            argv = [*argv, "--clean", clean, "--perturbed", perturbed]
+        else:
+            argv = [*argv, "--seed", "1", "--out-clean", str(out / "c.csv"),
+                    "--out-perturbed", str(out / "p.csv")]
+        code = main([*argv, "--out", str(out / "out.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(out.iterdir()) == []

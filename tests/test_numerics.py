@@ -175,6 +175,11 @@ class TestSampleGaussian:
         with pytest.raises(ValueError):
             psd_factor(np.eye(4)[:3])
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_count_below_one(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample_gaussian(np.zeros(2), count, np.random.default_rng(0), psd_factor(np.eye(2)))
+
     def test_rejects_asymmetric(self):
         cov = np.eye(3)
         cov[0, 1] = 0.5
@@ -265,6 +270,10 @@ class TestBinomialTail:
 
     def test_certain_event(self):
         assert math.exp(binomial_log_cdf_all(10, 1.0 - 1.0)[10 - 10]) == 1.0
+
+    def test_sure_success(self):
+        # Bin(4, 1) = 4 surely: log Pr[X <= k] is -inf below 4 and 0 at 4
+        assert binomial_log_cdf_all(4, 1.0).tolist() == [-math.inf] * 4 + [0.0]
 
     def test_upper_tail_midpoint(self):
         assert math.exp(binomial_log_cdf_all(10, 1.0 - 0.5)[10 - 5]) == pytest.approx(

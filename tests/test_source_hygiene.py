@@ -1,7 +1,8 @@
 """Source hygiene without a linter: every import in ``src/invarcert`` is used,
 every private module-level name is referenced from ``src/`` itself, so that
 no helper stays alive only for the tests, and no module imports another
-module's private name."""
+module's private name.  Only a few functions call into ``np.random``: the
+Monte-Carlo engine draws every reduced-problem sample in one place."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,49 @@ def private_imports(tree: ast.Module) -> list[str]:
     )
 
 
+# the functions that may create generators or seed sequences: the engine's
+# sample pair, smoothed prediction, the p_min grid's cell seeds, fixtures
+RANDOM_STREAM_OWNERS = {"mc._samples", "mc.smooth_predict", "tight.pmin_grid", "cli.cmd_fixture"}
+
+
+def _top_level_functions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+        else:
+            yield "<module>", node
+
+
+def _calls_numpy_random(node: ast.AST) -> bool:
+    """A call of ``np.random.<name>`` or ``numpy.random.<name>``, or of a
+    name imported from ``numpy.random``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and sub.module == "numpy.random":
+            return True
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+            owner = sub.func.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "random"
+                    and isinstance(owner.value, ast.Name) and owner.value.id in ("np", "numpy")):
+                return True
+    return False
+
+
+def random_stream_callers(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.function`` for each top-level function or method (or
+    ``module.<module>`` for other top-level code) that calls into
+    ``np.random``."""
+    return sorted({
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _top_level_functions(tree)
+        if _calls_numpy_random(node)
+    })
+
+
 def _source_trees() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
@@ -93,6 +137,10 @@ def test_no_private_name_imported_from_a_sibling(module):
     assert private_imports(_source_trees()[module]) == []
 
 
+def test_random_streams_are_made_in_few_places():
+    assert sorted(set(random_stream_callers(_source_trees())) - RANDOM_STREAM_OWNERS) == []
+
+
 def test_checks_catch_what_they_look_for():
     a = ast.parse(
         "import os\nimport numpy as np\nfrom .b import _used, public\n"
@@ -104,4 +152,14 @@ def test_checks_catch_what_they_look_for():
     assert private_imports(ast.parse("from . import __version__\nfrom .b import c")) == []
     assert unreferenced_privates({"a": a, "b": b}) == [
         "a._LIMIT", "a._dead", "b._Orphan", "b._x", "b._y"
+    ]
+    c = ast.parse(
+        "import numpy as np\nSEED = np.random.SeedSequence(1)\n"
+        "def draw(seed):\n    return np.random.default_rng(seed).normal()\n"
+        "def typed(rng: np.random.Generator):\n    return rng.normal()\n"
+        "class Sampler:\n    def spawn(self):\n        return numpy.random.SeedSequence(2)\n"
+        "def hidden():\n    from numpy.random import default_rng\n    return default_rng(3)\n"
+    )
+    assert random_stream_callers({"c": c}) == [
+        "c.<module>", "c.Sampler.spawn", "c.draw", "c.hidden"
     ]
