@@ -103,9 +103,8 @@ class RotationCertProblem:
     two means sharing one covariance, and the likelihood-ratio statistic that
     compares them.  ``statistic_samples`` keeps the sample pair of the
     latest (n2, n3, seed, first child) any procedure drew on it; a new key
-    replaces it.  A sigma^2 that
-    underflows, or an entry or factor that is not finite, raises
-    NumericalFailure naming sigma."""
+    replaces it.  A sigma^2 that underflows, or an entry or factor that is
+    not finite, raises NumericalFailure naming sigma."""
 
     mean_perturbed: np.ndarray
     mean_clean: np.ndarray
@@ -257,6 +256,8 @@ def _samples(problem, mc: McConfig, seed: int, first: int) -> tuple[np.ndarray, 
     until another key is drawn."""
     key = (mc.n2, mc.n3, seed, first)
     if key not in problem.statistic_samples:
+        # a child does not depend on how many are spawned: spawn(2) gives
+        # the first two children of spawn(3)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(first + 2)]
         means = (problem.mean_perturbed, problem.mean_clean, problem.mean_perturbed)
         # only the values are used: with NaN rejected and no -0.0 among the
