@@ -7,14 +7,23 @@ them.  Every draw goes through the problem's one cached covariance factor.
 
 One seed rule serves all three procedures: child c of
 ``SeedSequence(seed).spawn(3)`` draws around (perturbed, clean,
-perturbed)[c].  Each procedure reads a threshold sample (n2 draws, sorted)
-from one child and a count sample (n3 draws) from the next: the lower and
-the upper bound read children 1-2, the inverse reads children 0-1.  The pair
-is drawn once and kept in the problem's ``statistic_samples``, so both
-stages of a multi-class certificate, the lower one being the tight
-certificate itself, read the same draws.  Every procedure cuts its pair with
-one tie-aware function, ``_cut``, and both order-statistic indices come from
-one cached binomial search.
+perturbed)[c].  Each procedure reads a threshold sample (n2 draws) from one
+child and a count sample (n3 draws) from the next: the lower and the upper
+bound read children 1-2, the inverse reads children 0-1.  The pair is drawn
+once and kept in the problem's ``statistic_samples``, so both stages of a
+multi-class certificate, the lower one being the tight certificate itself,
+read the same draws.  Every procedure cuts its pair with one tie-aware
+function, ``_cut``, and both order-statistic indices come from one cached
+binomial search.
+
+A cut reads only the n_star-th threshold value kappa and how the count
+sample orders against it.  When the statistic has a ``bracket`` (SO(2)'s
+does), each kept row starts as cheap bounds on its value, and ``_cut``
+evaluates the exact statistic, in one call, only on the threshold rows that
+can hold kappa's place and the count rows whose bounds hold kappa; later
+cuts of the same pair reuse those values.  Without a bracket (SO(3)) every
+row is evaluated when drawn.  Either way kappa and every count are byte for
+byte those of evaluating every row.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
@@ -85,10 +94,17 @@ def _check_alpha(caller: str, alpha: float) -> None:
 
 @dataclass(frozen=True)
 class LikelihoodStatistic:
-    """Deterministic map from sampled vectors to log likelihood-ratio values."""
+    """Deterministic map from sampled vectors to log likelihood-ratio values.
+
+    ``bracket``, when given, maps the same (n, dim) samples to per-row bounds
+    (lo, hi) that contain the very float the evaluator returns for that row,
+    and never NaN; lo == hi pins the value.  The engine then evaluates only
+    the rows whose bracket can straddle its threshold.
+    """
 
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
+    bracket: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -209,14 +225,13 @@ def upper_quantile_index(trials: int, level: float, significance: float) -> int 
     return max(n, 1) if n <= trials else None
 
 
-def _statistic_values(problem, mean, count, rng) -> np.ndarray:
-    samples = sample_gaussian(mean, count, rng, problem.factor)
+def _statistic_values(problem, samples: np.ndarray) -> np.ndarray:
     values = np.asarray(problem.statistic(samples), dtype=float)
     bad = np.isnan(values)
     if np.any(bad):
         raise NumericalFailure(
             "NaN likelihood-ratio statistic: "
-            f"{int(bad.sum())}/{count} samples, "
+            f"{int(bad.sum())}/{samples.shape[0]} samples, "
             f"|mean_clean|={np.linalg.norm(problem.mean_clean):.6g}, "
             f"|mean_perturbed|={np.linalg.norm(problem.mean_perturbed):.6g}, "
             f"|cov|={np.linalg.norm(problem.covariance):.6g}"
@@ -224,48 +239,89 @@ def _statistic_values(problem, mean, count, rng) -> np.ndarray:
     return values
 
 
+class _Sample:
+    """One kept statistic sample: per row, bounds lo <= value <= hi on the
+    statistic, with lo == hi where the value is known.  A statistic without
+    a bracket is evaluated on every row at once; otherwise the read-only
+    draws are kept, and ``refine`` evaluates rows as cuts need them.  Holds
+    no reference to its problem, so a dropped problem is freed at once."""
+
+    def __init__(self, problem, mean: np.ndarray, count: int, rng: np.random.Generator):
+        draws = sample_gaussian(mean, count, rng, problem.factor)
+        if problem.statistic.bracket is None:
+            self.draws = None
+            self.lo = self.hi = _statistic_values(problem, draws)
+            self.lo.setflags(write=False)
+        else:
+            draws.setflags(write=False)
+            self.draws = draws
+            self.lo, self.hi = problem.statistic.bracket(draws)
+
+    def refine(self, problem, rows: np.ndarray) -> None:
+        """Evaluate the statistic, in one call, on the rows of the mask
+        ``rows`` whose value is not known yet."""
+        todo = rows & (self.lo != self.hi)
+        if todo.all():
+            todo = slice(None)  # every row (an exact rotation): no copy of the draws
+        elif not todo.any():
+            return
+        self.lo[todo] = self.hi[todo] = _statistic_values(problem, self.draws[todo])
+
+
 def _cut(
-    threshold_values: np.ndarray, count_values: np.ndarray, n_star: int, below: bool
+    problem, threshold: _Sample, count: _Sample, n_star: int, below: bool
 ) -> tuple[float, int]:
-    """kappa is the n_star-th of the sorted threshold_values; count is how
-    many count_values fall strictly below kappa (or above it), plus kappa's
-    tie group at the share that lies on the same side of the threshold.
+    """kappa is the n_star-th smallest statistic value of the threshold
+    sample; count is how many count-sample values fall strictly below kappa
+    (or above it), plus kappa's tie group at the share that lies on the same
+    side of the threshold.
 
-    The share is the fraction of kappa's tie group in threshold_values at or
-    below position n_star.  For continuous statistics ties never occur and
-    the share is irrelevant; when the law has an atom (e.g. a rank-deficient
-    problem makes the statistic constant), counting the full tie group would
-    overshoot the Neyman-Pearson value, so tied samples are counted at this
-    share, mimicking the randomized tie-break of the optimal classifier.
+    kappa lies between k_lo and k_hi, the n_star-th smallest lower and upper
+    bounds.  Threshold rows whose bracket meets [k_lo, k_hi] are evaluated,
+    and kappa is read among them after the rows wholly below k_lo; count
+    rows are evaluated where their bracket holds kappa.  Both read exactly
+    the values that evaluating every row would give (no statistic returns
+    -0.0, so equal values have equal bits).
+
+    The share is the fraction of kappa's tie group in the threshold sample
+    at or below position n_star.  For continuous statistics ties never occur
+    and the share is irrelevant; when the law has an atom (e.g. a
+    rank-deficient problem makes the statistic constant), counting the full
+    tie group would overshoot the Neyman-Pearson value, so tied samples are
+    counted at this share, mimicking the randomized tie-break of the optimal
+    classifier.
     """
-    kappa = float(threshold_values[n_star - 1])
-    lo = int(np.searchsorted(threshold_values, kappa, side="left"))
-    hi = int(np.searchsorted(threshold_values, kappa, side="right"))
+    k_lo = np.partition(threshold.lo, n_star - 1)[n_star - 1]
+    k_hi = np.partition(threshold.hi, n_star - 1)[n_star - 1]
+    below_all = int(np.count_nonzero(threshold.hi < k_lo))
+    middle = (threshold.lo <= k_hi) & (threshold.hi >= k_lo)
+    threshold.refine(problem, middle)
+    values = np.sort(threshold.lo[middle])
+    kappa = float(values[n_star - 1 - below_all])
+    lo = below_all + int(np.searchsorted(values, kappa, side="left"))
+    hi = below_all + int(np.searchsorted(values, kappa, side="right"))
     share = (n_star - lo) / (hi - lo)
-    ties = int(np.count_nonzero(count_values == kappa))
+    count.refine(problem, (count.lo <= kappa) & (count.hi >= kappa))
+    ties = int(np.count_nonzero(count.lo == kappa))
     if below:
-        return kappa, int(np.count_nonzero(count_values < kappa)) + math.floor(share * ties)
-    return kappa, int(np.count_nonzero(count_values > kappa)) + math.floor((1.0 - share) * ties)
+        return kappa, int(np.count_nonzero(count.hi < kappa)) + math.floor(share * ties)
+    return kappa, int(np.count_nonzero(count.lo > kappa)) + math.floor((1.0 - share) * ties)
 
 
-def _samples(problem, mc: McConfig, seed: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair a procedure cuts, by the module's seed rule: the sorted
-    statistic at mc.n2 draws from child ``first`` and the statistic at mc.n3
+def _samples(problem, mc: McConfig, seed: int, first: int) -> tuple[_Sample, _Sample]:
+    """The pair a procedure cuts, by the module's seed rule: the threshold
+    sample of mc.n2 draws from child ``first`` and the count sample of mc.n3
     draws from child ``first + 1``.  Drawn on the first call for (n2, n3,
-    seed, first) and kept, read-only, in the problem's ``statistic_samples``
-    until another key is drawn."""
+    seed, first) and kept in the problem's ``statistic_samples`` until
+    another key is drawn."""
     key = (mc.n2, mc.n3, seed, first)
     if key not in problem.statistic_samples:
         # a child does not depend on how many are spawned: spawn(2) gives
         # the first two children of spawn(3)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(first + 2)]
         means = (problem.mean_perturbed, problem.mean_clean, problem.mean_perturbed)
-        # only the values are used: with NaN rejected and no -0.0 among the
-        # statistics, every sort kind returns the same array
-        threshold = np.sort(_statistic_values(problem, means[first], mc.n2, rngs[first]))
-        count = _statistic_values(problem, means[first + 1], mc.n3, rngs[first + 1])
-        for values in (threshold, count):
-            values.setflags(write=False)
+        threshold = _Sample(problem, means[first], mc.n2, rngs[first])
+        count = _Sample(problem, means[first + 1], mc.n3, rngs[first + 1])
         problem.statistic_samples.clear()
         problem.statistic_samples[key] = (threshold, count)
     return problem.statistic_samples[key]
@@ -298,7 +354,7 @@ def prob_certify_reduced(
     if n_star is None:
         notes.append("threshold-undetermined")
     else:
-        kappa, count = _cut(*_samples(problem, mc, seed, first=1), n_star, below=True)
+        kappa, count = _cut(problem, *_samples(problem, mc, seed, first=1), n_star, below=True)
         bound = clopper_pearson_lower(count, mc.n3, 1.0 - mc.alpha / 3.0)
     return CertificateOutcome(
         certified=bound > 0.5,
@@ -333,7 +389,7 @@ def prob_certify_upper_reduced(
     n_star = lower_quantile_index(mc.n2, 1.0 - p_eff, mc.alpha / 2.0)
     if n_star is None:
         return 1.0
-    _, count = _cut(*_samples(problem, mc, seed, first=1), n_star, below=False)
+    _, count = _cut(problem, *_samples(problem, mc, seed, first=1), n_star, below=False)
     return clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 3.0)
 
 
@@ -348,7 +404,7 @@ def inverse_certify_reduced(problem, mc: McConfig, seed: int) -> float:
     n_star = upper_quantile_index(mc.n2, 0.5, mc.alpha)
     if n_star is None:
         return 1.0
-    _, count = _cut(*_samples(problem, mc, seed, first=0), n_star, below=True)
+    _, count = _cut(problem, *_samples(problem, mc, seed, first=0), n_star, below=True)
     p_min = clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 2.0)
     # any certificate needs p > 1/2, so 1/2 is a free lower bound on p_min
     return min(max(p_min, 0.5), 1.0)

@@ -8,6 +8,8 @@ from Gaussian sampling, which draws from a generator the caller owns.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import special
 
@@ -70,6 +72,50 @@ def log_bessel_i0(x):
     return float(out) if out.ndim == 0 else out
 
 
+# The bound table of log_bessel_i0 splits [2^-60, 2^40] into buckets of the
+# floats sharing their exponent and top _BOUND_BITS mantissa bits.
+_BOUND_BITS = 10
+_BOUND_EXPONENTS = (-60, 40)
+_BOUND_SHIFT = 52 - _BOUND_BITS
+_BOUND_FIRST = int(np.float64(2.0 ** _BOUND_EXPONENTS[0]).view(np.int64)) >> _BOUND_SHIFT
+_BOUND_TOP = 2.0 ** _BOUND_EXPONENTS[1]
+
+
+@functools.cache
+def _log_i0_edges() -> tuple[np.ndarray, np.ndarray]:
+    """log_bessel_i0 at 0 and at every bucket edge from 2^-60 to 2^40 (102402
+    values, built once), as two read-only views: the lower edge of bucket
+    k - 1 at index k (0 below 2^-60), and its upper edge."""
+    binades = np.arange(*_BOUND_EXPONENTS)
+    mantissas = 1.0 + np.arange(2**_BOUND_BITS) / 2**_BOUND_BITS
+    edges = np.concatenate(
+        [[0.0], np.ldexp(mantissas[None, :], binades[:, None]).ravel(), [_BOUND_TOP]]
+    )
+    table = log_bessel_i0(edges)
+    table.setflags(write=False)
+    return table[:-1], table[1:]
+
+
+def log_bessel_i0_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log_bessel_i0 at the table edges around each x >= 0 of a float array,
+    one at or below x and one above it; (-inf, inf) where x is not below 2^40
+    (NaN included).
+
+    log I0 increases, so these enclose log_bessel_i0(x) up to its rounding
+    noise, which callers add: below x = 2^-10 the cancellation in
+    log(i0e(x)) + x leaves a few eps absolute (up to 6 eps measured between
+    the edges); above it the noise stays inside the bucket.
+    """
+    lower, upper = _log_i0_edges()
+    index = (x.view(np.int64) >> _BOUND_SHIFT) - (_BOUND_FIRST - 1)
+    np.clip(index, 0, lower.size - 1, out=index)
+    lo, hi = lower.take(index), upper.take(index)
+    outside = ~(x < _BOUND_TOP)
+    lo[outside] = -np.inf
+    hi[outside] = np.inf
+    return lo, hi
+
+
 def psd_factor(covariance) -> np.ndarray:
     """Matrix F with F F^T equal to the clipped-PSD part of a symmetric
     covariance.
@@ -102,7 +148,9 @@ def sample_gaussian(mean, count: int, rng: np.random.Generator,
     if count < 1:
         raise ValueError("sample_gaussian: count must be >= 1")
     normals = rng.standard_normal((count, mean.size))
-    return mean + normals @ factor.T
+    out = normals @ factor.T
+    out += mean
+    return out
 
 
 def _check_binomial(successes: int, trials: int, confidence: float) -> None:

@@ -297,6 +297,22 @@ def blackbox_reduced_problem(norm_delta: float, sigma: float) -> RotationCertPro
     )
 
 
+def sorted_cut(threshold, counted, n_star: int, below: bool) -> tuple[float, int]:
+    """The Monte-Carlo cut with every value known: kappa is the n_star-th of
+    the stably sorted threshold values, and the count is how many counted
+    values fall strictly below kappa (or above it), plus kappa's tie group at
+    the share of it that sits at or below position n_star."""
+    threshold = np.sort(threshold, kind="stable")
+    kappa = float(threshold[n_star - 1])
+    lo = int(np.searchsorted(threshold, kappa, side="left"))
+    hi = int(np.searchsorted(threshold, kappa, side="right"))
+    share = (n_star - lo) / (hi - lo)
+    ties = int(np.count_nonzero(counted == kappa))
+    if below:
+        return kappa, int(np.count_nonzero(counted < kappa)) + math.floor(share * ties)
+    return kappa, int(np.count_nonzero(counted > kappa)) + math.floor((1.0 - share) * ties)
+
+
 def linear_statistic() -> LikelihoodStatistic:
     """Identity statistic for the one-dimensional reductions."""
     return LikelihoodStatistic(dim=1, evaluator=lambda q: q[:, 0])

@@ -28,7 +28,7 @@ from invarcert.numerics import (
 )
 from invarcert.oracles import SyntheticClassifier
 from invarcert.tight import LikelihoodStatistic, so2_problem_from_params
-from reference import blackbox_reduced_problem
+from reference import blackbox_reduced_problem, sorted_cut
 
 
 class _ConstantClassifier:
@@ -186,7 +186,7 @@ class TestTwoSample:
     def test_matches_stable_sort_reference(self, name, n_star, below):
         statistic = LikelihoodStatistic(dim=1, evaluator=self.STATISTICS[name])
         problem = dataclasses.replace(blackbox_reduced_problem(0.3, 1.0), statistic=statistic)
-        got = _cut(*_samples(problem, McConfig(1000, 1000), 12, first=1), n_star, below)
+        got = _cut(problem, *_samples(problem, McConfig(1000, 1000), 12, first=1), n_star, below)
         # the lower and upper bounds' streams: children 1 (clean) and 2 (perturbed)
         _, clean, perturbed = np.random.SeedSequence(12).spawn(3)
         threshold = statistic(
@@ -197,7 +197,7 @@ class TestTwoSample:
         counted = statistic(sample_gaussian(
             problem.mean_perturbed, 1000, np.random.default_rng(perturbed), problem.factor
         ))
-        assert repr(got) == repr(_cut(stable, counted, n_star, below))
+        assert repr(got) == repr(sorted_cut(stable, counted, n_star, below))
 
 
 def _never_evaluated(q):

@@ -169,6 +169,18 @@ class TestSampleGaussian:
         b = sample_gaussian(np.zeros(4), 100, np.random.default_rng(42), factor)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [4, 18])
+    def test_in_place_mean_matches_sum_bitwise(self, dim):
+        # adding the mean into the product does the same IEEE additions as
+        # mean + normals @ factor.T, without its second n x d array
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+        factor = psd_factor(a @ a.T)
+        mean = 1e3 * rng.standard_normal(dim)
+        normals = np.random.default_rng(7).standard_normal((5000, dim))
+        got = sample_gaussian(mean, 5000, np.random.default_rng(7), factor)
+        assert got.tobytes() == (mean + normals @ factor.T).tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sample_gaussian(np.zeros(3), 10, np.random.default_rng(0), psd_factor(np.eye(4)))

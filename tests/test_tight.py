@@ -21,7 +21,6 @@ from invarcert.geometry import (
 )
 from invarcert.mc import (
     McConfig,
-    _cut,
     inverse_certify_reduced,
     prob_certify_reduced,
     prob_certify_upper_reduced,
@@ -60,6 +59,7 @@ from reference import (
     rot3_zyx,
     so2_projection_matrix,
     so3_log_beta_hat,
+    sorted_cut,
 )
 
 # the digit is the dimension of the clouds each test passes
@@ -932,8 +932,10 @@ class TestSharedDraws:
             assert lower == prob_certify_reduced(fresh, mc, seed, p_lower=0.9)
             assert again == prob_certify_reduced(fresh, mc, seed, p_lower=0.8)
         assert rows == [300, 200, 300, 200]
-        for values in problem.statistic_samples.values():
-            assert not any(v.flags.writeable for v in values)
+        # a statistic without a bracket keeps only values, pinned (lo is hi)
+        for pair in problem.statistic_samples.values():
+            assert all(s.lo is s.hi and s.draws is None for s in pair)
+            assert not any(s.lo.flags.writeable for s in pair)
         # the inverse reads children 0-1 of the same seed rule and keeps its
         # pair too: a second call draws nothing
         p_min = inverse_certify_reduced(problem, mc, 7)
@@ -942,16 +944,16 @@ class TestSharedDraws:
         assert rows[4:] == [300, 200]
         # only the latest pair is kept, read-only
         (kept,) = problem.statistic_samples.values()
-        assert not any(v.flags.writeable for v in kept)
+        assert not any(s.lo.flags.writeable for s in kept)
         # perturbed threshold sample from child 0, clean count from child 1
         perturbed, clean = (np.random.default_rng(s) for s in np.random.SeedSequence(7).spawn(2))
         threshold = np.sort(statistic(sample_gaussian(problem.mean_perturbed, 300, perturbed,
                                                       problem.factor)))
         counted = statistic(sample_gaussian(problem.mean_clean, 200, clean, problem.factor))
-        assert threshold.tobytes() == kept[0].tobytes()
-        assert counted.tobytes() == kept[1].tobytes()
+        assert threshold.tobytes() == np.sort(kept[0].lo).tobytes()
+        assert counted.tobytes() == kept[1].lo.tobytes()
         n_star = upper_quantile_index(300, 0.5, mc.alpha)
-        _, count = _cut(threshold, counted, n_star, below=True)
+        _, count = sorted_cut(threshold, counted, n_star, below=True)
         assert p_min == max(clopper_pearson_upper(count, 200, 1.0 - mc.alpha / 2.0), 0.5)
 
 
