@@ -17,7 +17,9 @@ from .geometry import (
 )
 from .mc import (
     ABSTAIN,
+    LikelihoodStatistic,
     McConfig,
+    RotationCertProblem,
     inverse_certify_reduced,
     prob_certify_reduced,
     prob_certify_upper_reduced,
@@ -47,9 +49,7 @@ from .orbit import (
     project_translation,
 )
 from .tight import (
-    LikelihoodStatistic,
     PminGrid,
-    RotationCertProblem,
     build_so2_problem,
     build_so3_problem,
     certify_multiclass,
@@ -77,7 +77,9 @@ __all__ = [
     "save_points_csv",
     # mc
     "ABSTAIN",
+    "LikelihoodStatistic",
     "McConfig",
+    "RotationCertProblem",
     "inverse_certify_reduced",
     "prob_certify_reduced",
     "prob_certify_upper_reduced",
@@ -104,9 +106,7 @@ __all__ = [
     "project_roto_translation",
     "project_translation",
     # tight
-    "LikelihoodStatistic",
     "PminGrid",
-    "RotationCertProblem",
     "build_so2_problem",
     "build_so3_problem",
     "certify_multiclass",

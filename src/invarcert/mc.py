@@ -17,13 +17,14 @@ function, ``_cut``, and both order-statistic indices come from one cached
 binomial search.
 
 A cut reads only the n_star-th threshold value kappa and how the count
-sample orders against it.  When the statistic has a ``bracket`` (SO(2)'s
-does), each kept row starts as cheap bounds on its value, and ``_cut``
-evaluates the exact statistic, in one call, only on the threshold rows that
-can hold kappa's place and the count rows whose bounds hold kappa; later
-cuts of the same pair reuse those values.  Without a bracket (SO(3)) every
-row is evaluated when drawn.  Either way kappa and every count are byte for
-byte those of evaluating every row.
+sample orders against it.  Drawing evaluates nothing: each kept row starts
+as its statistic's ``bracket``, bounds on its value, and ``_cut`` evaluates
+the exact statistic, in one call, only on the threshold rows that can hold
+kappa's place and the count rows whose bounds hold kappa; later cuts of the
+same pair reuse those values.  SO(2)'s bracket is cheap and tight; SO(3)'s
+is the default (-inf, inf), so its first cut evaluates every row of each
+sample in one call.  Either way kappa and every count are byte for byte
+those of evaluating every row.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
@@ -92,19 +93,28 @@ def _check_alpha(caller: str, alpha: float) -> None:
         raise ValueError(f"{caller}: alpha must lie in (0, 0.5) (got {alpha})")
 
 
+def _unbounded(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bracket that knows nothing: (-inf, inf) on every row, as two
+    distinct arrays, so that evaluating a row can pin it."""
+    n = samples.shape[0]
+    return np.full(n, -np.inf), np.full(n, np.inf)
+
+
 @dataclass(frozen=True)
 class LikelihoodStatistic:
     """Deterministic map from sampled vectors to log likelihood-ratio values.
 
-    ``bracket``, when given, maps the same (n, dim) samples to per-row bounds
-    (lo, hi) that contain the very float the evaluator returns for that row,
-    and never NaN; lo == hi pins the value.  The engine then evaluates only
-    the rows whose bracket can straddle its threshold.
+    ``bracket`` maps the same (n, dim) samples to per-row bounds (lo, hi),
+    two distinct writable arrays that contain the very float the evaluator
+    returns for that row, and never NaN; lo == hi pins the value.  The
+    engine evaluates only the rows whose bracket can straddle its
+    threshold.  The default, (-inf, inf), has every row evaluated on the
+    first cut of a sample.
     """
 
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    bracket: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    bracket: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = _unbounded
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -240,32 +250,27 @@ def _statistic_values(problem, samples: np.ndarray) -> np.ndarray:
 
 
 class _Sample:
-    """One kept statistic sample: per row, bounds lo <= value <= hi on the
-    statistic, with lo == hi where the value is known.  A statistic without
-    a bracket is evaluated on every row at once; otherwise the read-only
-    draws are kept, and ``refine`` evaluates rows as cuts need them.  Holds
-    no reference to its problem, so a dropped problem is freed at once."""
+    """One kept statistic sample: the read-only draws and, per row, bounds
+    lo <= value <= hi on the statistic, from its bracket, with lo == hi
+    where the value is known.  Drawing evaluates nothing; ``refine``
+    evaluates rows as cuts need them, and a sample evaluated whole in one
+    call keeps its values as one read-only array (lo is hi).  Holds no
+    reference to its problem, so a dropped problem is freed at once."""
 
     def __init__(self, problem, mean: np.ndarray, count: int, rng: np.random.Generator):
-        draws = sample_gaussian(mean, count, rng, problem.factor)
-        if problem.statistic.bracket is None:
-            self.draws = None
-            self.lo = self.hi = _statistic_values(problem, draws)
-            self.lo.setflags(write=False)
-        else:
-            draws.setflags(write=False)
-            self.draws = draws
-            self.lo, self.hi = problem.statistic.bracket(draws)
+        self.draws = sample_gaussian(mean, count, rng, problem.factor)
+        self.draws.setflags(write=False)
+        self.lo, self.hi = problem.statistic.bracket(self.draws)
 
     def refine(self, problem, rows: np.ndarray) -> None:
         """Evaluate the statistic, in one call, on the rows of the mask
         ``rows`` whose value is not known yet."""
         todo = rows & (self.lo != self.hi)
-        if todo.all():
-            todo = slice(None)  # every row (an exact rotation): no copy of the draws
-        elif not todo.any():
-            return
-        self.lo[todo] = self.hi[todo] = _statistic_values(problem, self.draws[todo])
+        if todo.all():  # every row (SO(3), an exact rotation): no copy of the draws
+            self.lo = self.hi = _statistic_values(problem, self.draws)
+            self.lo.setflags(write=False)
+        elif todo.any():
+            self.lo[todo] = self.hi[todo] = _statistic_values(problem, self.draws[todo])
 
 
 def _cut(

@@ -1,6 +1,7 @@
 """Bracketed statistics: the SO(2) bracket contains the float the statistic
 returns, the Monte-Carlo cut read from brackets equals the cut read from
-every exact value, and a dropped reduced problem frees its kept samples."""
+every exact value, drawing evaluates nothing, and a dropped reduced problem
+frees its kept samples."""
 
 import dataclasses
 import gc
@@ -28,6 +29,7 @@ from invarcert.numerics import log_bessel_i0, log_bessel_i0_bounds
 from invarcert.tight import (
     LikelihoodStatistic,
     build_so2_problem,
+    build_so3_problem,
     certify_multiclass,
     rho_so2,
     so2_problem_from_params,
@@ -146,11 +148,16 @@ def test_bracket_contains_statistic(rows):
     _assert_contains(np.array(rows, dtype=float))
 
 
+def _unbounded(q):
+    return np.full(q.shape[0], -np.inf), np.full(q.shape[0], np.inf)
+
+
 def _exact(problem):
-    """The same problem with a statistic that has no bracket: every row is
-    evaluated when drawn."""
+    """The same problem with a bracket that bounds nothing, written here
+    rather than taken from the engine: each sample's first cut evaluates
+    every row."""
     return dataclasses.replace(
-        problem, statistic=dataclasses.replace(problem.statistic, bracket=None)
+        problem, statistic=dataclasses.replace(problem.statistic, bracket=_unbounded)
     )
 
 
@@ -231,6 +238,41 @@ class TestBracketedCut:
         calls = len(rows)
         prob_certify_upper_reduced(problem, MC, 1, p_upper=0.05)
         assert len(rows) == calls
+
+
+class TestDrawingEvaluatesNothing:
+    """Drawing a pair evaluates no row; without a bracket, the first cut of
+    each sample evaluates it whole in one call, and later cuts of the kept
+    pair reuse those values."""
+
+    def test_rows_evaluated_by_cuts(self):
+        rows = []
+
+        def counting(q):
+            rows.append(q.shape[0])
+            return RHO(q)
+
+        statistic = LikelihoodStatistic(4, counting)
+        problem = dataclasses.replace(PROBLEMS["random-0"], statistic=statistic)
+        _samples(problem, MC, 1, 1)
+        assert rows == []
+        prob_certify_reduced(problem, MC, 1, p_lower=0.9)
+        assert rows == [MC.n2, MC.n3]
+        prob_certify_upper_reduced(problem, MC, 1, p_upper=0.05)
+        assert rows == [MC.n2, MC.n3]
+
+    def test_so3_pair_kept_with_its_draws(self):
+        rng = np.random.default_rng(9)
+        x = PointCloud(rng.standard_normal((4, 3)))
+        problem = build_so3_problem(x, PointCloud(x.data + 0.2 * rng.standard_normal((4, 3))), 0.5)
+        mc = McConfig(n2=300, n3=200, alpha=0.001)
+        prob_certify_reduced(problem, mc, 3, p_lower=0.9)
+        (pair,) = problem.statistic_samples.values()
+        for s, n in zip(pair, (300, 200)):
+            assert s.draws.shape == (n, 18)
+            assert not s.draws.flags.writeable and not s.lo.flags.writeable
+            assert np.array_equal(s.lo, s.hi)
+            assert s.lo.tobytes() == problem.statistic(s.draws).tobytes()
 
 
 class TestDroppedProblemFreesSamples:

@@ -1,10 +1,13 @@
-"""Source hygiene without a linter: every import in ``src/invarcert`` is used,
+"""Source hygiene without a linter: every import in ``src/invarcert`` is used;
 every private module-level name is referenced from ``src/`` itself, so that
-no helper stays alive only for the tests, and no module imports another
-module's private name.  Only a few functions call into ``np.random``: the
+no helper stays alive only for the tests; no module imports another
+module's private name; and every class or function is imported from the
+module that defines it.  Only a few functions call into ``np.random``: the
 Monte-Carlo engine draws every reduced-problem sample in one place."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -76,6 +79,22 @@ def private_imports(tree: ast.Module) -> list[str]:
     )
 
 
+def misattributed_imports(tree: ast.Module, package: str) -> list[str]:
+    """``module.name`` for each class or function imported from a sibling
+    module that defines it elsewhere: its ``__module__`` is not
+    ``package.module``.  Other values (constants, modules) are skipped."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            module = importlib.import_module(f"{package}.{node.module}")
+            for a in node.names:
+                obj = getattr(module, a.name)
+                if ((inspect.isclass(obj) or inspect.isroutine(obj))
+                        and obj.__module__ != module.__name__):
+                    found.append(f"{node.module}.{a.name}")
+    return sorted(found)
+
+
 # the functions that may create generators or seed sequences: the engine's
 # sample pair, smoothed prediction, the p_min grid's cell seeds, fixtures
 RANDOM_STREAM_OWNERS = {"mc._samples", "mc.smooth_predict", "tight.pmin_grid", "cli.cmd_fixture"}
@@ -137,6 +156,11 @@ def test_no_private_name_imported_from_a_sibling(module):
     assert private_imports(_source_trees()[module]) == []
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_names_imported_from_their_defining_module(module):
+    assert misattributed_imports(_source_trees()[module], "invarcert") == []
+
+
 def test_random_streams_are_made_in_few_places():
     assert sorted(set(random_stream_callers(_source_trees())) - RANDOM_STREAM_OWNERS) == []
 
@@ -163,3 +187,17 @@ def test_checks_catch_what_they_look_for():
     assert random_stream_callers({"c": c}) == [
         "c.<module>", "c.Sampler.spawn", "c.draw", "c.hidden"
     ]
+
+
+def test_import_check_catches_a_name_defined_elsewhere(tmp_path, monkeypatch):
+    package = tmp_path / "hygiene_selftest_pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text("LIMIT = 3\nclass Thing:\n    pass\ndef make():\n    pass\n")
+    (package / "b.py").write_text("import math\nfrom .a import LIMIT, Thing, make\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    tree = ast.parse(
+        "from . import a\nfrom .a import LIMIT, Thing, make\n"
+        "from .b import LIMIT, Thing as T, make, math\n"
+    )
+    assert misattributed_imports(tree, "hygiene_selftest_pkg") == ["b.Thing", "b.make"]

@@ -932,10 +932,11 @@ class TestSharedDraws:
             assert lower == prob_certify_reduced(fresh, mc, seed, p_lower=0.9)
             assert again == prob_certify_reduced(fresh, mc, seed, p_lower=0.8)
         assert rows == [300, 200, 300, 200]
-        # a statistic without a bracket keeps only values, pinned (lo is hi)
+        # a statistic without a bracket has every kept row known after the
+        # cuts (lo == hi), with its draws and values read-only
         for pair in problem.statistic_samples.values():
-            assert all(s.lo is s.hi and s.draws is None for s in pair)
-            assert not any(s.lo.flags.writeable for s in pair)
+            assert all(np.array_equal(s.lo, s.hi) for s in pair)
+            assert not any(a.flags.writeable for s in pair for a in (s.draws, s.lo))
         # the inverse reads children 0-1 of the same seed rule and keeps its
         # pair too: a second call draws nothing
         p_min = inverse_certify_reduced(problem, mc, 7)
