@@ -21,10 +21,13 @@ sample orders against it.  Drawing evaluates nothing: each kept row starts
 as its statistic's ``bracket``, bounds on its value, and ``_cut`` evaluates
 the exact statistic, in one call, only on the threshold rows that can hold
 kappa's place and the count rows whose bounds hold kappa; later cuts of the
-same pair reuse those values.  SO(2)'s bracket is cheap and tight; SO(3)'s
-is the default (-inf, inf), so its first cut evaluates every row of each
-sample in one call.  Either way kappa and every count are byte for byte
-those of evaluating every row.
+same pair reuse those values.  Both statistics bracket cheaply: SO(2)'s
+from a table of log I0, SO(3)'s from convexity bounds on its matrix Fisher
+integral, so a cut of a noisy problem evaluates a few percent of its rows.
+Where every value is rounding noise (an exact rotation, X' = X), every
+bracket holds kappa and the first cut evaluates the whole sample in one
+call.  Either way kappa and every count are byte for byte those of
+evaluating every row.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio
@@ -108,8 +111,9 @@ class LikelihoodStatistic:
     two distinct writable arrays that contain the very float the evaluator
     returns for that row, and never NaN; lo == hi pins the value.  The
     engine evaluates only the rows whose bracket can straddle its
-    threshold.  The default, (-inf, inf), has every row evaluated on the
-    first cut of a sample.
+    threshold, so an evaluator's own checks run on those rows only.  The
+    default, (-inf, inf), has every row evaluated on the first cut of a
+    sample.
     """
 
     dim: int

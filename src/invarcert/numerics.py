@@ -72,26 +72,41 @@ def log_bessel_i0(x):
     return float(out) if out.ndim == 0 else out
 
 
-# The bound table of log_bessel_i0 splits [2^-60, 2^40] into buckets of the
-# floats sharing their exponent and top _BOUND_BITS mantissa bits.
+# The bound tables of log_bessel_i0 and of log i0e split [2^-60, 2^40] into
+# buckets of the floats sharing their exponent and top _BOUND_BITS mantissa
+# bits.
 _BOUND_BITS = 10
 _BOUND_EXPONENTS = (-60, 40)
 _BOUND_SHIFT = 52 - _BOUND_BITS
 _BOUND_FIRST = int(np.float64(2.0 ** _BOUND_EXPONENTS[0]).view(np.int64)) >> _BOUND_SHIFT
 _BOUND_TOP = 2.0 ** _BOUND_EXPONENTS[1]
+_BOUND_LAST = 2**_BOUND_BITS * (_BOUND_EXPONENTS[1] - _BOUND_EXPONENTS[0])
+
+
+def _bound_edges() -> np.ndarray:
+    """0 and every bucket edge from 2^-60 to 2^40, ascending (102402
+    values)."""
+    binades = np.arange(*_BOUND_EXPONENTS)
+    mantissas = 1.0 + np.arange(2**_BOUND_BITS) / 2**_BOUND_BITS
+    return np.concatenate(
+        [[0.0], np.ldexp(mantissas[None, :], binades[:, None]).ravel(), [_BOUND_TOP]]
+    )
+
+
+def _bucket(x: np.ndarray) -> np.ndarray:
+    """Index of the bucket edge at or below each x >= 0 (0 below 2^-60),
+    clipped into the table where x is not below 2^40 (NaN included)."""
+    index = (x.view(np.int64) >> _BOUND_SHIFT) - (_BOUND_FIRST - 1)
+    return np.clip(index, 0, _BOUND_LAST, out=index)
+
 
 
 @functools.cache
 def _log_i0_edges() -> tuple[np.ndarray, np.ndarray]:
-    """log_bessel_i0 at 0 and at every bucket edge from 2^-60 to 2^40 (102402
-    values, built once), as two read-only views: the lower edge of bucket
-    k - 1 at index k (0 below 2^-60), and its upper edge."""
-    binades = np.arange(*_BOUND_EXPONENTS)
-    mantissas = 1.0 + np.arange(2**_BOUND_BITS) / 2**_BOUND_BITS
-    edges = np.concatenate(
-        [[0.0], np.ldexp(mantissas[None, :], binades[:, None]).ravel(), [_BOUND_TOP]]
-    )
-    table = log_bessel_i0(edges)
+    """log_bessel_i0 at 0 and at every bucket edge (built once), as two
+    read-only views: the lower edge of bucket k - 1 at index k (0 below
+    2^-60), and its upper edge."""
+    table = log_bessel_i0(_bound_edges())
     table.setflags(write=False)
     return table[:-1], table[1:]
 
@@ -107,13 +122,40 @@ def log_bessel_i0_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the edges); above it the noise stays inside the bucket.
     """
     lower, upper = _log_i0_edges()
-    index = (x.view(np.int64) >> _BOUND_SHIFT) - (_BOUND_FIRST - 1)
-    np.clip(index, 0, lower.size - 1, out=index)
+    index = _bucket(x)
     lo, hi = lower.take(index), upper.take(index)
     outside = ~(x < _BOUND_TOP)
     lo[outside] = -np.inf
     hi[outside] = np.inf
     return lo, hi
+
+
+@functools.cache
+def _log_i0e_edges() -> np.ndarray:
+    """log(i0e) at every bucket edge (built once, read-only), taken directly,
+    not as log I0 - x, which cancels at large x."""
+    table = np.log(special.i0e(_bound_edges()))
+    table.setflags(write=False)
+    return table
+
+
+def log_i0e_upper(x: np.ndarray) -> np.ndarray:
+    """log(i0e) at the table edge at or below each x >= 0 of a float array,
+    an upper bound on log(i0e(x)) because log i0e decreases; inf where x is
+    not below 2^40 (NaN included).  Callers add the few eps of rounding in
+    each table entry."""
+    out = _log_i0e_edges().take(_bucket(x))
+    out[~(x < _BOUND_TOP)] = np.inf
+    return out
+
+
+def log_i0e_lower(x: np.ndarray) -> np.ndarray:
+    """log(i0e) at the table edge above each x >= 0 of a float array, a
+    lower bound on log(i0e(x)); -inf where x is not below 2^40 (NaN
+    included).  Callers add the few eps of rounding in each table entry."""
+    out = _log_i0e_edges().take(_bucket(x) + 1)
+    out[~(x < _BOUND_TOP)] = -np.inf
+    return out
 
 
 def psd_factor(covariance) -> np.ndarray:
@@ -131,7 +173,7 @@ def psd_factor(covariance) -> np.ndarray:
         raise ValueError("psd_factor: covariance must be a square matrix")
     if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):
         raise ValueError("psd_factor: covariance not symmetric")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    eigvals, eigvecs = np.linalg.eigh(0.5 * cov + 0.5 * cov.T)
     top = float(eigvals[-1]) if eigvals.size else 0.0
     if top > 0.0 and float(eigvals[0]) < -_PSD_REL_TOL * top:
         raise ValueError("psd_factor: covariance has significantly negative eigenvalues")

@@ -1,7 +1,7 @@
-"""Bracketed statistics: the SO(2) bracket contains the float the statistic
-returns, the Monte-Carlo cut read from brackets equals the cut read from
-every exact value, drawing evaluates nothing, and a dropped reduced problem
-frees its kept samples."""
+"""Bracketed statistics: the SO(2) and SO(3) brackets contain the float the
+statistic returns and keep the bracket contract, the Monte-Carlo cut read
+from brackets equals the cut read from every exact value, drawing evaluates
+nothing, and a dropped reduced problem frees its kept samples."""
 
 import dataclasses
 import gc
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invarcert import tight
-from invarcert.geometry import GroupKind, PointCloud, rot2
+from invarcert.geometry import GroupKind, PointCloud, center, rot2
 from invarcert.mc import (
     McConfig,
     _cut,
@@ -25,18 +25,27 @@ from invarcert.mc import (
     prob_certify_upper_reduced,
     upper_quantile_index,
 )
-from invarcert.numerics import log_bessel_i0, log_bessel_i0_bounds
+from invarcert.numerics import (
+    log_bessel_i0,
+    log_bessel_i0_bounds,
+    log_i0e_lower,
+    log_i0e_upper,
+)
+from scipy import special
 from invarcert.tight import (
     LikelihoodStatistic,
     build_so2_problem,
     build_so3_problem,
     certify_multiclass,
     rho_so2,
+    rho_so3,
     so2_problem_from_params,
+    so3_log_beta,
 )
 from reference import sorted_cut
 
 RHO = rho_so2()
+RHO3 = rho_so3()
 TINY = np.finfo(float).smallest_subnormal
 
 
@@ -148,6 +157,150 @@ def test_bracket_contains_statistic(rows):
     _assert_contains(np.array(rows, dtype=float))
 
 
+@pytest.mark.parametrize("statistic", [RHO, RHO3], ids=["rho_so2", "rho_so3"])
+def test_bracket_contract(statistic):
+    # two distinct writable (n,) arrays, never NaN, lo <= hi, and (-inf, inf)
+    # on rows with a non-finite entry
+    rng = np.random.default_rng(4)
+    q = 3.0 * rng.standard_normal((40, statistic.dim))
+    for row, bad in ((5, np.nan), (11, np.inf), (17, -np.inf), (39, np.nan)):
+        q[row, row % statistic.dim] = bad
+    lo, hi = statistic.bracket(q)
+    assert lo.shape == hi.shape == (40,)
+    assert lo.flags.writeable and hi.flags.writeable and not np.shares_memory(lo, hi)
+    assert not (np.isnan(lo).any() or np.isnan(hi).any())
+    assert np.all(lo <= hi)
+    finite = np.isfinite(q).all(axis=1)
+    assert np.all(lo[~finite] == -np.inf) and np.all(hi[~finite] == np.inf)
+    assert np.all(np.isfinite(lo[finite]) & np.isfinite(hi[finite]))
+
+
+def _assert_contains_so3(m: np.ndarray) -> None:
+    """Each log beta of the (n, 3, 3) batch and each rho_so3 of the pairs of
+    its consecutive matrices lie inside their brackets."""
+    lo, hi = tight._log_beta_bounds(m)
+    value = so3_log_beta(m)[0]
+    assert np.all(lo <= value) and np.all(value <= hi)
+    q = np.hstack([m[:-1].transpose(0, 2, 1).reshape(-1, 9),
+                   m[1:].transpose(0, 2, 1).reshape(-1, 9)])
+    lo, hi = RHO3.bracket(q)
+    exact = RHO3(q)
+    assert not (np.isnan(lo).any() or np.isnan(hi).any())
+    assert np.all(lo <= exact) and np.all(exact <= hi)
+
+
+def _rotations(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
+    return q
+
+
+class TestSo3Bracket:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_scales(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 600
+        scale = 10.0 ** rng.uniform(-3.0, 7.0, (n, 1, 1))
+        scale[:20] = 0.0
+        noise = rng.standard_normal((n, 3, 3))
+        kinds = [
+            noise,                                                       # generic
+            np.einsum("ni,nj->nij", noise[:, 0], noise[:, 1]),           # rank 1
+            _rotations(rng, n) + 1e-2 * noise,                           # near a rotation
+            _rotations(rng, n) * np.array([1.0, 1.0, -1.0]) + 0.1 * noise,   # det < 0
+        ]
+        for m in kinds:
+            _assert_contains_so3(scale * m)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 10.0, 22.5, 300.0, 1e5, 1e7])
+    def test_k_zero_and_rank_one(self, scale):
+        # s2 + s3 = 0 (det < 0), s2 = s3 = 0, and s1 = s2 = s3
+        rotations = _rotations(np.random.default_rng(1), 4)
+        diagonals = np.array([[2.0, 1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                              [1.0, 0.5, -0.5]])
+        m = rotations @ (diagonals[:, :, None] * np.eye(3)) @ rotations[::-1]
+        _assert_contains_so3(scale * m)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1e3, 1e5, 1e7])
+    def test_exact_rotation_pairs(self, scale):
+        # both halves of each row share their singular values, so rho_so3 is
+        # 0 up to rounding: the bracket must hold the rounding too
+        rng = np.random.default_rng(int(scale))
+        m = scale * rng.standard_normal((300, 3, 3))
+        turned = m @ _rotations(rng, 300)
+        q = np.hstack([m.transpose(0, 2, 1).reshape(-1, 9),
+                       turned.transpose(0, 2, 1).reshape(-1, 9)])
+        lo, hi = RHO3.bracket(q)
+        exact = RHO3(q)
+        assert np.all(lo <= exact) and np.all(exact <= hi)
+        assert np.all(lo < 0.0) and np.all(hi > 0.0)
+
+    def test_log_i0e_bounds_at_every_edge(self):
+        # the table edges and their neighbours 1 ulp away, up to the few eps
+        # of rounding that callers add
+        x = np.concatenate([[0.0, TINY, 1e-300], _edges()[:-1]])
+        value = np.log(special.i0e(x))
+        slack = 4.0 * np.finfo(float).eps * (np.abs(value) + 1.0)
+        assert np.all(log_i0e_lower(x) <= value + slack)
+        assert np.all(value <= log_i0e_upper(x) + slack)
+        beyond = np.array([2.0**40, 1e300, np.inf, np.nan])
+        assert np.all(log_i0e_upper(beyond) == np.inf)
+        assert np.all(log_i0e_lower(beyond) == -np.inf)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-120, 1e-3, 1.0, 3e3, 1e7, 1e100])
+    def test_gram_eigenvalues_within_their_radius(self, scale):
+        # near rotations cluster the eigenvalues, scalar multiples of a
+        # rotation tie them; either way each lies within its radius of
+        # eigvalsh's, up to eigvalsh's own rounding
+        rng = np.random.default_rng(3)
+        m = _rotations(rng, 3000) * scale
+        m[:1000] += scale * 1e-2 * rng.standard_normal((1000, 3, 3))
+        m[1000:2000] = scale * rng.standard_normal((1000, 3, 3))
+        gram = m.transpose(0, 2, 1) @ m
+        with np.errstate(all="ignore"):
+            lam, radius = tight._gram_eigenvalues(gram)
+        exact = np.linalg.eigvalsh(gram)[:, ::-1]
+        trace = np.trace(gram, axis1=1, axis2=2)[:, None]
+        assert np.all(np.abs(lam - exact) <= radius + 16.0 * np.finfo(float).eps * trace)
+        assert np.all(radius <= 1e-9 * trace)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-160, 1e-100, 1.0, 1e100, 1e150, 1e200])
+    def test_det_sign_is_lapacks(self, scale):
+        # the cofactor sign is used only where it must agree with the LU's,
+        # including near-singular rows and scales where the det underflows
+        rng = np.random.default_rng(2)
+        m = scale * rng.standard_normal((3000, 3, 3))
+        m[:1000, 2] = m[:1000, 0] + 1e-12 * m[:1000, 1]
+        m[1000:1200, 2] = m[1000:1200, 0]
+        with np.errstate(all="ignore"):
+            got = tight._det_sign(m, np.einsum("nij,nij->n", m, m))
+            assert got.tobytes() == np.sign(np.linalg.det(m)).tobytes()
+
+    def test_unbounded_rows_reach_the_evaluator(self):
+        # overflowing singular-value sums and Bessel arguments beyond the
+        # table are unbounded, so the evaluator raises on them as before
+        m = np.stack([np.eye(3), 1e308 * np.eye(3), 1e12 * np.eye(3)])
+        lo, hi = tight._log_beta_bounds(m)
+        assert np.isfinite(lo[0]) and np.isfinite(hi[0])
+        assert lo[1:].tolist() == [-np.inf] * 2 and hi[1:].tolist() == [np.inf] * 2
+
+
+# Subnormal entries are left out: so3_log_beta itself warns on them.
+_COMPONENT3 = st.one_of(
+    st.floats(-50.0, 50.0, allow_subnormal=False),
+    st.floats(-1e7, 1e7, allow_subnormal=False),
+    st.floats(-1e-3, 1e-3, allow_subnormal=False),
+    st.sampled_from([0.0, 1e-300, 1.0, 22.5, 1e5]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_COMPONENT3, min_size=9, max_size=9), min_size=2, max_size=6))
+def test_so3_bracket_contains_log_beta(rows):
+    _assert_contains_so3(np.array(rows, dtype=float).reshape(-1, 3, 3))
+
+
 def _unbounded(q):
     return np.full(q.shape[0], -np.inf), np.full(q.shape[0], np.inf)
 
@@ -184,6 +337,62 @@ PROBLEMS = _problems()
 MC = McConfig(n2=3000, n3=2000, alpha=0.001)
 
 
+def _cuts(mc):
+    cuts = [(1, lower_quantile_index(mc.n2, p, mc.alpha / 2.0), True) for p in (0.6, 0.9, 0.999)]
+    cuts += [(1, lower_quantile_index(mc.n2, 1.0 - p, mc.alpha / 2.0), False)
+             for p in (0.01, 0.3)]
+    cuts += [(0, upper_quantile_index(mc.n2, 0.5, mc.alpha), True), (1, 1, True),
+             (1, mc.n2, False)]
+    assert all(n_star is not None for _, n_star, _ in cuts)
+    return cuts
+
+
+def _assert_cuts_match(problem, mc):
+    bracketed = dataclasses.replace(problem)
+    exact = _exact(problem)
+    for seed in (1, 2):
+        for first, n_star, below in _cuts(mc):
+            got = _cut(bracketed, *_samples(bracketed, mc, seed, first), n_star, below)
+            want = _cut(exact, *_samples(exact, mc, seed, first), n_star, below)
+            assert repr(got) == repr(want)
+            threshold, counted = _samples(exact, mc, seed, first)
+            assert repr(got) == repr(sorted_cut(threshold.lo, counted.lo, n_star, below))
+
+
+def _assert_procedures_match(problem, mc):
+    def outcomes(problem):
+        return [
+            (prob_certify_reduced(problem, mc, seed, p_lower=0.9),
+             prob_certify_upper_reduced(problem, mc, seed, p_upper=0.05),
+             inverse_certify_reduced(problem, mc, seed))
+            for seed in (3, 4)
+        ]
+
+    assert repr(outcomes(dataclasses.replace(problem))) == repr(outcomes(_exact(problem)))
+
+
+def _evaluated_rows(problem, mc) -> list[int]:
+    """Rows evaluated by the inverse, lower and upper procedures on one seed;
+    repeating a cut of the kept pair evaluates nothing more."""
+    rows = []
+    statistic = problem.statistic
+
+    def counting(q):
+        rows.append(q.shape[0])
+        return statistic(q)
+
+    counted = dataclasses.replace(
+        problem, statistic=dataclasses.replace(statistic, evaluator=counting)
+    )
+    inverse_certify_reduced(counted, mc, 1)
+    prob_certify_reduced(counted, mc, 1, p_lower=0.9)
+    prob_certify_upper_reduced(counted, mc, 1, p_upper=0.05)
+    calls = len(rows)
+    prob_certify_upper_reduced(counted, mc, 1, p_upper=0.05)
+    assert len(rows) == calls
+    return rows
+
+
 class TestBracketedCut:
     """The cut read from brackets equals the cut read from every exact value
     (repr of kappa and of every count), for the lower, upper and inverse
@@ -191,53 +400,63 @@ class TestBracketedCut:
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_cuts_match_all_exact(self, name):
-        problem = PROBLEMS[name]
-        bracketed = dataclasses.replace(problem)
-        exact = _exact(problem)
-        cuts = [(1, lower_quantile_index(MC.n2, p, MC.alpha / 2.0), True)
-                for p in (0.6, 0.9, 0.999)]
-        cuts += [(1, lower_quantile_index(MC.n2, 1.0 - p, MC.alpha / 2.0), False)
-                 for p in (0.01, 0.3)]
-        cuts += [(0, upper_quantile_index(MC.n2, 0.5, MC.alpha), True), (1, 1, True),
-                 (1, MC.n2, False)]
-        for seed in (1, 2):
-            for first, n_star, below in cuts:
-                got = _cut(bracketed, *_samples(bracketed, MC, seed, first), n_star, below)
-                want = _cut(exact, *_samples(exact, MC, seed, first), n_star, below)
-                assert repr(got) == repr(want)
-                threshold, counted = _samples(exact, MC, seed, first)
-                assert repr(got) == repr(sorted_cut(threshold.lo, counted.lo, n_star, below))
+        _assert_cuts_match(PROBLEMS[name], MC)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_procedures_match_all_exact(self, name):
-        def outcomes(problem):
-            return [
-                (prob_certify_reduced(problem, MC, seed, p_lower=0.9),
-                 prob_certify_upper_reduced(problem, MC, seed, p_upper=0.05),
-                 inverse_certify_reduced(problem, MC, seed))
-                for seed in (3, 4)
-            ]
-
-        problem = PROBLEMS[name]
-        assert repr(outcomes(dataclasses.replace(problem))) == repr(outcomes(_exact(problem)))
+        _assert_procedures_match(PROBLEMS[name], MC)
 
     def test_evaluates_few_rows(self):
-        rows = []
-
-        def counting(q):
-            rows.append(q.shape[0])
-            return RHO(q)
-
-        statistic = LikelihoodStatistic(4, counting, bracket=RHO.bracket)
-        problem = dataclasses.replace(PROBLEMS["random-0"], statistic=statistic)
-        inverse_certify_reduced(problem, MC, 1)
-        prob_certify_reduced(problem, MC, 1, p_lower=0.9)
-        prob_certify_upper_reduced(problem, MC, 1, p_upper=0.05)
+        rows = _evaluated_rows(PROBLEMS["random-0"], MC)
         assert 0 < sum(rows) < 0.1 * 2 * (MC.n2 + MC.n3)
-        # kept rows evaluated once: repeating a cut evaluates nothing
-        calls = len(rows)
-        prob_certify_upper_reduced(problem, MC, 1, p_upper=0.05)
-        assert len(rows) == calls
+
+
+def _problems_3d():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((8, 3))
+    turn = _rotations(rng, 1)[0]
+    cases = {}
+    for scale in (10.0, 1e3, 1e5):
+        sigma = float(np.linalg.norm(x)) / math.sqrt(scale)
+        noisy = x @ turn.T + 0.5 * sigma * rng.standard_normal(x.shape) / math.sqrt(x.size)
+        cases[f"so3-noisy-{scale:g}"] = build_so3_problem(PointCloud(x), PointCloud(noisy),
+                                                          sigma)
+        cases[f"se3-noisy-{scale:g}"] = build_so3_problem(
+            center(PointCloud(x)), center(PointCloud(noisy + 1.0)), sigma
+        )
+    sigma = float(np.linalg.norm(x)) / math.sqrt(10.0)
+    cases["so3-rotation"] = build_so3_problem(PointCloud(x), PointCloud(x @ turn.T), sigma)
+    cases["so3-identity"] = build_so3_problem(PointCloud(x), PointCloud(x), sigma)
+    return cases
+
+
+PROBLEMS_3D = _problems_3d()
+MC_3D = McConfig(n2=800, n3=600, alpha=0.001)
+
+
+class TestBracketedCut3d:
+    """As TestBracketedCut, for SO(3) and SE(3) problems: noisy ones at three
+    scales, an exact rotation and X' = X, whose rows all straddle kappa."""
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS_3D))
+    def test_cuts_match_all_exact(self, name):
+        _assert_cuts_match(PROBLEMS_3D[name], MC_3D)
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS_3D))
+    def test_procedures_match_all_exact(self, name):
+        _assert_procedures_match(PROBLEMS_3D[name], MC_3D)
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS_3D))
+    def test_brackets_bound_every_row(self, name):
+        problem = dataclasses.replace(PROBLEMS_3D[name])
+        for first in (0, 1):
+            for sample in _samples(problem, MC_3D, 1, first):
+                assert np.isfinite(sample.hi - sample.lo).all()
+
+    @pytest.mark.parametrize("name", ["so3-noisy-1000", "se3-noisy-100000"])
+    def test_noisy_problem_evaluates_few_rows(self, name):
+        rows = _evaluated_rows(PROBLEMS_3D[name], MC_3D)
+        assert 0 < sum(rows) < 0.1 * 2 * (MC_3D.n2 + MC_3D.n3)
 
 
 class TestDrawingEvaluatesNothing:
@@ -262,17 +481,33 @@ class TestDrawingEvaluatesNothing:
         assert rows == [MC.n2, MC.n3]
 
     def test_so3_pair_kept_with_its_draws(self):
+        # the pair is drawn once and kept with its draws; each row is
+        # evaluated at most once, and fewer than all of them, and every kept
+        # value is the statistic's on its draw, byte for byte
         rng = np.random.default_rng(9)
         x = PointCloud(rng.standard_normal((4, 3)))
         problem = build_so3_problem(x, PointCloud(x.data + 0.2 * rng.standard_normal((4, 3))), 0.5)
+        evaluated = []
+
+        def recording(q):
+            evaluated.append(q.copy())
+            return problem.statistic.evaluator(q)
+
+        kept = dataclasses.replace(
+            problem, statistic=dataclasses.replace(problem.statistic, evaluator=recording)
+        )
         mc = McConfig(n2=300, n3=200, alpha=0.001)
-        prob_certify_reduced(problem, mc, 3, p_lower=0.9)
-        (pair,) = problem.statistic_samples.values()
+        prob_certify_reduced(kept, mc, 3, p_lower=0.9)
+        prob_certify_upper_reduced(kept, mc, 3, p_upper=0.05)
+        (pair,) = kept.statistic_samples.values()
+        rows = np.concatenate(evaluated)
+        assert len(np.unique(rows, axis=0)) == len(rows) < 300 + 200
         for s, n in zip(pair, (300, 200)):
-            assert s.draws.shape == (n, 18)
-            assert not s.draws.flags.writeable and not s.lo.flags.writeable
-            assert np.array_equal(s.lo, s.hi)
-            assert s.lo.tobytes() == problem.statistic(s.draws).tobytes()
+            assert s.draws.shape == (n, 18) and not s.draws.flags.writeable
+            known = s.lo == s.hi
+            assert s.lo[known].tobytes() == problem.statistic(s.draws[known]).tobytes()
+            exact = problem.statistic(s.draws)
+            assert np.all(s.lo <= exact) and np.all(exact <= s.hi)
 
 
 class TestDroppedProblemFreesSamples:

@@ -425,17 +425,25 @@ class TestCertify:
 
     def test_se3_multiclass_draws_once(self, tmp_path, capsys, monkeypatch):
         # the tight and both multiclass stages read one clean and one
-        # perturbed sample: the statistic runs on n2 rows, then on n3
+        # perturbed sample: the pair is drawn once, and the statistic runs
+        # on each row at most once, on fewer than n2 + n3 rows in all
+        import invarcert.mc as mc_mod
         from invarcert.tight import LikelihoodStatistic
 
-        rows = []
+        draws, rows = [], []
         real_call = LikelihoodStatistic.__call__
+        real_sample = mc_mod.sample_gaussian
 
         def counting_call(self, samples):
-            rows.append(np.atleast_2d(samples).shape[0])
+            rows.append(np.atleast_2d(samples).copy())
             return real_call(self, samples)
 
+        def counting_sample(mean, count, rng, factor):
+            draws.append(count)
+            return real_sample(mean, count, rng, factor)
+
         monkeypatch.setattr(LikelihoodStatistic, "__call__", counting_call)
+        monkeypatch.setattr(mc_mod, "sample_gaussian", counting_sample)
         rng = np.random.default_rng(52)
         data = rng.standard_normal((6, 3))
         clean, perturbed = _write_pair(tmp_path, data, data + 0.1 * rng.standard_normal((6, 3)))
@@ -445,7 +453,9 @@ class TestCertify:
             "--p-lower", "0.9", "--p-upper", "0.05", "--seed", "1", "--n2", "300", "--n3", "200",
         )
         assert code == 0
-        assert rows == [300, 200]
+        assert draws == [300, 200]
+        evaluated = np.concatenate(rows)
+        assert len(np.unique(evaluated, axis=0)) == len(evaluated) < 300 + 200
         results = doc["results"]
         assert results["multiclass"]["bound_value"] == results["tight"]["bound_value"]
 
@@ -599,7 +609,8 @@ class TestNonFinite:
 
     # 2-D clouds certify at 1e-150 and 1e300; every other case leaves sigma^2
     # underflowed, a reduced-problem entry overflowed or, for pmin-grid at
-    # 1e-154 and 1.1e-154, the covariance factor overflowed
+    # 1e-154 and 1.1e-154, the covariance factor overflowed (its eigenvalues,
+    # not the symmetrization, which no longer overflows on finite entries)
     @pytest.mark.parametrize(
         "sigma", ["1e-300", "1e-170", "1e-160", "1e-154", "1.1e-154", "1e-150", "1e300"]
     )

@@ -198,6 +198,28 @@ class TestSampleGaussian:
         with pytest.raises(ValueError):
             psd_factor(cov)
 
+    def test_finite_factor_of_entries_near_overflow(self):
+        # 0.5 * (cov + cov.T) overflows on these finite entries; halving each
+        # side first does not
+        cov = np.array([[1e308, 5e307], [5e307, 1e308]])
+        with np.errstate(over="raise"):
+            factor = psd_factor(cov)
+        assert np.isfinite(factor).all()
+        assert np.allclose(factor @ factor.T / 1e308, cov / 1e308, rtol=0.0, atol=1e-14)
+
+    def test_symmetrization_keeps_its_bits(self):
+        # 0.5 * cov + 0.5 * cov.T and 0.5 * (cov + cov.T) round alike wherever
+        # the sum does not overflow, so every factor keeps its bits
+        rng = np.random.default_rng(11)
+        for scale in (1e-200, 1e-3, 1.0, 1e100, 1e200):
+            a = rng.standard_normal((18, 18))
+            cov = scale * (a @ a.T)
+            if scale <= 1.0:   # asymmetric in the last bit, inside the symmetry check
+                cov[3, 5] = np.nextafter(cov[3, 5], np.inf)
+            eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+            expected = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+            assert psd_factor(cov).tobytes() == expected.tobytes()
+
     def test_rejects_indefinite(self):
         cov = np.diag([1.0, -0.5])
         with pytest.raises(ValueError):

@@ -1207,8 +1207,8 @@ class TestSharedFactor:
 class TestExtremeSigma:
     """A reduced problem whose sigma^2 underflows, whose entries overflow, or
     whose covariance factor overflows raises NumericalFailure naming the
-    scale; 2-D clouds of unit scale still certify at sigma 1e-150 and 1e300.
-    At 3e-154 and 3.6e-154 on the 2-D pair below, and at 1e-154 and 1.1e-154
+    scale; 2-D clouds of unit scale still certify at sigma 3.6e-154, 1e-150
+    and 1e300.  At 3e-154 on the 2-D pair below, and at 1e-154 and 1.1e-154
     on pmin_grid's, the entries are finite but the factor is not."""
 
     MC = McConfig(n2=100, n3=100, alpha=0.01)
@@ -1221,7 +1221,7 @@ class TestExtremeSigma:
                              ids=["SO", "SE"])
     def test_certifies_or_fails_numerically(self, kind, dim, sigma):
         x, xp = _pair(np.random.default_rng(33), 6, dim)
-        if dim == 3 or sigma < 1e-153:
+        if dim == 3 or sigma < 3.5e-154:
             message = re.escape(f"reduced problem at sigma={sigma!r}")
             with pytest.raises(NumericalFailure, match=message):
                 certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
