@@ -100,7 +100,6 @@ def _bucket(x: np.ndarray) -> np.ndarray:
     return np.clip(index, 0, _BOUND_LAST, out=index)
 
 
-
 @functools.cache
 def _log_i0_edges() -> tuple[np.ndarray, np.ndarray]:
     """log_bessel_i0 at 0 and at every bucket edge (built once), as two

@@ -353,10 +353,10 @@ def rho_so3() -> LikelihoodStatistic:
     return LikelihoodStatistic(dim=18, evaluator=evaluator, bracket=_rho_so3_bracket)
 
 
-# The bracket (see _log_beta_bounds and _log_mf_bounds): panels per row; k U,
-# where exp(-2ku) has fallen to exp(-12) and one last panel takes the rest;
-# the slack on each log beta, and its rounding allowance per unit of its
-# sums; the eigenvalue error of M^T M per unit of its trace.
+# The bracket (see _log_beta_bounds and _log_mf_bounds): panels per row;
+# k U, where exp(-2ku) has fallen to exp(-12) and one last panel takes the
+# rest; the slack on each log beta, and its rounding allowance per unit of
+# its sums; the eigenvalue error of M^T M per unit of its trace.
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _MF_BOUND_PANELS = 8
@@ -397,7 +397,7 @@ def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The singular values are the square roots of the eigenvalues of M^T M
     (``_gram_eigenvalues``), with s3 signed as the evaluator signs it
-    (``_det_sign``), at a third of the cost of the SVD.  Rounding M^T M
+    (``_det_sign``), at a fraction of the cost of the SVD.  Rounding M^T M
     moves each eigenvalue by at most _GRAM_ERROR tr(M^T M) (Weyl); with the
     eigenvalues' own radius, and underflow, that makes delta, so each
     singular value lies within 2 delta / (sqrt(lambda + delta) +
@@ -466,7 +466,8 @@ def _gram_eigenvalues(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = lam[:, _CERT_ROOTS] + delta * _CERT_SIDES
     c00, c11, c22 = a00[:, None] - mu, a11[:, None] - mu, a22[:, None] - mu
     b01, b02, b12 = a01[:, None], a02[:, None], a12[:, None]
-    f = c00 * (c11 * c22 - b12 * b12) - b01 * (b01 * c22 - b12 * b02) + b02 * (b01 * b12 - c11 * b02)
+    f = (c00 * (c11 * c22 - b12 * b12) - b01 * (b01 * c22 - b12 * b02)
+         + b02 * (b01 * b12 - c11 * b02))
     diagonal = np.maximum(np.maximum(np.abs(c00), np.abs(c11)), np.abs(c22))
     m = np.maximum(diagonal, np.maximum(np.maximum(np.abs(b01), np.abs(b02)), np.abs(b12)))
     shift = _EPS * diagonal.max(axis=1, keepdims=True)
@@ -570,8 +571,9 @@ def _log_mf_bounds(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both hold on any panels that cover [0, 1].  These are graded
     geometrically from 1/(8 max(a, k, 1)) up to U = 6/k, where exp(-2ku)
     has fallen to exp(-12), with one panel for the rest; or, for k <= 22.5,
-    half toward each end, the far one from 1/(8 max(b, k, 1)).  Upper bounds on log i0e at the ends and lower bounds at the means
-    are table edges (``log_i0e_upper``, ``log_i0e_lower``).
+    half toward each end, the far one from 1/(8 max(b, k, 1)).  Upper
+    bounds on log i0e at the ends and lower bounds at the means are table
+    edges (``log_i0e_upper``, ``log_i0e_lower``).
     """
     a = 0.5 * (s[:, 0:1] - s[:, 1:2])
     b = 0.5 * (s[:, 0:1] + s[:, 1:2])
