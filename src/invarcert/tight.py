@@ -356,34 +356,25 @@ def rho_so3() -> LikelihoodStatistic:
 # The bracket (see _log_beta_bounds and _log_mf_bounds): panels per row;
 # k U, where exp(-2ku) has fallen to exp(-12) and one last panel takes the
 # rest; the slack on each log beta, and its rounding allowance per unit of
-# its sums; the eigenvalue error of M^T M per unit of its trace.
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+# its sums.
 _MF_BOUND_PANELS = 8
 _MF_BOUND_DECAY = 6.0
 _MF_BOUND_SLACK = 100.0 * _MF_MAX_ERROR
-_MF_BOUND_ROUNDING = 64.0 * _EPS
-_GRAM_ERROR = 64.0 * _EPS
+_MF_BOUND_ROUNDING = 64.0 * np.finfo(float).eps
 # Exponents of the geometric panel ends: from near to U, and from near to
 # (not at) 1/2 on each side of 1/2.
 _GRADE = np.linspace(0.0, 1.0, _MF_BOUND_PANELS - 1)
 _HALF_GRADE = np.linspace(0.0, 1.0, _MF_BOUND_PANELS // 2)[:-1]
-# The closed form's three angles, and its certificate's points lam_i -+ delta
-# in ascending order with the signs of det(A - mu I) there.
-_TRIG_TURNS = np.array([0.0, 4.0, 2.0]) * math.pi / 3.0
-_CERT_ROOTS = np.array([2, 2, 1, 1, 0, 0])
-_CERT_SIDES = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
-_CERT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
-for _table in (_GRADE, _HALF_GRADE, _TRIG_TURNS, _CERT_ROOTS, _CERT_SIDES, _CERT_SIGNS):
-    _table.setflags(write=False)
-del _table
+_GRADE.setflags(write=False)
+_HALF_GRADE.setflags(write=False)
 
 
 def _rho_so3_bracket(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= rho_so3(q) <= hi per row, infinite where a half cannot be
     bounded.  Rounding is monotone, so lo1 - hi2 and hi1 - lo2 bound the
-    evaluator's first - second.  Both halves run on the calling thread: on
-    batches this small a worker thread does not pay for itself."""
+    evaluator's first - second.  Both halves run in turn on the calling
+    thread: on 1000-row brackets a worker thread was slower (6.2 ms threaded
+    against 4.9 ms in turn)."""
     first_lo, first_hi = _log_beta_bounds(devec9(q[:, :9]))
     second_lo, second_hi = _log_beta_bounds(devec9(q[:, 9:]))
     return first_lo - second_hi, first_hi - second_lo
@@ -391,23 +382,16 @@ def _rho_so3_bracket(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= so3_log_beta(m)[0] <= hi per matrix, (-inf, inf) where a
-    matrix entry is not finite, M^T M or a singular-value sum overflows, or a
-    Bessel argument reaches 2^40; those rows always reach the evaluator,
-    which raises on them as before.
+    matrix entry is not finite, a singular-value sum overflows, or a Bessel
+    argument reaches 2^40; those rows always reach the evaluator, which
+    raises on them as before.
 
-    The singular values are the square roots of the eigenvalues of M^T M
-    (``_gram_eigenvalues``), with s3 signed as the evaluator signs it
-    (``_det_sign``), at a fraction of the cost of the SVD.  Rounding M^T M
-    moves each eigenvalue by at most _GRAM_ERROR tr(M^T M) (Weyl); with the
-    eigenvalues' own radius, and underflow, that makes delta, so each
-    singular value lies within 2 delta / (sqrt(lambda + delta) +
-    sqrt(lambda - delta)) of the exact one.  log beta moves by at most the
-    summed moves, because |d log beta / d s_i| = |E[R_ii]| <= 1 under the
-    matrix Fisher law.  The evaluator's own log of the integral lies within
-    its error estimate of the exact log J, and it refuses estimates above
+    The proper singular values come from ``proper_singular_values``, the
+    evaluator's own call, so a, b, k and their sum are the evaluator's
+    floats.  The evaluator's log of the integral lies within its error
+    estimate of the exact log J, and it refuses estimates above
     _MF_MAX_ERROR; each bound is widened by _MF_BOUND_SLACK = 100 x
-    _MF_MAX_ERROR, and by the rounding of the sums and of the evaluator's
-    SVD.
+    _MF_MAX_ERROR, and by the rounding of the sums.
     """
     m = np.asarray(m, dtype=float)
     lo = np.empty(m.shape[0])
@@ -415,89 +399,20 @@ def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, m.shape[0], _MF_CHUNK):
         rows = slice(start, start + _MF_CHUNK)
         chunk = m[rows]
+        finite = np.isfinite(chunk).all(axis=(1, 2))
+        if not finite.all():
+            chunk = np.where(finite[:, None, None], chunk, 0.0)
         with np.errstate(all="ignore"):   # unbounded rows are replaced below
-            gram = np.matmul(chunk.transpose(0, 2, 1), chunk)
-            finite = np.isfinite(gram).all(axis=(1, 2))
-            if not finite.all():
-                chunk = np.where(finite[:, None, None], chunk, 0.0)
-                gram = np.where(finite[:, None, None], gram, 0.0)
-            norm2 = np.trace(gram, axis1=1, axis2=2)
-            lam, radius = _gram_eigenvalues(gram)
-            delta = radius + _GRAM_ERROR * norm2[:, None] + _TINY
-            drift = 2.0 * delta / (np.sqrt(lam + delta) + np.sqrt(np.maximum(lam - delta, 0.0)))
-            s = np.sqrt(np.maximum(lam, 0.0))
-            s[:, 2] *= _det_sign(chunk, norm2)
+            s = proper_singular_values(chunk)
             log_lo, log_hi = _log_mf_bounds(s)
             base = math.log(4.0 * math.pi) + s.sum(axis=1)
-            pad = drift.sum(axis=1) + _MF_BOUND_SLACK + _MF_BOUND_ROUNDING * (
-                np.abs(base) + np.abs(log_hi) + 1.0
-            )
+            pad = _MF_BOUND_SLACK + _MF_BOUND_ROUNDING * (np.abs(base) + np.abs(log_hi) + 1.0)
             lo[rows] = base + log_lo - pad
             hi[rows] = base + log_hi + pad
         bounded = finite & np.isfinite(lo[rows]) & np.isfinite(hi[rows])
         lo[rows][~bounded] = -np.inf
         hi[rows][~bounded] = np.inf
     return lo, hi
-
-
-def _gram_eigenvalues(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lam1 >= lam2 >= lam3 of the symmetric matrices given by
-    the upper triangles of a batch (n, 3, 3), each within ``radius`` (n, 1)
-    of an exact one: the trigonometric closed form, at half the cost of
-    eigvalsh, certified per row, and eigvalsh (radius 0) where it is not.
-
-    The certificate evaluates det(A - mu I) by cofactors at
-    mu = lam_i -+ delta.  Its rounding is below 96 eps m^3, m the largest
-    |entry| of A - mu I, and rounding each a_jj - mu moves an eigenvalue by
-    at most e = eps max|a_jj - mu| (Weyl).  Where every sign is certain and
-    reads +, -, -, +, +, - (det(A - mu I) = prod(lam_j - mu)), and the
-    points lie more than 2e apart, exactly one eigenvalue lies within
-    delta + e of each lam_i.
-    """
-    a00, a11, a22 = g[:, 0, 0], g[:, 1, 1], g[:, 2, 2]
-    a01, a02, a12 = g[:, 0, 1], g[:, 0, 2], g[:, 1, 2]
-    q = (a00 + a11 + a22) / 3.0
-    d0, d1, d2 = a00 - q, a11 - q, a22 - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
-    det = d0 * (d1 * d2 - a12 * a12) - a01 * (a01 * d2 - a12 * a02) + a02 * (a01 * a12 - d1 * a02)
-    phi = np.arccos(np.clip(det / (2.0 * p * p * p), -1.0, 1.0))[:, None] / 3.0
-    lam = q[:, None] + 2.0 * p[:, None] * np.cos(phi + _TRIG_TURNS)
-    delta = (2.0**-36 * p + 4.0 * _EPS * np.abs(q))[:, None]
-    mu = lam[:, _CERT_ROOTS] + delta * _CERT_SIDES
-    c00, c11, c22 = a00[:, None] - mu, a11[:, None] - mu, a22[:, None] - mu
-    b01, b02, b12 = a01[:, None], a02[:, None], a12[:, None]
-    f = (c00 * (c11 * c22 - b12 * b12) - b01 * (b01 * c22 - b12 * b02)
-         + b02 * (b01 * b12 - c11 * b02))
-    diagonal = np.maximum(np.maximum(np.abs(c00), np.abs(c11)), np.abs(c22))
-    m = np.maximum(diagonal, np.maximum(np.maximum(np.abs(b01), np.abs(b02)), np.abs(b12)))
-    shift = _EPS * diagonal.max(axis=1, keepdims=True)
-    sure = (f * _CERT_SIGNS > 96.0 * _EPS * m * m * m + 8.0 * _TINY).all(axis=1)
-    gaps = np.diff(mu, axis=1)[:, 1::2]   # between the three intervals
-    sure &= (delta > shift)[:, 0] & (gaps > 2.0 * shift).all(axis=1)
-    radius = delta + shift
-    if not sure.all():
-        lam[~sure] = np.linalg.eigvalsh(g[~sure], UPLO="U")[:, ::-1]
-        radius[~sure] = 0.0
-    return lam, radius
-
-
-def _det_sign(m: np.ndarray, norm2: np.ndarray) -> np.ndarray:
-    """np.sign(np.linalg.det(m)) for a batch (n, 3, 3) with squared Frobenius
-    norms norm2, at a tenth of its cost: the cofactor expansion where |det|
-    exceeds 2^-20 |M|_F^3, far above its own rounding and the LU's (a few
-    hundred eps |M|_F^3 at most), so both have the sign of the exact det;
-    np.linalg.det itself on the other rows, and where |M|_F^3 may
-    underflow."""
-    minors = (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1],
-              m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0],
-              m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-    det = m[:, 0, 0] * minors[0] - m[:, 0, 1] * minors[1] + m[:, 0, 2] * minors[2]
-    cube = norm2 * np.sqrt(norm2)
-    unsure = ~((np.abs(det) > 2.0**-20 * cube) & (cube > 2.0**-900))
-    sign = np.sign(det)
-    if unsure.any():
-        sign[unsure] = np.sign(np.linalg.det(m[unsure]))
-    return sign
 
 
 def _exp_mean(x: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -252,35 +252,6 @@ class TestSo3Bracket:
         assert np.all(log_i0e_upper(beyond) == np.inf)
         assert np.all(log_i0e_lower(beyond) == -np.inf)
 
-    @pytest.mark.parametrize("scale", [0.0, 1e-120, 1e-3, 1.0, 3e3, 1e7, 1e100])
-    def test_gram_eigenvalues_within_their_radius(self, scale):
-        # near rotations cluster the eigenvalues, scalar multiples of a
-        # rotation tie them; either way each lies within its radius of
-        # eigvalsh's, up to eigvalsh's own rounding
-        rng = np.random.default_rng(3)
-        m = _rotations(rng, 3000) * scale
-        m[:1000] += scale * 1e-2 * rng.standard_normal((1000, 3, 3))
-        m[1000:2000] = scale * rng.standard_normal((1000, 3, 3))
-        gram = m.transpose(0, 2, 1) @ m
-        with np.errstate(all="ignore"):
-            lam, radius = tight._gram_eigenvalues(gram)
-        exact = np.linalg.eigvalsh(gram)[:, ::-1]
-        trace = np.trace(gram, axis1=1, axis2=2)[:, None]
-        assert np.all(np.abs(lam - exact) <= radius + 16.0 * np.finfo(float).eps * trace)
-        assert np.all(radius <= 1e-9 * trace)
-
-    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-160, 1e-100, 1.0, 1e100, 1e150, 1e200])
-    def test_det_sign_is_lapacks(self, scale):
-        # the cofactor sign is used only where it must agree with the LU's,
-        # including near-singular rows and scales where the det underflows
-        rng = np.random.default_rng(2)
-        m = scale * rng.standard_normal((3000, 3, 3))
-        m[:1000, 2] = m[:1000, 0] + 1e-12 * m[:1000, 1]
-        m[1000:1200, 2] = m[1000:1200, 0]
-        with np.errstate(all="ignore"):
-            got = tight._det_sign(m, np.einsum("nij,nij->n", m, m))
-            assert got.tobytes() == np.sign(np.linalg.det(m)).tobytes()
-
     def test_rows_it_cannot_bound(self):
         # overflowing singular-value sums and Bessel arguments beyond the
         # table get (-inf, inf), so every cut evaluates them
