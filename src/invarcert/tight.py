@@ -356,11 +356,12 @@ def rho_so3() -> LikelihoodStatistic:
 # The bracket (see _log_beta_bounds and _log_mf_bounds): panels per row;
 # k U, where exp(-2ku) has fallen to exp(-12) and one last panel takes the
 # rest; the slack on each log beta, and its rounding allowance per unit of
-# its sums.
+# its sums; the eigenvalue error of M^T M per unit of its trace.
 _MF_BOUND_PANELS = 8
 _MF_BOUND_DECAY = 6.0
 _MF_BOUND_SLACK = 100.0 * _MF_MAX_ERROR
 _MF_BOUND_ROUNDING = 64.0 * np.finfo(float).eps
+_GRAM_ERROR = 64.0 * np.finfo(float).eps
 # Exponents of the geometric panel ends: from near to U, and from near to
 # (not at) 1/2 on each side of 1/2.
 _GRADE = np.linspace(0.0, 1.0, _MF_BOUND_PANELS - 1)
@@ -382,16 +383,22 @@ def _rho_so3_bracket(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= so3_log_beta(m)[0] <= hi per matrix, (-inf, inf) where a
-    matrix entry is not finite, a singular-value sum overflows, or a Bessel
-    argument reaches 2^40; those rows always reach the evaluator, which
-    raises on them as before.
+    matrix entry is not finite, M^T M or a singular-value sum overflows, or a
+    Bessel argument reaches 2^40; those rows always reach the evaluator,
+    which raises on them as before.
 
-    The proper singular values come from ``proper_singular_values``, the
-    evaluator's own call, so a, b, k and their sum are the evaluator's
-    floats.  The evaluator's log of the integral lies within its error
-    estimate of the exact log J, and it refuses estimates above
-    _MF_MAX_ERROR; each bound is widened by _MF_BOUND_SLACK = 100 x
-    _MF_MAX_ERROR, and by the rounding of the sums.
+    The singular values are the square roots of the eigenvalues of M^T M
+    (eigvalsh, at under half the cost of the SVD), with s3 signed by
+    np.linalg.det as the evaluator signs it.  Rounding M^T M and eigvalsh's
+    backward error move each eigenvalue by at most _GRAM_ERROR tr(M^T M)
+    (Weyl); with underflow that makes delta, so each singular value lies
+    within 2 delta / (sqrt(lam + delta) + sqrt(lam - delta)) of the exact
+    one.  log beta moves by at most the summed moves, because |d log beta /
+    d s_i| = |E[R_ii]| <= 1 under the matrix Fisher law.  The evaluator's
+    own log of the integral lies within its error estimate of the exact log
+    J, and it refuses estimates above _MF_MAX_ERROR; each bound is widened
+    by _MF_BOUND_SLACK = 100 x _MF_MAX_ERROR, and by the rounding of the
+    sums and of the evaluator's SVD.
     """
     m = np.asarray(m, dtype=float)
     lo = np.empty(m.shape[0])
@@ -399,14 +406,22 @@ def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, m.shape[0], _MF_CHUNK):
         rows = slice(start, start + _MF_CHUNK)
         chunk = m[rows]
-        finite = np.isfinite(chunk).all(axis=(1, 2))
-        if not finite.all():
-            chunk = np.where(finite[:, None, None], chunk, 0.0)
         with np.errstate(all="ignore"):   # unbounded rows are replaced below
-            s = proper_singular_values(chunk)
+            gram = np.matmul(chunk.transpose(0, 2, 1), chunk)
+            finite = np.isfinite(gram).all(axis=(1, 2))
+            if not finite.all():
+                chunk = np.where(finite[:, None, None], chunk, 0.0)
+                gram = np.where(finite[:, None, None], gram, 0.0)
+            lam = np.linalg.eigvalsh(gram)[:, ::-1]
+            delta = _GRAM_ERROR * np.trace(gram, axis1=1, axis2=2)[:, None] + np.finfo(float).tiny
+            drift = 2.0 * delta / (np.sqrt(lam + delta) + np.sqrt(np.maximum(lam - delta, 0.0)))
+            s = np.sqrt(np.maximum(lam, 0.0))
+            s[:, 2] *= np.sign(np.linalg.det(chunk))
             log_lo, log_hi = _log_mf_bounds(s)
             base = math.log(4.0 * math.pi) + s.sum(axis=1)
-            pad = _MF_BOUND_SLACK + _MF_BOUND_ROUNDING * (np.abs(base) + np.abs(log_hi) + 1.0)
+            pad = drift.sum(axis=1) + _MF_BOUND_SLACK + _MF_BOUND_ROUNDING * (
+                np.abs(base) + np.abs(log_hi) + 1.0
+            )
             lo[rows] = base + log_lo - pad
             hi[rows] = base + log_hi + pad
         bounded = finite & np.isfinite(lo[rows]) & np.isfinite(hi[rows])

@@ -214,6 +214,11 @@ class TestSo3Bracket:
             _rotations(rng, n) + 1e-2 * noise,                           # near a rotation
             _rotations(rng, n) * np.array([1.0, 1.0, -1.0]) + 0.1 * noise,   # det < 0
         ]
+        # singular values spread over up to 8 decades: the eigenvalues of
+        # M^T M lose the small ones' digits
+        spread = 10.0 ** -rng.uniform(0.0, 8.0, (n, 1, 3))
+        spread[:, :, 0] = 1.0
+        kinds.append((_rotations(rng, n) * spread) @ _rotations(rng, n))
         for m in kinds:
             _assert_contains_so3(scale * m)
 
