@@ -388,7 +388,7 @@ def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which raises on them as before.
 
     The singular values are the square roots of the eigenvalues of M^T M
-    (eigvalsh, at under half the cost of the SVD), with s3 signed by
+    (eigvalsh, cheaper than the SVD), with s3 signed by
     np.linalg.det as the evaluator signs it.  Rounding M^T M and eigvalsh's
     backward error move each eigenvalue by at most _GRAM_ERROR tr(M^T M)
     (Weyl); with underflow that makes delta, so each singular value lies
