@@ -12,7 +12,6 @@ checks and decides every multi-class certificate, for both
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -158,7 +157,7 @@ _UNIT_WEIGHTS = 0.5 * np.concatenate([_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1]])
 _UNIT_ERROR_WEIGHTS = _UNIT_WEIGHTS - 0.5 * np.concatenate(
     [_G7_ON_K15[:-1], _G7_ON_K15[::-1]]
 )
-# The two halves of rho_so3 read these tables, each on its own thread.
+# Every call shares these tables, so none may write to them.
 for _table in (_K15_NODES, _K15_WEIGHTS, _G7_ON_K15,
                _UNIT_NODES, _UNIT_WEIGHTS, _UNIT_ERROR_WEIGHTS):
     _table.setflags(write=False)
@@ -181,7 +180,9 @@ def proper_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values s1 >= s2 >= |s3| of a batch of 3 x 3 matrices (n, 3, 3),
     with s3 carrying the sign of det m, so M = U diag(s) V^T with U, V in SO(3)."""
     s = np.linalg.svd(m, compute_uv=False)
-    s[:, 2] *= np.sign(np.linalg.det(m))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        # LAPACK's det of an exactly singular matrix warns; its sign is still 0
+        s[:, 2] *= np.sign(np.linalg.det(m))
     return s
 
 
@@ -243,7 +244,7 @@ def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "so3_log_beta: singular-value sums overflow at proper singular values"
             f" {s[bad[0]].tolist()}"
         )
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):   # k = 0, or subnormal
         gauss = 1.0 / np.sqrt(2.0 * k)
         p1 = np.minimum(0.25 * math.pi, gauss)
         cutoff = np.arcsin(np.sqrt(np.minimum(1.0, 0.5 * _MF_TAIL / k)))
@@ -330,11 +331,9 @@ def rho_so3() -> LikelihoodStatistic:
     """log beta ratio on the two 3 x 3 cross matrices of an 18-dim sample.
 
     Samples already carry the 1/sigma^2 scaling through the projection, so
-    beta is evaluated at unit sigma.  The two normalizers are independent:
-    the X half runs on a worker thread while the calling thread computes the
-    X' half, with the same arithmetic as evaluating them in turn.  If both
-    halves fail, the X' half's error propagates, and the worker is joined
-    before the evaluator returns or raises.
+    beta is evaluated at unit sigma.  The evaluator computes the X' half,
+    then the X half, on the calling thread, so if both halves fail the X'
+    half's error propagates.
 
     Its bracket bounds each row's value by the same split (see
     ``_log_beta_bounds``), without the quadrature, so the Monte-Carlo engine
@@ -345,10 +344,8 @@ def rho_so3() -> LikelihoodStatistic:
     """
 
     def evaluator(q: np.ndarray) -> np.ndarray:
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            second = worker.submit(so3_log_beta, devec9(q[:, 9:]))
-            first = so3_log_beta(devec9(q[:, :9]))
-            return first[0] - second.result()[0]
+        first = so3_log_beta(devec9(q[:, :9]))[0]
+        return first - so3_log_beta(devec9(q[:, 9:]))[0]
 
     return LikelihoodStatistic(dim=18, evaluator=evaluator, bracket=_rho_so3_bracket)
 

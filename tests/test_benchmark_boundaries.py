@@ -38,8 +38,8 @@ def test_tracer_finds_every_layer(monkeypatch):
 
 def test_traced_spans_stay_on_calling_thread(monkeypatch):
     # the tracer keeps one span stack, so a span opened on a worker thread
-    # would take the wrong parent; the workers of rho_so3 and of
-    # predict_batch must run untraced code only
+    # would take the wrong parent; the worker of predict_batch must run
+    # untraced code only
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 

@@ -4,8 +4,6 @@ multi-class combination, inverse certificates and the parameter grid."""
 import dataclasses
 import math
 import re
-import sys
-import threading
 
 import mpmath
 import numpy as np
@@ -299,7 +297,7 @@ class TestSo3BetaHat:
         assert np.array_equal(m[:, 2], [7.0, 8.0, 9.0])
 
     def test_quadrature_tables_read_only(self):
-        # both halves of rho_so3 read them from their own threads
+        # every call shares them
         for table in (tight._K15_NODES, tight._K15_WEIGHTS, tight._G7_ON_K15,
                       tight._UNIT_NODES, tight._UNIT_WEIGHTS, tight._UNIT_ERROR_WEIGHTS):
             with pytest.raises(ValueError, match="read-only"):
@@ -379,7 +377,8 @@ def _so3_samples(rows, scale, seed):
 
 
 class TestRhoSo3Threads:
-    """rho_so3 computes its two normalizers on two threads."""
+    """rho_so3 computes its two normalizers in turn on the calling thread,
+    the X' half first."""
 
     @pytest.mark.parametrize("scale", [10.0, 1e3, 1e5])
     @pytest.mark.parametrize("rows", [1, 7, 1000, 2047, 2048, 2049, 4500])
@@ -404,39 +403,6 @@ class TestRhoSo3Threads:
         q[:, :9] = 0.0  # log beta of the zero matrix has zero error estimate
         with pytest.raises(NumericalFailure, match="error estimate"):
             rho_so3()(q)
-
-    def test_concurrent_callers_agree(self):
-        # more callers than cores, each with its own worker, on the shared
-        # read-only quadrature tables
-        q = _so3_samples(300, 1e3, seed=4)
-        expected = rho_so3()(q)
-        results = [None] * 4
-
-        def run(i):
-            results[i] = rho_so3()(q)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert all(np.array_equal(r, expected) for r in results)
-
-    def test_no_thread_outlives_a_call(self):
-        before = threading.active_count()
-        q = _so3_samples(50, 100.0, seed=3)
-        rho_so3()(q)
-        assert threading.active_count() == before
-        q[0, 12] = np.inf
-        with pytest.raises(NumericalFailure):
-            rho_so3()(q)
-        assert threading.active_count() == before
 
 
 class TestSo3Problem:
