@@ -26,8 +26,10 @@ from a table of log I0, SO(3)'s from convexity bounds on its matrix Fisher
 integral, so a cut of a noisy problem evaluates a few percent of its rows.
 Where every value is rounding noise (an exact rotation, X' = X), every
 bracket holds kappa and the first cut evaluates the whole sample in one
-call.  Either way kappa and every count are byte for byte those of
-evaluating every row.
+call; the tight and multi-class certificates of ``tight`` return the orbit
+floor on such orbit members without drawing, so only the inverse procedure
+and direct callers reach that case.  Either way kappa and every count are
+byte for byte those of evaluating every row.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio

@@ -572,6 +572,62 @@ def _rotation_problem(
     return build_so3_problem(x, x_prime, sigma)
 
 
+# The orbit floor's skip rule.  The tight value never exceeds p, because a
+# randomized constant classifier attains p, so where the floor lies within
+# _FLOOR_SKIP of p the Monte-Carlo stage could add at most _FLOOR_SKIP and is
+# not run.  Mirrored for the multi-class upper stage: the best case is never
+# below p_upper, so a ceiling within _FLOOR_SKIP of p_upper is kept as is.
+_FLOOR_SKIP = 1e-9
+
+
+def _floored_lower(
+    problem: RotationCertProblem, mc: McConfig, seed: int, p_lower: float, residual: float
+) -> CertificateOutcome:
+    """``prob_certify_reduced``'s outcome, never below the orbit floor
+    shift_bound(p, residual, sigma): the worst case over every invariant
+    classifier is never weaker than the worst case over the orbit ball.
+
+    Where p - floor <= _FLOOR_SKIP the outcome is the floor, drawn from no
+    sample: ``kappa_log`` is None and the notes gain "orbit-floor" and
+    "mc-skipped".  Otherwise the bound is max(Monte-Carlo bound, floor), with
+    the note "orbit-floor" where the floor is the larger.  The floor spends
+    no alpha.
+    """
+    p_eff, clamped = clamp_probability(p_lower)
+    floor = shift_bound(p_eff, residual, problem.sigma)
+    if p_eff - floor <= _FLOOR_SKIP:
+        notes = ("p-lower-supplied",) + ("p-lower-clamped",) * clamped
+        return CertificateOutcome(
+            certified=floor > 0.5,
+            bound_value=floor,
+            radius=blackbox_radius(p_eff, problem.sigma),
+            p_lower=p_eff,
+            confidence=1.0 - mc.alpha,
+            method="tight-reduced",
+            confidences=mc.confidences,
+            notes=notes + ("orbit-floor", "mc-skipped"),
+        )
+    lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
+    if lower.bound_value >= floor:
+        return lower
+    return replace(
+        lower, certified=floor > 0.5, bound_value=floor, notes=lower.notes + ("orbit-floor",)
+    )
+
+
+def _capped_upper(
+    problem: RotationCertProblem, mc: McConfig, seed: int, p_upper: float, residual: float
+) -> float:
+    """``prob_certify_upper_reduced``'s bound, never above the orbit ceiling
+    shift_bound(p_upper, -residual, sigma), the best case over the orbit
+    ball; the ceiling alone, with no draws, where it lies within
+    _FLOOR_SKIP of p_upper."""
+    ceiling = shift_bound(p_upper, -residual, problem.sigma)
+    if ceiling - p_upper <= _FLOOR_SKIP:
+        return ceiling
+    return min(mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=p_upper), ceiling)
+
+
 def certify_tight(
     group: GroupKind,
     x: PointCloud,
@@ -584,7 +640,9 @@ def certify_tight(
     """Tight lower bound on the worst-case prediction probability of a
     classifier invariant under group.  Translation has the closed form
     Phi(Phi^-1(p) - ||Delta - 1 mean(Delta)|| / sigma), which ignores mc and
-    seed; rotation and roto-translation get the Monte-Carlo bound."""
+    seed; rotation and roto-translation get the Monte-Carlo bound, never
+    below ``certify_orbit``'s bound_value (see ``_floored_lower``), which it
+    is, with no draws, on an orbit member such as X' = X R^T."""
     return certify_tight_and_multiclass(group, x, x_prime, p_lower, sigma, mc, seed)[0]
 
 
@@ -603,7 +661,8 @@ def certify_tight_and_multiclass(
     rotation and roto-translation both come from one reduced problem: the
     multiclass lower stage is the tight outcome itself, read again from the
     same draws, and its upper stage reads the same pair of statistic
-    samples."""
+    samples.  The reduced problem is built before the orbit projection that
+    gives the floor, so every refusal of its constructor still raises."""
     if group is GroupKind.TRANSLATION:
         notes = []
         p_eff, clamped = clamp_probability(p_lower)
@@ -616,7 +675,7 @@ def certify_tight_and_multiclass(
         tight, problem = replace(outcome, certified=outcome.bound_value > 0.5), None
     else:
         problem = _rotation_problem(group, x, x_prime, sigma)
-        lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
+        lower = _floored_lower(problem, mc, seed, p_lower, project(group, x, x_prime).residual)
         tight = replace(lower, method=f"tight-{group.value}{x.dim}")
     if p_upper is None:
         return tight, None
@@ -660,10 +719,12 @@ def certify_multiclass(
     For rotation and roto-translation the lower stage is
     ``certify_tight(group, x, x_prime, pa_lower, sigma, mc, seed)`` itself,
     with the same seed and the same draws, and the upper bound is
-    ``prob_certify_upper_reduced`` on the same problem and seed: both stages
-    read one pair of statistic samples.  Each bound keeps its own coverage,
-    so the union bound charges the verdict alpha/2 + alpha/3 for each stage,
-    plus the alpha of whatever produced pa_lower and pb_upper.
+    ``prob_certify_upper_reduced`` on the same problem and seed, never above
+    the orbit ceiling Phi(Phi^-1(pB) + d / sigma) (see ``_capped_upper``):
+    both stages read one pair of statistic samples.  Each bound keeps its
+    own coverage, so the union bound charges the verdict alpha/2 + alpha/3
+    for each stage, plus the alpha of whatever produced pa_lower and
+    pb_upper.
     """
     return _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed)
 
@@ -690,8 +751,9 @@ def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=
     if group in _ROTATION_KINDS:
         if problem is None:
             problem = _rotation_problem(group, x, x_prime, sigma)
-        lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=pa_lower)
-        upper = mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=pb)
+        residual = project(group, x, x_prime).residual
+        lower = _floored_lower(problem, mc, seed, pa_lower, residual)
+        upper = _capped_upper(problem, mc, seed, pb, residual)
         # a clamped pa is reported once, by the multiclass "p-clamped" note
         lower_notes = tuple(note for note in lower.notes if note != "p-lower-clamped")
         return replace(

@@ -74,33 +74,9 @@ CASES = [
 ]
 
 
-# Exact rotations whose bounds breach the limit today: the reduced covariance
-# is rank-deficient, so the statistic is rounding noise whose law differs
-# between the clean and the perturbed draw.
-FAILING = {
-    ("SO", 2, 10.0, 1e-3), ("SO", 2, 10.0, 0.2), ("SO", 2, 1e3, 1e-3),
-    ("SO", 2, 1e5, 1e-3), ("SO", 2, 1e5, 0.2),
-    ("SO", 3, 10.0, 1e-3), ("SO", 3, 1e3, 1e-3),
-    ("SE", 2, 10.0, 1e-3), ("SE", 2, 1e3, 1e-3), ("SE", 2, 1e3, 0.2),
-    ("SE", 2, 1e5, 1e-3),
-    ("SE", 3, 10.0, 1e-3), ("SE", 3, 1e3, 1e-3), ("SE", 3, 1e5, 1e-3),
-    ("SE", 3, 1e5, 0.2),
-}
-_XFAIL = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 9: the orbit floor bounds an orbit member's certificate by p",
-)
-
-
 @pytest.mark.parametrize(
-    "kind, group, dim, scale, alpha",
-    [
-        pytest.param(
-            k, g, d, s, a, id=f"{k}-{g.value}{d}-{s:g}-{a:g}",
-            marks=[_XFAIL] if k == "rotation" and (g.value, d, s, a) in FAILING else [],
-        )
-        for k, g, d, s, a in CASES
-    ],
+    "kind, group, dim, scale, alpha", CASES,
+    ids=[f"{k}-{g.value}{d}-{s:g}-{a:g}" for k, g, d, s, a in CASES],
 )
 def test_orbit_member_coverage(kind, group, dim, scale, alpha):
     above, below = violations(kind, group, dim, scale, alpha)

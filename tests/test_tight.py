@@ -8,7 +8,10 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from invarcert import mc as mc_engine
 from invarcert import tight
 from invarcert.geometry import (
     GroupKind,
@@ -31,7 +34,7 @@ from invarcert.numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from invarcert.orbit import certify_orbit, project_rotation
+from invarcert.orbit import certify_orbit, project, project_rotation, shift_bound
 from invarcert.tight import (
     LikelihoodStatistic,
     RotationCertProblem,
@@ -588,11 +591,6 @@ class TestCertifyRotationTight:
             tol = 3 * _combined_se(a.bound_value, b.bound_value, mc)
             assert abs(a.bound_value - b.bound_value) <= tol
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 9: an exact rotation's rank-deficient covariance turns the"
-        " statistic into rounding noise, and the bound exceeds p in 10-17 of 30 seeds",
-    )
     def test_exact_rotation_bound_never_exceeds_p(self):
         # X' = X R^T (plus a translation for SE): an invariant classifier has
         # probability p at X', so no sound lower bound exceeds p
@@ -636,6 +634,79 @@ class TestCertifyRotationTight:
         reference = reference_probability(g, xp, sigma, 2_000_000, seed=16, label=1)
         out = certify_tight(SE2, x, xp, p_lower, sigma, FAST_MC, seed=17)
         assert out.bound_value <= reference.probability + 3 * reference.std_error
+
+
+class TestOrbitFloor:
+    """An SO/SE tight lower bound is never below the orbit certificate's
+    bound, and a multi-class upper bound never above the orbit ceiling;
+    where either lies within _FLOOR_SKIP of its p, no sample is drawn."""
+
+    MC = McConfig(n2=200, n3=200, alpha=0.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        kind=st.sampled_from([GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION]),
+        n=st.integers(3, 8),
+        noise=st.sampled_from([0.0, 1e-6, 0.05, 0.3, 1.0]),
+        sigma=st.floats(0.1, 2.0),
+        p=st.floats(0.55, 0.999),
+        pb=st.floats(0.001, 0.45),
+        seed=st.integers(0, 2**16),
+    )
+    def test_floor_and_ceiling(self, dim, kind, n, noise, sigma, p, pb, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, dim))
+        r = rot2(rng.uniform(0.0, 2.0 * math.pi)) if dim == 2 else rot3_zyx(rng.uniform(-3, 3, 3))
+        xp = x @ r.T + noise * rng.standard_normal((n, dim))
+        if kind is GroupKind.ROTO_TRANSLATION:
+            xp = xp + rng.standard_normal(dim)
+        x, xp = PointCloud(x), PointCloud(xp)
+        tight_out, multi = certify_tight_and_multiclass(kind, x, xp, p, sigma, self.MC, seed,
+                                                        p_upper=pb)
+        orbit = certify_orbit(kind, x, xp, p, sigma)
+        upper = float(multi.notes[-1].partition("=")[2])
+        assert tight_out.bound_value >= orbit.bound_value
+        assert upper <= shift_bound(pb, -orbit.residual, sigma)
+        assert multi.bound_value == tight_out.bound_value
+        if "mc-skipped" in tight_out.notes:
+            floor_reported = True
+            assert tight_out.kappa_log is None
+        else:
+            problem = tight._rotation_problem(kind, x, xp, sigma)
+            raw = prob_certify_reduced(problem, self.MC, seed, p_lower=p)
+            floor_reported = raw.bound_value < orbit.bound_value
+            assert tight_out.kappa_log == raw.kappa_log
+            if not floor_reported:
+                assert tight_out.bound_value == raw.bound_value
+        assert ("orbit-floor" in tight_out.notes) == floor_reported
+        if floor_reported:
+            assert tight_out.bound_value == orbit.bound_value
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
+                             ids=["SO", "SE"])
+    def test_orbit_member_draws_nothing(self, kind, dim, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an orbit member drew a sample")
+
+        monkeypatch.setattr(mc_engine, "_samples", refuse)
+        rng = np.random.default_rng(70 + dim)
+        x = rng.standard_normal((16, dim)) * 30.0
+        r = rot2(0.9) if dim == 2 else rot3_zyx([0.9, -0.4, 0.6])
+        for xp in (x, x @ r.T + (kind is GroupKind.ROTO_TRANSLATION) * rng.standard_normal(dim)):
+            x_c, xp_c = PointCloud(x), PointCloud(xp)
+            tight_out, multi = certify_tight_and_multiclass(
+                kind, x_c, xp_c, 0.9, 1.0, FAST_MC, 1, p_upper=0.05
+            )
+            orbit = certify_orbit(kind, x_c, xp_c, 0.9, 1.0)
+            assert tight_out.bound_value == orbit.bound_value
+            assert 0.9 - 1e-12 <= tight_out.bound_value <= 0.9
+            assert tight_out.kappa_log is None
+            assert tight_out.notes == ("p-lower-supplied", "orbit-floor", "mc-skipped")
+            assert tight_out.certified and multi.certified
+            upper = float(multi.notes[-1].partition("=")[2])
+            assert 0.05 <= upper <= 0.05 + 1e-12
 
 
 def _combined_se(a, b, mc):
@@ -827,7 +898,8 @@ class TestClosedFormsAgree:
 class TestSharedDraws:
     """An SO or SE multiclass certificate reads the tight certificate's draws:
     its lower stage is certify_tight at the same seed, and its upper bound is
-    prob_certify_upper_reduced on the same problem and seed.  This extends the
+    prob_certify_upper_reduced on the same problem and seed, capped by the
+    orbit ceiling.  This extends the
     translation-only equality of TestClosedFormsAgree to the Monte-Carlo
     groups."""
 
@@ -845,10 +917,14 @@ class TestSharedDraws:
             multi = certify_multiclass(kind, x, xp, pa, pb, sigma, self.MC, seed)
             assert multi.bound_value == tight.bound_value
             assert multi.kappa_log == tight.kappa_log
+            ceiling = shift_bound(pb, -project(kind, x, xp).residual, sigma)
             if kind is GroupKind.ROTO_TRANSLATION:
                 x, xp = center(x), center(xp)
             build = build_so2_problem if dim == 2 else build_so3_problem
-            upper = prob_certify_upper_reduced(build(x, xp, sigma), self.MC, seed, p_upper=pb)
+            upper = min(
+                prob_certify_upper_reduced(build(x, xp, sigma), self.MC, seed, p_upper=pb),
+                ceiling,
+            )
             assert multi.notes[-1] == f"competitor-upper={upper!r}"
             assert multi.certified == (tight.bound_value > upper)
             assert multi.method == f"multiclass-tight-{kind.value}{dim}"
@@ -871,8 +947,9 @@ class TestSharedDraws:
     def test_clamped_pa_reported_once(self):
         x, xp = _pair(np.random.default_rng(65), 5, 2, scale=0.05)
         tight, multi = certify_tight_and_multiclass(SO2, x, xp, 1.0, 0.5, self.MC, 6, p_upper=0.0)
-        assert tight.notes == ("p-lower-supplied", "p-lower-clamped")
-        assert multi.notes[:2] == ("p-lower-supplied", "p-clamped")
+        # at the clamped p = 1 - 1e-12 the orbit floor lies within 1e-9 of p
+        assert tight.notes == ("p-lower-supplied", "p-lower-clamped", "orbit-floor", "mc-skipped")
+        assert multi.notes[:4] == ("p-lower-supplied", "orbit-floor", "mc-skipped", "p-clamped")
         assert multi.bound_value == tight.bound_value
 
     def test_problem_draws_once_per_seed(self):
