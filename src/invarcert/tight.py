@@ -180,8 +180,7 @@ def proper_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values s1 >= s2 >= |s3| of a batch of 3 x 3 matrices (n, 3, 3),
     with s3 carrying the sign of det m, so M = U diag(s) V^T with U, V in SO(3)."""
     s = np.linalg.svd(m, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        # LAPACK's det of an exactly singular matrix warns; its sign is still 0
+    with np.errstate(divide="ignore"):   # det of an exactly singular matrix
         s[:, 2] *= np.sign(np.linalg.det(m))
     return s
 
@@ -572,11 +571,10 @@ def _rotation_problem(
     return build_so3_problem(x, x_prime, sigma)
 
 
-# The orbit floor's skip rule.  The tight value never exceeds p, because a
-# randomized constant classifier attains p, so where the floor lies within
-# _FLOOR_SKIP of p the Monte-Carlo stage could add at most _FLOOR_SKIP and is
-# not run.  Mirrored for the multi-class upper stage: the best case is never
-# below p_upper, so a ceiling within _FLOOR_SKIP of p_upper is kept as is.
+# How close the orbit floor must lie to p, or the orbit ceiling to p_upper,
+# for the Monte-Carlo stage to be skipped (see _floored_lower).  On the
+# benchmark's fixtures p - floor read at most 4e-14 for exact rotations and
+# at least 0.02 for noisy ones.
 _FLOOR_SKIP = 1e-9
 
 
@@ -587,11 +585,13 @@ def _floored_lower(
     shift_bound(p, residual, sigma): the worst case over every invariant
     classifier is never weaker than the worst case over the orbit ball.
 
-    Where p - floor <= _FLOOR_SKIP the outcome is the floor, drawn from no
-    sample: ``kappa_log`` is None and the notes gain "orbit-floor" and
-    "mc-skipped".  Otherwise the bound is max(Monte-Carlo bound, floor), with
-    the note "orbit-floor" where the floor is the larger.  The floor spends
-    no alpha.
+    The tight value never exceeds p, because a randomized constant
+    classifier attains p, so where p - floor <= _FLOOR_SKIP the Monte-Carlo
+    stage could add at most _FLOOR_SKIP: the outcome is then the floor,
+    drawn from no sample, with ``kappa_log`` None and the notes
+    "orbit-floor" and "mc-skipped".  Otherwise the bound is max(Monte-Carlo
+    bound, floor), with the note "orbit-floor" where the floor is the
+    larger.  The floor spends no alpha.
     """
     p_eff, clamped = clamp_probability(p_lower)
     floor = shift_bound(p_eff, residual, problem.sigma)
@@ -620,8 +620,9 @@ def _capped_upper(
 ) -> float:
     """``prob_certify_upper_reduced``'s bound, never above the orbit ceiling
     shift_bound(p_upper, -residual, sigma), the best case over the orbit
-    ball; the ceiling alone, with no draws, where it lies within
-    _FLOOR_SKIP of p_upper."""
+    ball.  The best case over invariant classifiers is never below p_upper,
+    so where the ceiling lies within _FLOOR_SKIP of p_upper it is returned
+    with no draws."""
     ceiling = shift_bound(p_upper, -residual, problem.sigma)
     if ceiling - p_upper <= _FLOOR_SKIP:
         return ceiling
