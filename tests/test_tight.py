@@ -903,9 +903,8 @@ class TestSharedDraws:
     """An SO or SE multiclass certificate reads the tight certificate's draws:
     its lower stage is certify_tight at the same seed, and its upper bound is
     prob_certify_upper_reduced on the same problem and seed, capped by the
-    orbit ceiling.  This extends the
-    translation-only equality of TestClosedFormsAgree to the Monte-Carlo
-    groups."""
+    orbit ceiling.  This extends the translation-only equality of
+    TestClosedFormsAgree to the Monte-Carlo groups."""
 
     MC = McConfig(n2=1000, n3=1000, alpha=0.001)
 
