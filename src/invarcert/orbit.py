@@ -107,7 +107,7 @@ def _procrustes(x: PointCloud, x_prime: PointCloud, proper: bool) -> OrbitProjec
     u, _, vt = np.linalg.svd(x_prime.data.T @ x.data)
     v = vt.T
     if proper:
-        d = np.sign(np.linalg.det(v @ u.T))  # v, u orthogonal: d is +-1
+        d = np.linalg.slogdet(v @ u.T)[0]  # v, u orthogonal: d is +-1
         s_hat = np.ones(u.shape[0])
         s_hat[-1] = d
         r = v @ np.diag(s_hat) @ u.T

@@ -178,10 +178,12 @@ _MF_CHUNK = 2048
 
 def proper_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values s1 >= s2 >= |s3| of a batch of 3 x 3 matrices (n, 3, 3),
-    with s3 carrying the sign of det m, so M = U diag(s) V^T with U, V in SO(3)."""
+    with s3 carrying the sign of det m, so M = U diag(s) V^T with U, V in SO(3).
+    The sign comes from ``slogdet``, which neither overflows nor underflows
+    where det would."""
     s = np.linalg.svd(m, compute_uv=False)
-    with np.errstate(divide="ignore"):   # det of an exactly singular matrix
-        s[:, 2] *= np.sign(np.linalg.det(m))
+    with np.errstate(divide="ignore"):   # log|det| of a singular matrix
+        s[:, 2] *= np.linalg.slogdet(m)[0]
     return s
 
 
@@ -385,7 +387,7 @@ def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The singular values are the square roots of the eigenvalues of M^T M
     (eigvalsh, cheaper than the SVD), with s3 signed by
-    np.linalg.det as the evaluator signs it.  Rounding M^T M and eigvalsh's
+    np.linalg.slogdet as the evaluator signs it.  Rounding M^T M and eigvalsh's
     backward error move each eigenvalue by at most _GRAM_ERROR tr(M^T M)
     (Weyl); with underflow that makes delta, so each singular value lies
     within 2 delta / (sqrt(lam + delta) + sqrt(lam - delta)) of the exact
@@ -412,7 +414,7 @@ def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             delta = _GRAM_ERROR * np.trace(gram, axis1=1, axis2=2)[:, None] + np.finfo(float).tiny
             drift = 2.0 * delta / (np.sqrt(lam + delta) + np.sqrt(np.maximum(lam - delta, 0.0)))
             s = np.sqrt(np.maximum(lam, 0.0))
-            s[:, 2] *= np.sign(np.linalg.det(chunk))
+            s[:, 2] *= np.linalg.slogdet(chunk)[0]
             log_lo, log_hi = _log_mf_bounds(s)
             base = math.log(4.0 * math.pi) + s.sum(axis=1)
             pad = drift.sum(axis=1) + _MF_BOUND_SLACK + _MF_BOUND_ROUNDING * (

@@ -272,7 +272,7 @@ _COMPONENT3 = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(_COMPONENT3, min_size=9, max_size=9), min_size=2, max_size=6))
-# an exactly singular matrix, whose det divides by zero, and a subnormal k,
+# an exactly singular matrix, whose det sign is 0, and a subnormal k,
 # whose Gaussian cut-off overflows: under pytest's error::RuntimeWarning
 # both must stay silent
 @example([[0.0] * 9, [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 5e-324, 0.0]])

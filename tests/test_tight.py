@@ -283,6 +283,12 @@ class TestSo3BetaHat:
             s = proper_singular_values((u @ np.diag(diag) @ v)[None])[0]
             assert s == pytest.approx(diag, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-300, -1e-300, 1e200])
+    def test_proper_singular_values_sign_where_det_is_not_finite(self, scale):
+        # det underflows to 0 (or overflows) here; the sign of s3 does not
+        s = proper_singular_values(scale * np.eye(3)[None])[0]
+        assert s == pytest.approx([abs(scale), abs(scale), scale], rel=1e-12)
+
     def test_rule_integrates_polynomials_exactly(self):
         # four panels on [0, 1]: Kronrod exact to degree 22, Gauss to 13
         nodes, weights, error_weights = tight._panels(4)
@@ -1274,6 +1280,16 @@ class TestExtremeSigma:
         else:
             out = certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
             assert 0.0 <= out.bound_value <= 1.0
+
+    @pytest.mark.parametrize("sigma", [1e-60, 1e-75])
+    @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
+                             ids=["SO", "SE"])
+    def test_3d_statistic_far_from_unit_scale_is_silent(self, kind, sigma):
+        # the cross matrices reach 1e120-1e150, where det overflows; under
+        # the suite's error::RuntimeWarning any warning fails the call
+        x, xp = _pair(np.random.default_rng(33), 6, 3)
+        out = certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
+        assert 0.0 <= out.bound_value <= 1.0
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e-160, 1e-154, 1.1e-154])
     def test_pmin_grid_so2(self, sigma):
