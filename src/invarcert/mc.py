@@ -260,8 +260,9 @@ class _Sample:
     lo <= value <= hi on the statistic, from its bracket, with lo == hi
     where the value is known.  Drawing evaluates nothing; ``refine``
     evaluates rows as cuts need them, and a sample evaluated whole in one
-    call keeps its values as one read-only array (lo is hi).  Holds no
-    reference to its problem, so a dropped problem is freed at once."""
+    call keeps its values as one read-only array (lo is hi) and drops its
+    draws, which no later cut reads.  Holds no reference to its problem, so
+    a dropped problem is freed at once."""
 
     def __init__(self, problem, mean: np.ndarray, count: int, rng: np.random.Generator):
         self.draws = sample_gaussian(mean, count, rng, problem.factor)
@@ -275,6 +276,7 @@ class _Sample:
         if todo.all():  # every row (SO(3), an exact rotation): no copy of the draws
             self.lo = self.hi = _statistic_values(problem, self.draws)
             self.lo.setflags(write=False)
+            self.draws = None
         elif todo.any():
             self.lo[todo] = self.hi[todo] = _statistic_values(problem, self.draws[todo])
 

@@ -72,11 +72,26 @@ CASES = [
     for scale in (10.0, 1e3, 1e5)
     for alpha in (1e-3, 0.2)
 ]
+# From |X||X'| / sigma^2 = 1e16 the residual d of an exact rotation is
+# rounding noise above 1e-8 sigma, so the orbit floor lies further than
+# _FLOOR_SKIP below p and the Monte-Carlo stage runs on a statistic that is
+# rounding noise too: on 2-D rotations 12-18 of 30 seeds violate each bound.
+FAR_CASES = [
+    (kind, group, 2, scale, 1e-3)
+    for kind in ("same", "rotation")
+    for group in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION)
+    for scale in (1e16, 1e20)
+]
+_FAULT = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: the statistic of a near-orbit problem is rounding noise",
+)
 
 
 @pytest.mark.parametrize(
-    "kind, group, dim, scale, alpha", CASES,
-    ids=[f"{k}-{g.value}{d}-{s:g}-{a:g}" for k, g, d, s, a in CASES],
+    "kind, group, dim, scale, alpha",
+    CASES + [pytest.param(*case, marks=[_FAULT] * (case[0] == "rotation")) for case in FAR_CASES],
+    ids=[f"{k}-{g.value}{d}-{s:g}-{a:g}" for k, g, d, s, a in CASES + FAR_CASES],
 )
 def test_orbit_member_coverage(kind, group, dim, scale, alpha):
     above, below = violations(kind, group, dim, scale, alpha)

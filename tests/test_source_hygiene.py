@@ -3,7 +3,9 @@ every private module-level name is referenced from ``src/`` itself, so that
 no helper stays alive only for the tests; no module imports another
 module's private name; and every class or function is imported from the
 module that defines it.  Only a few functions call into ``np.random``: the
-Monte-Carlo engine draws every reduced-problem sample in one place."""
+Monte-Carlo engine draws every reduced-problem sample in one place.  No
+function calls ``np.linalg.det``, which underflows to 0 and overflows where
+the sign from ``np.linalg.slogdet`` does not."""
 
 import ast
 import importlib
@@ -138,6 +140,32 @@ def random_stream_callers(trees: dict[str, ast.Module]) -> list[str]:
     })
 
 
+def det_callers(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.function`` for each top-level function or method (or
+    ``module.<module>``) that calls ``np.linalg.det`` or ``numpy.linalg.det``,
+    or imports ``det`` from ``numpy.linalg``."""
+
+    def calls_det(node: ast.AST) -> bool:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.ImportFrom) and sub.module == "numpy.linalg":
+                if any(a.name == "det" for a in sub.names):
+                    return True
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                owner = sub.func.value
+                if (sub.func.attr == "det" and isinstance(owner, ast.Attribute)
+                        and owner.attr == "linalg" and isinstance(owner.value, ast.Name)
+                        and owner.value.id in ("np", "numpy")):
+                    return True
+        return False
+
+    return sorted({
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _top_level_functions(tree)
+        if calls_det(node)
+    })
+
+
 def _source_trees() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
@@ -187,6 +215,13 @@ def test_checks_catch_what_they_look_for():
     assert random_stream_callers({"c": c}) == [
         "c.<module>", "c.Sampler.spawn", "c.draw", "c.hidden"
     ]
+    d = ast.parse(
+        "import numpy as np\ndef sign(m):\n    return np.sign(np.linalg.det(m))\n"
+        "def safe(m):\n    return np.linalg.slogdet(m)[0]\n"
+        "class Fit:\n    def flip(self, m):\n        return numpy.linalg.det(m) < 0\n"
+        "def hidden(m):\n    from numpy.linalg import det\n    return det(m)\n"
+    )
+    assert det_callers({"d": d}) == ["d.Fit.flip", "d.hidden", "d.sign"]
 
 
 def test_import_check_catches_a_name_defined_elsewhere(tmp_path, monkeypatch):
@@ -201,3 +236,7 @@ def test_import_check_catches_a_name_defined_elsewhere(tmp_path, monkeypatch):
         "from .b import LIMIT, Thing as T, make, math\n"
     )
     assert misattributed_imports(tree, "hygiene_selftest_pkg") == ["b.Thing", "b.make"]
+
+
+def test_no_det_in_src():
+    assert det_callers(_source_trees()) == []
