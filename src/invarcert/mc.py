@@ -2,8 +2,8 @@
 procedures on one two-sample core, plus smoothed prediction with abstention.
 
 This module owns the reduced problem, ``RotationCertProblem``: two Gaussian
-means sharing one covariance, plus the ``LikelihoodStatistic`` that compares
-them.  Every draw goes through the problem's one cached covariance factor.
+means and one factor F of their shared covariance F F^T, plus the
+``LikelihoodStatistic`` that compares them.  Every draw goes through F.
 
 One seed rule serves all three procedures: child c of
 ``SeedSequence(seed).spawn(3)`` draws around (perturbed, clean,
@@ -61,7 +61,6 @@ from .numerics import (
     clamp_probability,
     clopper_pearson_lower,
     clopper_pearson_upper,
-    psd_factor,
     sample_gaussian,
 )
 from .orbit import CertificateOutcome, blackbox_radius
@@ -132,40 +131,28 @@ class LikelihoodStatistic:
 @dataclass(frozen=True)
 class RotationCertProblem:
     """Reduced Gaussian pair (perturbed vs clean) behind a tight certificate:
-    two means sharing one covariance, and the likelihood-ratio statistic that
-    compares them.  ``statistic_samples`` keeps the sample pair of the
-    latest (n2, n3, seed, first child) any procedure drew on it; a new key
-    replaces it.  A sigma^2 that underflows, or an entry or factor that is
-    not finite, raises NumericalFailure naming sigma."""
+    two means sharing one covariance F F^T, given by its dim x k factor F,
+    and the likelihood-ratio statistic that compares them.  Every draw from
+    either mean is the mean plus F times k standard normals.
+    ``statistic_samples`` keeps the sample pair of the latest (n2, n3, seed,
+    first child) any procedure drew on it; a new key replaces it.  A mean or
+    factor entry that is not finite raises NumericalFailure naming sigma."""
 
     mean_perturbed: np.ndarray
     mean_clean: np.ndarray
-    covariance: np.ndarray
+    factor: np.ndarray
     sigma: float
     statistic: LikelihoodStatistic
     statistic_samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = (self.mean_perturbed, self.mean_clean, self.covariance)
-        if not (self.sigma * self.sigma > 0.0 and all(np.isfinite(e).all() for e in entries)):
-            raise self._failure("sigma^2 underflows or an entry is not finite")
+        self.check_finite(self.sigma, self.mean_perturbed, self.mean_clean, self.factor)
 
-    def _failure(self, reason: str) -> NumericalFailure:
-        return NumericalFailure(f"reduced problem at sigma={self.sigma!r}: {reason}")
-
-    @functools.cached_property
-    def factor(self) -> np.ndarray:
-        """``psd_factor(covariance)``, computed on the first draw and shared
-        by every draw from either mean.  An invalid covariance raises its
-        ValueError there; one whose factor overflows, NumericalFailure."""
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                factor = psd_factor(self.covariance)
-        except np.linalg.LinAlgError:  # eigh on an overflowed symmetrization
-            factor = None
-        if factor is None or not np.isfinite(factor).all():
-            raise self._failure("the covariance factor overflows")
-        return factor
+    @staticmethod
+    def check_finite(sigma: float, *entries: np.ndarray) -> None:
+        """Raise NumericalFailure naming sigma unless every entry is finite."""
+        if not all(np.isfinite(e).all() for e in entries):
+            raise NumericalFailure(f"reduced problem at sigma={sigma!r}: an entry is not finite")
 
 
 class BaseClassifier(Protocol):
@@ -242,15 +229,21 @@ def upper_quantile_index(trials: int, level: float, significance: float) -> int 
 
 
 def _statistic_values(problem, samples: np.ndarray) -> np.ndarray:
-    values = np.asarray(problem.statistic(samples), dtype=float)
+    """The statistic on ``samples``; its NumericalFailure, or a NaN value,
+    raises one that names the problem's sigma."""
+    where = f"reduced problem at sigma={problem.sigma!r}"
+    try:
+        values = np.asarray(problem.statistic(samples), dtype=float)
+    except NumericalFailure as failure:
+        raise NumericalFailure(f"{where}: {failure}") from failure
     bad = np.isnan(values)
     if np.any(bad):
         raise NumericalFailure(
-            "NaN likelihood-ratio statistic: "
+            f"{where}: NaN likelihood-ratio statistic: "
             f"{int(bad.sum())}/{samples.shape[0]} samples, "
             f"|mean_clean|={np.linalg.norm(problem.mean_clean):.6g}, "
             f"|mean_perturbed|={np.linalg.norm(problem.mean_perturbed):.6g}, "
-            f"|cov|={np.linalg.norm(problem.covariance):.6g}"
+            f"|factor|={np.linalg.norm(problem.factor):.6g}"
         )
     return values
 

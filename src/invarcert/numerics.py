@@ -1,7 +1,7 @@
 """Special functions, Gaussian sampling and binomial confidence machinery.
 
-Plain functions of plain arguments.  Gaussian sampling takes a covariance
-factor from ``psd_factor``, so a caller drawing many times from one
+Plain functions of plain arguments.  Gaussian sampling takes a factor F of
+the covariance F F^T, of any width, so a caller drawing many times from one
 covariance factors it once.  Everything here is pure and thread-safe apart
 from Gaussian sampling, which draws from a generator the caller owns.
 """
@@ -181,14 +181,15 @@ def psd_factor(covariance) -> np.ndarray:
 
 def sample_gaussian(mean, count: int, rng: np.random.Generator,
                     factor: np.ndarray) -> np.ndarray:
-    """Draw ``count`` samples from N(mean, factor factor^T) with the caller's
-    generator; ``factor`` is typically ``psd_factor(covariance)``."""
+    """Draw ``count`` samples from N(mean, F F^T) with the caller's generator,
+    for a dim x k factor F (``psd_factor(covariance)`` is one, with k = dim):
+    each row is mean + F w for k standard normals w, drawn as (count, k)."""
     mean = np.asarray(mean, dtype=float)
-    if mean.ndim != 1 or factor.shape != (mean.size, mean.size):
+    if mean.ndim != 1 or factor.ndim != 2 or factor.shape[0] != mean.size:
         raise ValueError("sample_gaussian: dimension mismatch")
     if count < 1:
         raise ValueError("sample_gaussian: count must be >= 1")
-    normals = rng.standard_normal((count, mean.size))
+    normals = rng.standard_normal((count, factor.shape[1]))
     out = normals @ factor.T
     out += mean
     return out

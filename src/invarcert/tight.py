@@ -37,6 +37,7 @@ from .numerics import (
     log_bessel_i0_bounds,
     log_i0e_lower,
     log_i0e_upper,
+    psd_factor,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -56,17 +57,16 @@ def so2_problem_from_params(
     """Reduced 4-dim problem from the scalar parameters (|X|, |Delta|, eps1, eps2).
 
     All entries depend only on ratios to sigma^2, so scaling (X, Delta, sigma)
-    by a common factor leaves the problem unchanged.  A sigma^2 that
-    underflows, or an entry that overflows, raises NumericalFailure.
+    by a common factor leaves the problem unchanged.  The factor is
+    ``psd_factor`` of the 4 x 4 covariance.  A sigma^2 that underflows, or an
+    entry or factor entry that overflows, raises NumericalFailure.
     """
     check_sigma(sigma, "so2_problem_from_params")
     nx2 = norm_x * norm_x
     nd2 = norm_delta * norm_delta
     # |X'|^2, <X', X>, eps2 and |X|^2, each over sigma^2
-    with np.errstate(all="ignore"):  # non-finite entries are refused by the problem
+    with np.errstate(all="ignore"):  # non-finite entries are refused below
         a, b, c, d = np.array([2.0 * eps1 + nx2 + nd2, eps1 + nx2, eps2, nx2]) / (sigma * sigma)
-    mean_perturbed = np.array([a, 0.0, b, c])
-    mean_clean = np.array([b, -c, d, 0.0])
     covariance = np.array(
         [
             [a, 0.0, b, c],
@@ -75,13 +75,11 @@ def so2_problem_from_params(
             [c, b, 0.0, d],
         ]
     )
-    return RotationCertProblem(
-        mean_perturbed=mean_perturbed,
-        mean_clean=mean_clean,
-        covariance=covariance,
-        sigma=sigma,
-        statistic=rho_so2(),
-    )
+    RotationCertProblem.check_finite(sigma, covariance)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed factor is refused
+        factor = psd_factor(covariance)
+    mean_perturbed, mean_clean = np.array([a, 0.0, b, c]), np.array([b, -c, d, 0.0])
+    return RotationCertProblem(mean_perturbed, mean_clean, factor, sigma, rho_so2())
 
 
 def build_so2_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> RotationCertProblem:
@@ -236,10 +234,11 @@ def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from its own spreads, and rows with equal counts share one rule, so a
     row's value does not depend on the other rows of the batch.
     """
-    a = 0.5 * (s[:, 0:1] - s[:, 1:2])
-    b = 0.5 * (s[:, 0:1] + s[:, 1:2])
-    k = np.maximum(s[:, 1:2] + s[:, 2:3], 0.0)
-    bad = np.flatnonzero(~np.isfinite(a + b + k))   # a, b, k >= 0
+    with np.errstate(over="ignore"):   # overflowed sums are refused below
+        a = 0.5 * (s[:, 0:1] - s[:, 1:2])
+        b = 0.5 * (s[:, 0:1] + s[:, 1:2])
+        k = np.maximum(s[:, 1:2] + s[:, 2:3], 0.0)
+        bad = np.flatnonzero(~np.isfinite(a + b + k))   # a, b, k >= 0
     if bad.size:
         raise NumericalFailure(
             "so3_log_beta: singular-value sums overflow at proper singular values"
@@ -283,7 +282,8 @@ def _log_mf_integral(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         far_value, far_error = _mf_sum(1.0 - cos2, cos2, a[rows], b[rows], k[rows], w, dw)
         value[rows] += far_value
         error[rows] += far_error
-    return np.log(value), error / value
+    with np.errstate(divide="ignore", invalid="ignore"):   # an underflowed integral is refused
+        return np.log(value), np.where(value > 0.0, error / value, np.inf)
 
 
 def so3_log_beta(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,9 +371,7 @@ _HALF_GRADE.setflags(write=False)
 def _rho_so3_bracket(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= rho_so3(q) <= hi per row, infinite where a half cannot be
     bounded.  Rounding is monotone, so lo1 - hi2 and hi1 - lo2 bound the
-    evaluator's first - second.  Both halves run in turn on the calling
-    thread: on 1000-row brackets a worker thread was slower (6.2 ms threaded
-    against 4.9 ms in turn)."""
+    evaluator's first - second."""
     first_lo, first_hi = _log_beta_bounds(devec9(q[:, :9]))
     second_lo, second_hi = _log_beta_bounds(devec9(q[:, 9:]))
     return first_lo - second_hi, first_hi - second_lo
@@ -524,36 +522,34 @@ def _log_mf_bounds(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(lower), np.log(upper)
 
 
-def so3_projection_matrix(x: PointCloud, x_prime: PointCloud, sigma: float) -> np.ndarray:
-    """18 x 3N projection stacking all cross terms of (X'^T Z, X^T Z).
-
-    Row 9*half + 3*j + i picks (cloud^T Z)_{i+1, j+1} / sigma^2, i.e. each
-    half is the column-major vectorization consumed by ``devec9``.
-    """
-    n = x.n_points
-    w = np.zeros((18, 3 * n))
-    for half, cloud in enumerate((x_prime, x)):
-        base = 9 * half
-        cols = cloud.data
-        for j in range(3):       # column block of vec(Z)
-            for i in range(3):   # column of the cloud
-                w[base + 3 * j + i, j * n : (j + 1) * n] = cols[:, i]
-    return w / (sigma * sigma)
+# Singular values of [X', X] / sigma below this fraction of the largest are
+# dropped, so an exact rotation keeps rank 3 and no rounding-noise directions.
+_RANK_TOL = 1e-12
 
 
 def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> RotationCertProblem:
+    """Reduced 18-dim problem: a sample stacks vec(X'^T Z) and vec(X^T Z) over
+    sigma^2, column-major as ``devec9`` reads them, for Z ~ N(C, sigma^2 I)
+    with C = X' (perturbed) or X (clean).  With the thin SVD [X', X] / sigma
+    = U S V^T, kept to the r singular values above _RANK_TOL s1, cloud^T Z /
+    sigma^2 = (V S)_h (U^T Z / sigma) for the cloud's 3 x r block of rows
+    (V S)_h, and U^T Z / sigma ~ N(U^T C / sigma, I).  So the 18 x 3r factor
+    holds (V S)[3h + i] in row 9h + 3j + i, column block j, and each mean is
+    the factor times vec(U^T C / sigma)."""
     if x.dim != 3 or x_prime.dim != 3:
         raise ValueError("build_so3_problem: requires D = 3")
     check_same_shape(x, x_prime)
-    with np.errstate(all="ignore"):  # non-finite entries are refused by the problem
-        w = so3_projection_matrix(x, x_prime, sigma)
-        return RotationCertProblem(
-            mean_perturbed=w @ x_prime.data.T.ravel(),
-            mean_clean=w @ x.data.T.ravel(),
-            covariance=(sigma * sigma) * (w @ w.T),
-            sigma=sigma,
-            statistic=rho_so3(),
-        )
+    with np.errstate(over="ignore"):  # non-finite entries are refused below
+        scaled = np.hstack([x_prime.data, x.data]) / sigma
+    RotationCertProblem.check_finite(sigma, scaled)
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    RotationCertProblem.check_finite(sigma, s)  # s1 may overflow on finite entries
+    keep = s > _RANK_TOL * s[0]
+    vs = vt[keep].T * s[keep]
+    factor = np.vstack([np.kron(np.eye(3), vs[:3]), np.kron(np.eye(3), vs[3:])])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by the problem
+        means = [factor @ (u[:, keep].T @ scaled[:, h : h + 3]).T.ravel() for h in (0, 3)]
+    return RotationCertProblem(*means, factor, sigma, rho_so3())
 
 
 _ROTATION_KINDS = (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION)

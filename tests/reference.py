@@ -2,10 +2,10 @@
 
 Dense grids instead of quadrature, exhaustive search instead of assignment
 solvers, plain Monte Carlo instead of reduced problems: each shares as little
-algebra as possible with the code it checks.  Also the 2D projection matrix
-behind the reduced SO(2) problem, and the one-dimensional black-box reduction
-with its identity statistic, which exercises the Monte-Carlo core where the
-answer is known in closed form.  The Frobenius inner product and the z-y-x
+algebra as possible with the code it checks.  Also the 2D and 3D projection
+matrices behind the reduced SO(2) and SO(3) problems, and the
+one-dimensional black-box reduction with its identity statistic, which
+exercises the Monte-Carlo core where the answer is known in closed form.  The Frobenius inner product and the z-y-x
 Euler rotation live here too: only the tests use them.
 """
 
@@ -283,6 +283,23 @@ def so2_projection_matrix(x: PointCloud, x_prime: PointCloud, sigma: float) -> n
     return np.stack([m.T.ravel() for m in rows]) / (sigma * sigma)
 
 
+def so3_projection_matrix(x: PointCloud, x_prime: PointCloud, sigma: float) -> np.ndarray:
+    """The 18 x 3N projection stacking all cross terms of (X'^T Z, X^T Z):
+    row 9*half + 3*j + i picks (cloud^T Z)_{i+1, j+1} / sigma^2, each half
+    column-major as ``devec9`` reads it.  A sample of
+    ``tight.build_so3_problem`` is this matrix times vec(Z), Z ~ N(C,
+    sigma^2 I), so its means are W vec(C) and its covariance sigma^2 W W^T."""
+    n = x.n_points
+    w = np.zeros((18, 3 * n))
+    for half, cloud in enumerate((x_prime, x)):
+        base = 9 * half
+        cols = cloud.data
+        for j in range(3):       # column block of vec(Z)
+            for i in range(3):   # column of the cloud
+                w[base + 3 * j + i, j * n : (j + 1) * n] = cols[:, i]
+    return w / (sigma * sigma)
+
+
 def blackbox_reduced_problem(norm_delta: float, sigma: float) -> RotationCertProblem:
     """One-dimensional reduction of the black-box certificate: a unit-variance
     normal shifted by ||Delta|| / sigma, compared by the identity statistic."""
@@ -291,7 +308,7 @@ def blackbox_reduced_problem(norm_delta: float, sigma: float) -> RotationCertPro
     return RotationCertProblem(
         mean_perturbed=np.array([norm_delta / sigma]),
         mean_clean=np.array([0.0]),
-        covariance=np.array([[1.0]]),
+        factor=np.array([[1.0]]),
         sigma=sigma,
         statistic=linear_statistic(),
     )

@@ -607,10 +607,12 @@ class TestNonFinite:
         assert "--sigma: must be > 0" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
-    # 2-D clouds certify at 1e-150 and 1e300; every other case leaves sigma^2
-    # underflowed, a reduced-problem entry overflowed or, for pmin-grid at
-    # 1e-154 and 1.1e-154, the covariance factor overflowed (its eigenvalues,
-    # not the symmetrization, which no longer overflows on finite entries)
+    # 2-D clouds certify at 1e-150 and 1e300, 3-D clouds at 1e300 (the orbit
+    # floor, within 1e-9 of p); every other case leaves sigma^2 underflowed,
+    # a reduced-problem entry overflowed, the 3-D statistic's error estimate
+    # refused or, for pmin-grid at 1e-154 and 1.1e-154, the covariance factor
+    # overflowed (its eigenvalues, not the symmetrization, which does not
+    # overflow on finite entries)
     @pytest.mark.parametrize(
         "sigma", ["1e-300", "1e-170", "1e-160", "1e-154", "1.1e-154", "1e-150", "1e300"]
     )
@@ -639,7 +641,7 @@ class TestNonFinite:
         code = main([*command, *flags, "--sigma", sigma, "--seed", "1",
                      "--n2", "100", "--n3", "100", "--alpha", "0.01"])
         captured = capsys.readouterr()
-        fails = "c3.csv" in command or float(sigma) < 1e-153
+        fails = float(sigma) < (1e-105 if "c3.csv" in command else 1e-153)
         assert code == (3 if fails else 0)
         if fails:
             assert f"reduced problem at sigma={float(sigma)!r}" in captured.err

@@ -181,9 +181,22 @@ class TestSampleGaussian:
         got = sample_gaussian(mean, 5000, np.random.default_rng(7), factor)
         assert got.tobytes() == (mean + normals @ factor.T).tobytes()
 
+    def test_narrow_factor_draws_one_normal_per_column(self):
+        # a dim x k factor reads k normals a row; k = 0 draws the mean
+        rng = np.random.default_rng(12)
+        factor = rng.standard_normal((5, 2))
+        mean = rng.standard_normal(5)
+        normals = np.random.default_rng(3).standard_normal((100, 2))
+        got = sample_gaussian(mean, 100, np.random.default_rng(3), factor)
+        assert got.tobytes() == (mean + normals @ factor.T).tobytes()
+        empty = sample_gaussian(mean, 4, np.random.default_rng(3), np.zeros((5, 0)))
+        assert np.array_equal(empty, np.tile(mean, (4, 1)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sample_gaussian(np.zeros(3), 10, np.random.default_rng(0), psd_factor(np.eye(4)))
+        with pytest.raises(ValueError):
+            sample_gaussian(np.zeros(3), 10, np.random.default_rng(0), np.ones(3))
         with pytest.raises(ValueError):
             psd_factor(np.eye(4)[:3])
 

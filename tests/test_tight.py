@@ -52,7 +52,6 @@ from invarcert.tight import (
     so2_problem_from_params,
     proper_singular_values,
     so3_log_beta,
-    so3_projection_matrix,
 )
 from reference import (
     blackbox_reduced_problem,
@@ -60,6 +59,7 @@ from reference import (
     rot3_zyx,
     so2_projection_matrix,
     so3_log_beta_hat,
+    so3_projection_matrix,
     sorted_cut,
 )
 
@@ -117,7 +117,7 @@ class TestSo2Problem:
         nx2 = x.norm() ** 2 / 0.25
         assert np.allclose(problem.mean_perturbed, [nx2, 0.0, nx2, 0.0])
         assert np.array_equal(problem.mean_perturbed, problem.mean_clean)
-        assert np.linalg.matrix_rank(problem.covariance, tol=1e-9) == 2
+        assert np.linalg.matrix_rank(problem.factor @ problem.factor.T, tol=1e-9) == 2
 
     def test_reconstruction_from_projection(self):
         rng = np.random.default_rng(3)
@@ -125,7 +125,8 @@ class TestSo2Problem:
             x, xp = _pair(rng, 6, 2, scale=0.8)
             problem = build_so2_problem(x, xp, 0.7)
             w = so2_projection_matrix(x, xp, 0.7)
-            assert np.max(np.abs(problem.covariance - 0.49 * (w @ w.T))) < 1e-9
+            covariance = problem.factor @ problem.factor.T
+            assert np.max(np.abs(covariance - 0.49 * (w @ w.T))) < 1e-9
             assert np.max(np.abs(problem.mean_perturbed - w @ xp.data.T.ravel())) < 1e-9
             assert np.max(np.abs(problem.mean_clean - w @ x.data.T.ravel())) < 1e-9
 
@@ -137,7 +138,7 @@ class TestSo2Problem:
         b = build_so2_problem(PointCloud(c * x.data), PointCloud(c * xp.data), c * 0.5)
         assert np.array_equal(a.mean_perturbed, b.mean_perturbed)
         assert np.array_equal(a.mean_clean, b.mean_clean)
-        assert np.array_equal(a.covariance, b.covariance)
+        assert np.array_equal(a.factor, b.factor)
 
     def test_rejects_3d(self):
         x = PointCloud(np.zeros((3, 3)) + np.eye(3))
@@ -420,15 +421,22 @@ class TestSo3Problem:
         x = PointCloud(rng.standard_normal((5, 3)))
         problem = build_so3_problem(x, x, 0.5)
         assert np.array_equal(problem.mean_perturbed, problem.mean_clean)
-        assert np.linalg.matrix_rank(problem.covariance, tol=1e-9) <= 9
+        assert problem.factor.shape == (18, 9)   # [X, X] has rank 3
 
     def test_gram_psd(self):
+        # F F^T and the means are the projection's sigma^2 W W^T and W vec(C)
         rng = np.random.default_rng(7)
-        x, xp = _pair(rng, 6, 3, scale=0.5)
-        problem = build_so3_problem(x, xp, 0.4)
-        assert np.max(np.abs(problem.covariance - problem.covariance.T)) < 1e-10
-        eigvals = np.linalg.eigvalsh(problem.covariance)
-        assert eigvals.min() >= -1e-9 * eigvals.max()
+        for _ in range(5):
+            x, xp = _pair(rng, 6, 3, scale=0.5)
+            problem = build_so3_problem(x, xp, 0.4)
+            assert problem.factor.shape == (18, 18)
+            w = so3_projection_matrix(x, xp, 0.4)
+            covariance = 0.16 * (w @ w.T)
+            top = np.abs(covariance).max()
+            assert np.abs(problem.factor @ problem.factor.T - covariance).max() <= 1e-13 * top
+            for mean, cloud in ((problem.mean_perturbed, xp), (problem.mean_clean, x)):
+                expected = w @ cloud.data.T.ravel()
+                assert np.abs(mean - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_statistic_matches_unreduced(self):
         # the 18-dim projection reproduces the full cross-matrix statistic
@@ -452,7 +460,60 @@ class TestSo3Problem:
         c = 2.0
         b = build_so3_problem(PointCloud(c * x.data), PointCloud(c * xp.data), c * 0.5)
         assert np.array_equal(a.mean_perturbed, b.mean_perturbed)
-        assert np.array_equal(a.covariance, b.covariance)
+        assert np.array_equal(a.mean_clean, b.mean_clean)
+        assert np.array_equal(a.factor, b.factor)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_draws_follow_the_projection_law(self, seed):
+        # 2e5 draws from either mean: sample mean and covariance against the
+        # projection's W vec(C) and sigma^2 W W^T, within 5 standard errors
+        rng = np.random.default_rng(70 + seed)
+        x, xp = _pair(rng, 8, 3, scale=0.5)
+        problem = build_so3_problem(x, xp, 0.7)
+        w = so3_projection_matrix(x, xp, 0.7)
+        covariance = 0.49 * (w @ w.T)
+        variance = np.diag(covariance)
+        n = 200_000
+        for mean, cloud in ((problem.mean_perturbed, xp), (problem.mean_clean, x)):
+            draws = sample_gaussian(mean, n, rng, problem.factor)
+            expected = w @ cloud.data.T.ravel()
+            assert np.all(np.abs(draws.mean(axis=0) - expected) <= 5.0 * np.sqrt(variance / n))
+            spread = np.sqrt((np.outer(variance, variance) + covariance**2) / n)
+            assert np.all(np.abs(np.cov(draws.T) - covariance) <= 5.0 * spread)
+
+    @pytest.mark.parametrize("n_points", [16, 1024])
+    @pytest.mark.parametrize("scale", [10.0, 1e3, 1e5])
+    def test_exact_rotation_keeps_rank_three(self, scale, n_points):
+        # |X||X'| / sigma^2 = scale: [X', X] = X [R^T, I] has rank 3, so the
+        # factor has 9 columns and no rounding-noise directions
+        rng = np.random.default_rng(int(scale) + n_points)
+        for _ in range(5):
+            x = rng.standard_normal((n_points, 3))
+            x *= math.sqrt(scale) / np.linalg.norm(x)
+            xp = x @ _random_rotation(rng).T
+            problem = build_so3_problem(PointCloud(x), PointCloud(xp), 1.0)
+            assert problem.factor.shape == (18, 9)
+
+    def test_zero_clouds_have_an_empty_factor(self):
+        # X = X' = 0: rank 0, every draw is the zero mean, and the statistic
+        # is 0 on each, so the inverse certificate still runs
+        x = PointCloud(np.zeros((4, 3)))
+        problem = build_so3_problem(x, x, 0.5)
+        assert problem.factor.shape == (18, 0)
+        assert not problem.mean_clean.any() and not problem.mean_perturbed.any()
+        draws = sample_gaussian(problem.mean_clean, 5, np.random.default_rng(0), problem.factor)
+        assert draws.shape == (5, 18) and not draws.any()
+        mc = McConfig(n2=100, n3=100, alpha=0.01)
+        for group in (SO3, SE3):
+            assert 0.5 <= inverse_certificate(group, x, x, 0.5, mc, seed=1) <= 1.0
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.5])
+    def test_overflowing_singular_values_are_refused(self, sigma):
+        # entries of 1e308: at sigma 1 the largest singular value overflows,
+        # at 0.5 the scaled entries do; refused, not reduced to rank 0
+        x = PointCloud(np.full((6, 3), 1e308))
+        with pytest.raises(NumericalFailure, match=re.escape(f"reduced problem at sigma={sigma!r}")):
+            build_so3_problem(x, x, sigma)
 
     def test_rejects_2d(self):
         x = PointCloud(np.ones((3, 2)))
@@ -1214,7 +1275,8 @@ class TestProbabilityDomain:
 
 
 class TestSharedFactor:
-    """A reduced problem factors its one covariance once, for both means."""
+    """A reduced problem carries one covariance factor, shared by both means;
+    in 2-D it is ``psd_factor`` of the 4 x 4 covariance, computed once."""
 
     def test_multiclass_rotation_factors_once(self, monkeypatch):
         calls = []
@@ -1232,48 +1294,59 @@ class TestSharedFactor:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_samples_match_eigh_formula_bitwise(self, dim):
+        # every draw is mean + normals @ F^T, with one normal a row per
+        # column of F; in 2-D, F is the eigh formula of the covariance
         x, xp = _pair(np.random.default_rng(41), 5, dim)
         problem = (build_so2_problem if dim == 2 else build_so3_problem)(x, xp, 0.5)
-        cov = problem.covariance
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        assert problem.factor is problem.factor
+        factor = problem.factor
+        if dim == 2:
+            a, _, b, c = problem.mean_perturbed
+            d = problem.mean_clean[2]
+            cov = np.array([[a, 0.0, b, c], [0.0, a, -c, b], [b, -c, d, 0.0], [c, b, 0.0, d]])
+            eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+            expected = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+            assert factor.tobytes() == expected.tobytes()
         for mean in (problem.mean_clean, problem.mean_perturbed):
-            normals = np.random.default_rng(5).standard_normal((1000, mean.size))
+            normals = np.random.default_rng(5).standard_normal((1000, factor.shape[1]))
             expected = mean + normals @ factor.T
-            got = sample_gaussian(mean, 1000, np.random.default_rng(5), problem.factor)
+            got = sample_gaussian(mean, 1000, np.random.default_rng(5), factor)
             assert got.tobytes() == expected.tobytes()
 
-    def test_invalid_covariance_raises_on_first_draw(self):
-        asymmetric = np.array([[1.0, 0.5], [0.0, 1.0]])
+    def test_non_finite_factor_is_refused(self):
         statistic = LikelihoodStatistic(dim=2, evaluator=lambda q: q[:, 0])
-        problem = RotationCertProblem(np.zeros(2), np.zeros(2), asymmetric, 0.5, statistic)
-        mc = McConfig(n2=100, n3=100, alpha=0.001)
-        # no order statistic qualifies, so nothing is drawn
-        out = prob_certify_reduced(problem, mc, seed=3, p_lower=1e-9)
-        assert "threshold-undetermined" in out.notes
-        with pytest.raises(ValueError, match="not symmetric"):
-            prob_certify_reduced(problem, mc, seed=3, p_lower=0.9)
+        message = re.escape("reduced problem at sigma=0.5: an entry is not finite")
+        for bad in (np.inf, -np.inf, np.nan):
+            factor = np.eye(2)
+            factor[0, 1] = bad
+            with pytest.raises(NumericalFailure, match=message):
+                RotationCertProblem(np.zeros(2), np.zeros(2), factor, 0.5, statistic)
+            with pytest.raises(NumericalFailure, match=message):
+                RotationCertProblem(np.zeros(2), factor[0], np.eye(2), 0.5, statistic)
 
 
 class TestExtremeSigma:
-    """A reduced problem whose sigma^2 underflows, whose entries overflow, or
-    whose covariance factor overflows raises NumericalFailure naming the
-    scale; 2-D clouds of unit scale still certify at sigma 3.6e-154, 1e-150
-    and 1e300.  At 3e-154 on the 2-D pair below, and at 1e-154 and 1.1e-154
-    on pmin_grid's, the entries are finite but the factor is not."""
+    """A reduced problem whose entries or factor overflow, or whose statistic
+    cannot be evaluated, raises NumericalFailure naming the scale.  2-D
+    clouds of unit scale certify from sigma 3.6e-154 up; at 3e-154 on the
+    2-D pair below, and at 1e-154 and 1.1e-154 on pmin_grid's, the entries
+    are finite but the factor is not.  3-D clouds certify from 1e-104 up
+    (bound 0 there; from 1e150 the orbit floor lies within 1e-9 of p).  From
+    1e-106 down to 3e-154 the matrix Fisher integral loses its accuracy, then
+    underflows, so its error estimate is refused; at 2e-154 the singular
+    values or the means overflow."""
 
     MC = McConfig(n2=100, n3=100, alpha=0.01)
 
     @pytest.mark.parametrize(
-        "sigma", [1e-300, 1e-170, 1e-160, 1e-154, 1.1e-154, 3e-154, 3.6e-154, 1e-150, 1e300]
+        "sigma",
+        [1e-300, 1e-170, 1e-160, 1e-154, 1.1e-154, 3e-154, 3.6e-154, 1e-150, 1e-100, 1e160, 1e300],
     )
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
                              ids=["SO", "SE"])
     def test_certifies_or_fails_numerically(self, kind, dim, sigma):
         x, xp = _pair(np.random.default_rng(33), 6, dim)
-        if dim == 3 or sigma < 3.5e-154:
+        if sigma < (1e-105 if dim == 3 else 3.5e-154):
             message = re.escape(f"reduced problem at sigma={sigma!r}")
             with pytest.raises(NumericalFailure, match=message):
                 certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
