@@ -163,7 +163,7 @@ def psd_factor(covariance) -> np.ndarray:
 
     Rank-deficient covariances are allowed; the factor comes from a symmetric
     eigendecomposition with negative eigenvalues clipped to zero, so the
-    boundary cases (zero perturbation, dependent projection rows) work.
+    boundary cases (zero perturbation, a pure rotation) work.
     Raises ValueError for a non-square or asymmetric matrix, or one with
     significantly negative eigenvalues.
     """

@@ -331,7 +331,7 @@ def devec9(q: np.ndarray) -> np.ndarray:
 def rho_so3() -> LikelihoodStatistic:
     """log beta ratio on the two 3 x 3 cross matrices of an 18-dim sample.
 
-    Samples already carry the 1/sigma^2 scaling through the projection, so
+    Samples already carry the 1/sigma^2 scaling (see ``build_so3_problem``), so
     beta is evaluated at unit sigma.  The evaluator computes the X' half,
     then the X half, on the calling thread, so if both halves fail the X'
     half's error propagates.
@@ -545,8 +545,12 @@ def build_so3_problem(x: PointCloud, x_prime: PointCloud, sigma: float) -> Rotat
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
     RotationCertProblem.check_finite(sigma, s)  # s1 may overflow on finite entries
     keep = s > _RANK_TOL * s[0]
-    vs = vt[keep].T * s[keep]
-    factor = np.vstack([np.kron(np.eye(3), vs[:3]), np.kron(np.eye(3), vs[3:])])
+    r = int(keep.sum())
+    vs = (vt[keep].T * s[keep]).reshape(2, 3, r)   # (V S)[3h + i] at [h, i]
+    factor = np.zeros((2, 3, 3, 3 * r))            # row 9h + 3j + i at [h, j, i]
+    for j in range(3):
+        factor[:, j, :, j * r : (j + 1) * r] = vs
+    factor = factor.reshape(18, 3 * r)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by the problem
         means = [factor @ (u[:, keep].T @ scaled[:, h : h + 3]).T.ravel() for h in (0, 3)]
     return RotationCertProblem(*means, factor, sigma, rho_so3())
