@@ -5,8 +5,9 @@ solvers, plain Monte Carlo instead of reduced problems: each shares as little
 algebra as possible with the code it checks.  Also the 2D and 3D projection
 matrices behind the reduced SO(2) and SO(3) problems, and the
 one-dimensional black-box reduction with its identity statistic, which
-exercises the Monte-Carlo core where the answer is known in closed form.  The Frobenius inner product and the z-y-x
-Euler rotation live here too: only the tests use them.
+exercises the Monte-Carlo core where the answer is known in closed form.
+The Frobenius inner product and the z-y-x Euler rotation live here too:
+only the tests use them.
 """
 
 from __future__ import annotations

@@ -460,16 +460,6 @@ class TestDrawingEvaluatesNothing:
         prob_certify_upper_reduced(problem, MC, 1, p_upper=0.05)
         assert rows == [MC.n2, MC.n3]
 
-    def test_sample_evaluated_whole_drops_its_draws(self):
-        problem = _exact(PROBLEMS["random-0"])
-        prob_certify_reduced(problem, MC, 1, p_lower=0.9)
-        (pair,) = problem.statistic_samples.values()
-        for s in pair:
-            assert s.draws is None and s.lo is s.hi
-        before = [s.lo.tobytes() for s in pair]
-        prob_certify_upper_reduced(problem, MC, 1, p_upper=0.05)
-        assert [s.lo.tobytes() for s in pair] == before
-
     def test_so3_pair_kept_with_its_draws(self):
         # the pair is drawn once and kept with its draws; each row is
         # evaluated at most once, and fewer than all of them, and every kept
