@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import GroupKind, PointCloud, center_matrix, check_same_shape
-from .numerics import check_sigma, clamp_probability, std_normal_cdf, std_normal_quantile
+from .numerics import (
+    NumericalFailure,
+    check_sigma,
+    clamp_probability,
+    std_normal_cdf,
+    std_normal_quantile,
+)
 
 _REGISTRATION_STOP = 1e-9
 
@@ -102,9 +108,15 @@ def project_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
 def _procrustes(x: PointCloud, x_prime: PointCloud, proper: bool) -> OrbitProjection:
     # min over R of ||X' R^T - X||; standard factorization U S V^T = (X')^T X,
     # optimal map V U^T, with the last singular direction sign-flipped when a
-    # proper rotation is required and det(V U^T) < 0.
+    # proper rotation is required and det(V U^T) < 0.  LAPACK's SVD of a
+    # matrix holding an inf does not return, so an overflowed product is
+    # refused first.
     check_same_shape(x, x_prime)
-    u, _, vt = np.linalg.svd(x_prime.data.T @ x.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = x_prime.data.T @ x.data
+    if not np.isfinite(cross).all():
+        raise NumericalFailure("Procrustes: the cross matrix (X')^T X is not finite")
+    u, _, vt = np.linalg.svd(cross)
     v = vt.T
     if proper:
         d = np.linalg.slogdet(v @ u.T)[0]  # v, u orthogonal: d is +-1

@@ -4,6 +4,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ import pytest
 from invarcert.cli import main
 from invarcert.geometry import PointCloud, load_points_csv, save_points_csv
 from invarcert.numerics import clopper_pearson_lower, std_normal_cdf
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(capsys, *args):
@@ -660,6 +666,32 @@ class TestNonFinite:
         )
         assert code == 3
         assert "non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["project", "--group", group] for group in ("SO", "O", "SE", "SxSE")]
+        + [["certify", "--group", "SO", "--method", "orbit", "--sigma", "1",
+            "--p-lower", "0.9", "--seed", "1"]],
+        ids=["project-SO", "project-O", "project-SE", "project-SxSE", "certify-SO"],
+    )
+    def test_overflowing_procrustes_is_numerical_failure(self, tmp_path, command):
+        # a finite coordinate of 1e200 overflows (X')^T X, and LAPACK's SVD of
+        # a matrix holding an inf does not return: the run is a child process
+        # with a timeout, so that a hang fails instead of stalling the suite
+        data = np.random.default_rng(0).standard_normal((4, 3))
+        data[0, 0] = 1e200
+        cloud, out = tmp_path / "cloud.csv", tmp_path / "out.json"
+        save_points_csv(cloud, PointCloud(data))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "invarcert.cli", *command, "--clean", str(cloud),
+             "--perturbed", str(cloud), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Procrustes: the cross matrix (X')^T X is not finite" in proc.stderr
         assert not out.exists()
 
 
