@@ -30,7 +30,6 @@ from .numerics import (
     clopper_pearson_lower,
     clopper_pearson_upper,
     log_bessel_i0,
-    psd_factor,
     sample_gaussian,
     std_normal_cdf,
     std_normal_quantile,
@@ -89,7 +88,6 @@ __all__ = [
     "clopper_pearson_lower",
     "clopper_pearson_upper",
     "log_bessel_i0",
-    "psd_factor",
     "sample_gaussian",
     "std_normal_cdf",
     "std_normal_quantile",

@@ -1,8 +1,8 @@
 """Special functions, Gaussian sampling and binomial confidence machinery.
 
 Plain functions of plain arguments.  Gaussian sampling takes a factor F of
-the covariance F F^T, of any width, so a caller drawing many times from one
-covariance factors it once.  Everything here is pure and thread-safe apart
+the covariance F F^T, of any width, that the caller builds; no covariance is
+formed or factored here.  Everything here is pure and thread-safe apart
 from Gaussian sampling, which draws from a generator the caller owns.
 """
 
@@ -12,9 +12,6 @@ import functools
 
 import numpy as np
 from scipy import special
-
-# Relative tolerance for negative eigenvalues of nominally-PSD covariances.
-_PSD_REL_TOL = 1e-9
 
 # Clamp window applied by certificate callers before quantile inversion.
 PROB_CLAMP = 1e-12
@@ -157,33 +154,11 @@ def log_i0e_lower(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def psd_factor(covariance) -> np.ndarray:
-    """Matrix F with F F^T equal to the clipped-PSD part of a symmetric
-    covariance.
-
-    Rank-deficient covariances are allowed; the factor comes from a symmetric
-    eigendecomposition with negative eigenvalues clipped to zero, so the
-    boundary cases (zero perturbation, a pure rotation) work.
-    Raises ValueError for a non-square or asymmetric matrix, or one with
-    significantly negative eigenvalues.
-    """
-    cov = np.asarray(covariance, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("psd_factor: covariance must be a square matrix")
-    if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):
-        raise ValueError("psd_factor: covariance not symmetric")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * cov + 0.5 * cov.T)
-    top = float(eigvals[-1]) if eigvals.size else 0.0
-    if top > 0.0 and float(eigvals[0]) < -_PSD_REL_TOL * top:
-        raise ValueError("psd_factor: covariance has significantly negative eigenvalues")
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
 def sample_gaussian(mean, count: int, rng: np.random.Generator,
                     factor: np.ndarray) -> np.ndarray:
     """Draw ``count`` samples from N(mean, F F^T) with the caller's generator,
-    for a dim x k factor F (``psd_factor(covariance)`` is one, with k = dim):
-    each row is mean + F w for k standard normals w, drawn as (count, k)."""
+    for a dim x k factor F: each row is mean + F w for k standard normals w,
+    drawn as (count, k)."""
     mean = np.asarray(mean, dtype=float)
     if mean.ndim != 1 or factor.ndim != 2 or factor.shape[0] != mean.size:
         raise ValueError("sample_gaussian: dimension mismatch")

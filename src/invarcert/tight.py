@@ -37,7 +37,6 @@ from .numerics import (
     log_bessel_i0_bounds,
     log_i0e_lower,
     log_i0e_upper,
-    psd_factor,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -56,28 +55,32 @@ def so2_problem_from_params(
 ) -> RotationCertProblem:
     """Reduced 4-dim problem from the scalar parameters (|X|, |Delta|, eps1, eps2).
 
-    All entries depend only on ratios to sigma^2, so scaling (X, Delta, sigma)
-    by a common factor leaves the problem unchanged.  The factor is
-    ``psd_factor`` of the 4 x 4 covariance.  A sigma^2 that underflows, or an
-    entry or factor entry that overflows, raises NumericalFailure.
+    Its covariance [[a I, B], [B^T, d I]], with B = [[b, c], [-c, b]], is
+    never formed: the factor is its Cholesky factor pivoted on the clean
+    block, [[u, v, s, 0], [-v, u, 0, s], [r, 0, 0, 0], [0, r, 0, 0]], where
+    r = sqrt(d), (u, v) = (b, c) / r and s = |Delta_perp| / sigma, the part
+    of Delta outside the complex span of X (s = |Delta| / sigma at X = 0).
+    All entries depend only on ratios to sigma, so scaling (X, Delta, sigma)
+    by a common factor leaves the problem unchanged.  A sigma^2 that
+    underflows, or an entry that overflows, raises NumericalFailure.
     """
     check_sigma(sigma, "so2_problem_from_params")
     nx2 = norm_x * norm_x
     nd2 = norm_delta * norm_delta
-    # |X'|^2, <X', X>, eps2 and |X|^2, each over sigma^2
-    with np.errstate(all="ignore"):  # non-finite entries are refused below
+    with np.errstate(all="ignore"):  # non-finite entries are refused by the problem
+        # |X'|^2, <X', X>, eps2 and |X|^2, each over sigma^2
         a, b, c, d = np.array([2.0 * eps1 + nx2 + nd2, eps1 + nx2, eps2, nx2]) / (sigma * sigma)
-    covariance = np.array(
-        [
-            [a, 0.0, b, c],
-            [0.0, a, -c, b],
-            [b, -c, d, 0.0],
-            [c, b, 0.0, d],
-        ]
+        if norm_x > 0.0:
+            # |Delta| along the complex span of X, by hypot: eps1^2 can overflow
+            h = np.hypot(eps1, eps2) / norm_x
+            r, u, v = norm_x / sigma, (norm_x + eps1 / norm_x) / sigma, eps2 / norm_x / sigma
+            s = np.sqrt(max((norm_delta - h) * (norm_delta + h), 0.0)) / sigma
+        else:
+            r = u = v = 0.0
+            s = norm_delta / sigma
+    factor = np.array(
+        [[u, v, s, 0.0], [-v, u, 0.0, s], [r, 0.0, 0.0, 0.0], [0.0, r, 0.0, 0.0]]
     )
-    RotationCertProblem.check_finite(sigma, covariance)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed factor is refused
-        factor = psd_factor(covariance)
     mean_perturbed, mean_clean = np.array([a, 0.0, b, c]), np.array([b, -c, d, 0.0])
     return RotationCertProblem(mean_perturbed, mean_clean, factor, sigma, rho_so2())
 

@@ -18,7 +18,6 @@ from invarcert.numerics import (
     clopper_pearson_lower,
     clopper_pearson_upper,
     log_bessel_i0,
-    psd_factor,
     sample_gaussian,
     std_normal_cdf,
     std_normal_quantile,
@@ -136,12 +135,12 @@ class TestLogBesselI0:
 class TestSampleGaussian:
     def test_zero_covariance_is_degenerate(self):
         mean = np.array([1.0, -2.0, 3.0])
-        samples = sample_gaussian(mean, 50, np.random.default_rng(1), psd_factor(np.zeros((3, 3))))
+        samples = sample_gaussian(mean, 50, np.random.default_rng(1), np.zeros((3, 3)))
         assert np.all(samples == mean)
 
     def test_moments_identity_covariance(self):
         mean = np.array([0.5, -1.5, 2.0, 0.0])
-        samples = sample_gaussian(mean, 1_000_000, np.random.default_rng(2), psd_factor(np.eye(4)))
+        samples = sample_gaussian(mean, 1_000_000, np.random.default_rng(2), np.eye(4))
         assert np.max(np.abs(samples.mean(axis=0) - mean)) < 5e-3
         cov = np.cov(samples.T)
         assert np.max(np.abs(cov - np.eye(4))) < 1e-2
@@ -158,13 +157,15 @@ class TestSampleGaussian:
             ]
         )
         mean = np.array([nx2, 0.0, nx2, 0.0])
-        samples = sample_gaussian(mean, 2000, np.random.default_rng(3), psd_factor(cov))
+        factor = np.sqrt(nx2) * np.vstack([np.eye(2), np.eye(2)])
+        assert np.allclose(factor @ factor.T, cov, rtol=0.0, atol=1e-15)
+        samples = sample_gaussian(mean, 2000, np.random.default_rng(3), factor)
         eigvals, eigvecs = np.linalg.eigh(cov)
         null = eigvecs[:, eigvals < 1e-12]
         assert np.max(np.abs((samples - mean) @ null)) < 1e-8
 
     def test_reproducible(self):
-        factor = psd_factor(np.eye(4))
+        factor = np.eye(4)
         a = sample_gaussian(np.zeros(4), 100, np.random.default_rng(42), factor)
         b = sample_gaussian(np.zeros(4), 100, np.random.default_rng(42), factor)
         assert np.array_equal(a, b)
@@ -174,8 +175,7 @@ class TestSampleGaussian:
         # adding the mean into the product does the same IEEE additions as
         # mean + normals @ factor.T, without its second n x d array
         rng = np.random.default_rng(dim)
-        a = rng.standard_normal((dim, dim))
-        factor = psd_factor(a @ a.T)
+        factor = rng.standard_normal((dim, dim))
         mean = 1e3 * rng.standard_normal(dim)
         normals = np.random.default_rng(7).standard_normal((5000, dim))
         got = sample_gaussian(mean, 5000, np.random.default_rng(7), factor)
@@ -194,49 +194,14 @@ class TestSampleGaussian:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            sample_gaussian(np.zeros(3), 10, np.random.default_rng(0), psd_factor(np.eye(4)))
+            sample_gaussian(np.zeros(3), 10, np.random.default_rng(0), np.eye(4))
         with pytest.raises(ValueError):
             sample_gaussian(np.zeros(3), 10, np.random.default_rng(0), np.ones(3))
-        with pytest.raises(ValueError):
-            psd_factor(np.eye(4)[:3])
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_rejects_count_below_one(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            sample_gaussian(np.zeros(2), count, np.random.default_rng(0), psd_factor(np.eye(2)))
-
-    def test_rejects_asymmetric(self):
-        cov = np.eye(3)
-        cov[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            psd_factor(cov)
-
-    def test_finite_factor_of_entries_near_overflow(self):
-        # 0.5 * (cov + cov.T) overflows on these finite entries; halving each
-        # side first does not
-        cov = np.array([[1e308, 5e307], [5e307, 1e308]])
-        with np.errstate(over="raise"):
-            factor = psd_factor(cov)
-        assert np.isfinite(factor).all()
-        assert np.allclose(factor @ factor.T / 1e308, cov / 1e308, rtol=0.0, atol=1e-14)
-
-    def test_symmetrization_keeps_its_bits(self):
-        # 0.5 * cov + 0.5 * cov.T and 0.5 * (cov + cov.T) round alike wherever
-        # the sum does not overflow, so every factor keeps its bits
-        rng = np.random.default_rng(11)
-        for scale in (1e-200, 1e-3, 1.0, 1e100, 1e200):
-            a = rng.standard_normal((18, 18))
-            cov = scale * (a @ a.T)
-            if scale <= 1.0:   # asymmetric in the last bit, inside the symmetry check
-                cov[3, 5] = np.nextafter(cov[3, 5], np.inf)
-            eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-            expected = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-            assert psd_factor(cov).tobytes() == expected.tobytes()
-
-    def test_rejects_indefinite(self):
-        cov = np.diag([1.0, -0.5])
-        with pytest.raises(ValueError):
-            psd_factor(cov)
+            sample_gaussian(np.zeros(2), count, np.random.default_rng(0), np.eye(2))
 
 
 class TestClopperPearson:

@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "project_rotation",
     "project_roto_translation",
     "project_translation",
-    "psd_factor",
     "rho_so2",
     "rho_so3",
     "rot2",

@@ -5,7 +5,8 @@ module's private name; and every class or function is imported from the
 module that defines it.  Only a few functions call into ``np.random``: the
 Monte-Carlo engine draws every reduced-problem sample in one place.  No
 function calls ``np.linalg.det``, which underflows to 0 and overflows where
-the sign from ``np.linalg.slogdet`` does not."""
+the sign from ``np.linalg.slogdet`` does not, or ``np.linalg.eigh``: every
+reduced problem builds its covariance factor directly."""
 
 import ast
 import importlib
@@ -140,29 +141,29 @@ def random_stream_callers(trees: dict[str, ast.Module]) -> list[str]:
     })
 
 
-def det_callers(trees: dict[str, ast.Module]) -> list[str]:
+def linalg_callers(trees: dict[str, ast.Module], name: str) -> list[str]:
     """``module.function`` for each top-level function or method (or
-    ``module.<module>``) that calls ``np.linalg.det`` or ``numpy.linalg.det``,
-    or imports ``det`` from ``numpy.linalg``."""
+    ``module.<module>``) that calls ``np.linalg.<name>`` or
+    ``numpy.linalg.<name>``, or imports ``name`` from ``numpy.linalg``."""
 
-    def calls_det(node: ast.AST) -> bool:
+    def calls(node: ast.AST) -> bool:
         for sub in ast.walk(node):
             if isinstance(sub, ast.ImportFrom) and sub.module == "numpy.linalg":
-                if any(a.name == "det" for a in sub.names):
+                if any(a.name == name for a in sub.names):
                     return True
             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
                 owner = sub.func.value
-                if (sub.func.attr == "det" and isinstance(owner, ast.Attribute)
+                if (sub.func.attr == name and isinstance(owner, ast.Attribute)
                         and owner.attr == "linalg" and isinstance(owner.value, ast.Name)
                         and owner.value.id in ("np", "numpy")):
                     return True
         return False
 
     return sorted({
-        f"{module}.{name}"
+        f"{module}.{function}"
         for module, tree in trees.items()
-        for name, node in _top_level_functions(tree)
-        if calls_det(node)
+        for function, node in _top_level_functions(tree)
+        if calls(node)
     })
 
 
@@ -221,7 +222,13 @@ def test_checks_catch_what_they_look_for():
         "class Fit:\n    def flip(self, m):\n        return numpy.linalg.det(m) < 0\n"
         "def hidden(m):\n    from numpy.linalg import det\n    return det(m)\n"
     )
-    assert det_callers({"d": d}) == ["d.Fit.flip", "d.hidden", "d.sign"]
+    assert linalg_callers({"d": d}, "det") == ["d.Fit.flip", "d.hidden", "d.sign"]
+    e = ast.parse(
+        "import numpy as np\ndef factor(c):\n    return np.linalg.eigh(c)[1]\n"
+        "def spectrum(c):\n    return np.linalg.eigvalsh(c)\n"
+        "def hidden(c):\n    from numpy.linalg import eigh\n    return eigh(c)\n"
+    )
+    assert linalg_callers({"e": e}, "eigh") == ["e.factor", "e.hidden"]
 
 
 def test_import_check_catches_a_name_defined_elsewhere(tmp_path, monkeypatch):
@@ -239,4 +246,10 @@ def test_import_check_catches_a_name_defined_elsewhere(tmp_path, monkeypatch):
 
 
 def test_no_det_in_src():
-    assert det_callers(_source_trees()) == []
+    assert linalg_callers(_source_trees(), "det") == []
+
+
+def test_no_eigh_in_src():
+    # every reduced problem builds its covariance factor directly, so no
+    # covariance is eigendecomposed; eigvalsh stays allowed
+    assert linalg_callers(_source_trees(), "eigh") == []

@@ -145,6 +145,29 @@ class TestSo2Problem:
         with pytest.raises(ValueError):
             build_so2_problem(x, x, 0.5)
 
+    @pytest.mark.parametrize(
+        "params",
+        [(1e100, 1e60, 3e159, 4e159, 1e100), (0.0, 0.5, 0.0, 0.0, 0.25)],
+        ids=["eps-squared-overflows", "zero-cloud"],
+    )
+    def test_factor_matches_the_covariance(self, params):
+        # F F^T against the covariance entries [[a I, B], [B^T, d I]], and s
+        # against |Delta_perp| / sigma in 50 digits.  In the first case eps1^2
+        # overflows, so |Delta|^2 - |eps|^2 / |X|^2 would read -inf and clip
+        # s to 0; at X = 0, s is |Delta| / sigma
+        factor = so2_problem_from_params(*params).factor
+        norm_x, norm_delta, eps1, eps2, sigma = params
+        a, b, c, d = np.array(
+            [2.0 * eps1 + norm_x**2 + norm_delta**2, eps1 + norm_x**2, eps2, norm_x**2]
+        ) / sigma**2
+        covariance = np.array([[a, 0.0, b, c], [0.0, a, -c, b], [b, -c, d, 0.0], [c, b, 0.0, d]])
+        assert np.all(np.abs(factor @ factor.T - covariance) <= 1e-12 * np.abs(covariance))
+        with mpmath.workdps(50):
+            nx, nd, e1, e2, sg = (mpmath.mpf(p) for p in params)
+            perp = mpmath.sqrt(nd**2 - (e1**2 + e2**2) / nx**2) if nx else nd
+            s = float(perp / sg)
+        assert factor[0, 2] == factor[1, 3] == pytest.approx(s, rel=1e-12, abs=0.0)
+
 
 class TestRhoSo2:
     def test_at_origin(self):
@@ -463,14 +486,18 @@ class TestSo3Problem:
         assert np.array_equal(a.mean_clean, b.mean_clean)
         assert np.array_equal(a.factor, b.factor)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_draws_follow_the_projection_law(self, seed):
+    @pytest.mark.parametrize(
+        "dim,seed", [(3, 0), (3, 1), (2, 0), (2, 1)], ids=["0", "1", "2d-0", "2d-1"]
+    )
+    def test_draws_follow_the_projection_law(self, dim, seed):
         # 2e5 draws from either mean: sample mean and covariance against the
         # projection's W vec(C) and sigma^2 W W^T, within 5 standard errors
         rng = np.random.default_rng(70 + seed)
-        x, xp = _pair(rng, 8, 3, scale=0.5)
-        problem = build_so3_problem(x, xp, 0.7)
-        w = so3_projection_matrix(x, xp, 0.7)
+        x, xp = _pair(rng, 8, dim, scale=0.5)
+        if dim == 2:
+            problem, w = build_so2_problem(x, xp, 0.7), so2_projection_matrix(x, xp, 0.7)
+        else:
+            problem, w = build_so3_problem(x, xp, 0.7), so3_projection_matrix(x, xp, 0.7)
         covariance = 0.49 * (w @ w.T)
         variance = np.diag(covariance)
         n = 200_000
@@ -1277,17 +1304,17 @@ class TestProbabilityDomain:
 
 class TestSharedFactor:
     """A reduced problem carries one covariance factor, shared by both means;
-    in 2-D it is ``psd_factor`` of the 4 x 4 covariance, computed once."""
+    in 2-D it is the closed-form block Cholesky factor, built once."""
 
     def test_multiclass_rotation_factors_once(self, monkeypatch):
         calls = []
-        eigh = np.linalg.eigh
+        build = tight.so2_problem_from_params
 
-        def counting_eigh(*args, **kwargs):
+        def counting_build(*args, **kwargs):
             calls.append(args)
-            return eigh(*args, **kwargs)
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(tight, "so2_problem_from_params", counting_build)
         x, xp = _pair(np.random.default_rng(40), 5, 2)
         out = certify_multiclass(SO2, x, xp, 0.8, 0.1, 0.5, FAST_MC, seed=2)
         assert out.method == "multiclass-tight-SO2"
@@ -1296,16 +1323,20 @@ class TestSharedFactor:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_samples_match_eigh_formula_bitwise(self, dim):
         # every draw is mean + normals @ F^T, with one normal a row per
-        # column of F; in 2-D, F is the eigh formula of the covariance
+        # column of F; in 2-D, F is the closed form of the parameters
         x, xp = _pair(np.random.default_rng(41), 5, dim)
         problem = (build_so2_problem if dim == 2 else build_so3_problem)(x, xp, 0.5)
         factor = problem.factor
         if dim == 2:
-            a, _, b, c = problem.mean_perturbed
-            d = problem.mean_clean[2]
-            cov = np.array([[a, 0.0, b, c], [0.0, a, -c, b], [b, -c, d, 0.0], [c, b, 0.0, d]])
-            eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-            expected = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+            eps = epsilon_params(x, xp.data - x.data)
+            h = math.hypot(eps.eps1, eps.eps2) / eps.norm_x
+            r = eps.norm_x / 0.5
+            u = (eps.norm_x + eps.eps1 / eps.norm_x) / 0.5
+            v = eps.eps2 / eps.norm_x / 0.5
+            s = math.sqrt((eps.norm_delta - h) * (eps.norm_delta + h)) / 0.5
+            expected = np.array(
+                [[u, v, s, 0.0], [-v, u, 0.0, s], [r, 0.0, 0.0, 0.0], [0.0, r, 0.0, 0.0]]
+            )
             assert factor.tobytes() == expected.tobytes()
         for mean in (problem.mean_clean, problem.mean_perturbed):
             normals = np.random.default_rng(5).standard_normal((1000, factor.shape[1]))
@@ -1327,14 +1358,18 @@ class TestSharedFactor:
 
 class TestExtremeSigma:
     """A reduced problem whose entries or factor overflow, or whose statistic
-    cannot be evaluated, raises NumericalFailure naming the scale.  2-D
-    clouds of unit scale certify from sigma 3.6e-154 up; at 3e-154 on the
-    2-D pair below, and at 1e-154 and 1.1e-154 on pmin_grid's, the entries
-    are finite but the factor is not.  3-D clouds certify from 1e-104 up
-    (bound 0 there; from 1e150 the orbit floor lies within 1e-9 of p).  From
-    1e-106 down to 3e-154 the matrix Fisher integral loses its accuracy, then
-    underflows, so its error estimate is refused; at 2e-154 the singular
-    values or the means overflow."""
+    cannot be evaluated, raises NumericalFailure naming the scale.
+
+    2-D: the pair below certifies from sigma 2.7e-154 up (bound 0 at the
+    small end); below it |X'|^2 / sigma^2 overflows in the perturbed mean.
+    pmin_grid's parameters, |X'|^2 up to 2.25, overflow there from 1.1e-154
+    down.
+
+    3-D: clouds certify from 1e-104 up (bound 0 there; from 1e150 the orbit
+    floor lies within 1e-9 of p).  From 1e-106 down to 3e-154 the matrix
+    Fisher integral loses its accuracy, then underflows, so its error
+    estimate is refused; further down the singular values or the means
+    overflow."""
 
     MC = McConfig(n2=100, n3=100, alpha=0.01)
 
@@ -1350,7 +1385,7 @@ class TestExtremeSigma:
                              ids=["SO", "SE"])
     def test_certifies_or_fails_numerically(self, kind, dim, sigma):
         x, xp = _pair(np.random.default_rng(33), 6, dim)
-        if sigma < (1e-105 if dim == 3 else 3.5e-154):
+        if sigma < (1e-105 if dim == 3 else 2.7e-154):
             message = re.escape(f"reduced problem at sigma={sigma!r}")
             with pytest.raises(NumericalFailure, match=message):
                 certify_tight(kind, x, xp, 0.9, sigma, self.MC, seed=1)
