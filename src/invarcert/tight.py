@@ -71,7 +71,8 @@ def so2_problem_from_params(
         # |X'|^2, <X', X>, eps2 and |X|^2, each over sigma^2
         a, b, c, d = np.array([2.0 * eps1 + nx2 + nd2, eps1 + nx2, eps2, nx2]) / (sigma * sigma)
         if norm_x > 0.0:
-            # |Delta| along the complex span of X, by hypot: eps1^2 can overflow
+            # |Delta| along the complex span of X, by hypot: eps1^2 can overflow.
+            # On pure rotations and scalings rounding can put h above |Delta|.
             h = np.hypot(eps1, eps2) / norm_x
             r, u, v = norm_x / sigma, (norm_x + eps1 / norm_x) / sigma, eps2 / norm_x / sigma
             s = np.sqrt(max((norm_delta - h) * (norm_delta + h), 0.0)) / sigma

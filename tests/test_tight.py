@@ -1362,7 +1362,7 @@ class TestExtremeSigma:
 
     2-D: the pair below certifies from sigma 2.7e-154 up (bound 0 at the
     small end); below it |X'|^2 / sigma^2 overflows in the perturbed mean.
-    pmin_grid's parameters, |X'|^2 up to 2.25, overflow there from 1.1e-154
+    pmin_grid's cells below, with |X'|^2 up to 2.25, overflow from 1.1e-154
     down.
 
     3-D: clouds certify from 1e-104 up (bound 0 there; from 1e150 the orbit
