@@ -151,21 +151,32 @@ def project_roto_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProject
 
 
 def project_permutation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
-    """Minimum-cost row assignment with cost C[n, m] = ||X'_n - X_m||^2."""
+    """Minimum-cost row assignment with cost C[n, m] = ||X'_n - X_m||^2.
+    An entry that overflows is +inf, which the solver never assigns; where
+    every assignment meets one, or the assigned costs sum past the float
+    range, NumericalFailure is raised."""
     check_same_shape(x, x_prime)
     # one coordinate plane at a time, summed in coordinate order: the same
     # bits as summing an (N, N, D) difference array over its last axis
     xp, xd = x_prime.data, x.data
-    cost = (xp[:, 0, None] - xd[None, :, 0]) ** 2
-    for k in range(1, x.dim):
-        d = xp[:, k, None] - xd[None, :, k]
-        d *= d
-        cost += d
-    rows, cols = linear_sum_assignment(cost)
+    with np.errstate(over="ignore"):
+        cost = (xp[:, 0, None] - xd[None, :, 0]) ** 2
+        for k in range(1, x.dim):
+            d = xp[:, k, None] - xd[None, :, k]
+            d *= d
+            cost += d
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError as exc:  # scipy: "cost matrix is infeasible"
+        raise NumericalFailure("assignment: every assignment's cost overflows") from exc
     # perm[m] = n means row n of X' is matched to row m of X
     perm = np.empty(x.n_points, dtype=int)
     perm[cols] = rows
-    residual = float(np.sqrt(max(cost[rows, cols].sum(), 0.0)))
+    with np.errstate(over="ignore"):
+        total = cost[rows, cols].sum()
+    if not np.isfinite(total):
+        raise NumericalFailure("assignment: the assigned cost overflows")
+    residual = float(np.sqrt(max(total, 0.0)))
     return OrbitProjection(residual=residual, permutation=perm)
 
 

@@ -694,6 +694,34 @@ class TestNonFinite:
         assert "Procrustes: the cross matrix (X')^T X is not finite" in proc.stderr
         assert not out.exists()
 
+    def test_overflowing_assignment_cost_keeps_the_finite_assignment(self, tmp_path, capsys):
+        # (1e200 - x)^2 overflows to inf, which the solver never assigns, and
+        # raises no RuntimeWarning (the suite makes one an error); the
+        # identity assignment stays finite and gives the exact residual 0
+        data = np.random.default_rng(0).standard_normal((4, 3))
+        data[0, 0] = 1e200
+        cloud = tmp_path / "cloud.csv"
+        save_points_csv(cloud, PointCloud(data))
+        code, doc = _run(
+            capsys, "project", "--group", "S", "--clean", str(cloud), "--perturbed", str(cloud)
+        )
+        assert code == 0
+        assert doc["results"]["residual"] == 0.0
+        assert doc["results"]["transform"]["permutation"] == [0, 1, 2, 3]
+
+    def test_overflowing_assignment_cost_is_numerical_failure(self, tmp_path, capsys):
+        # every assignment pairs +-1e200 with a point 1e200 away or more
+        clean, perturbed = _write_pair(
+            tmp_path, np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            np.array([[-1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        )
+        out = tmp_path / "out.json"
+        code = main(["project", "--group", "S", "--clean", clean, "--perturbed", perturbed,
+                     "--out", str(out)])
+        assert code == 3
+        assert "assignment: every assignment's cost overflows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProject:
     def test_permuted_pair(self, tmp_path, capsys):
