@@ -12,9 +12,12 @@ child and a count sample (n3 draws) from the next: the lower and the upper
 bound read children 1-2, the inverse reads children 0-1.  The pair is drawn
 once and kept in the problem's ``statistic_samples``, so both stages of a
 multi-class certificate, the lower one being the tight certificate itself,
-read the same draws.  Every procedure cuts its pair with one tie-aware
-function, ``_cut``, and both order-statistic indices come from one cached
-binomial search.
+read the same draws.  A p_min grid passes the inverse procedure one dict
+for all its cells: the pair of standard normals behind the draws is drawn
+into it once, and each cell maps it through its own factor and means, so
+every cell reads the draws it would read alone at the grid's seed.  Every
+procedure cuts its pair with one tie-aware function, ``_cut``, and both
+order-statistic indices come from one cached binomial search.
 
 A cut reads only the n_star-th threshold value kappa and how the count
 sample orders against it.  Drawing evaluates nothing: each kept row starts
@@ -257,8 +260,8 @@ class _Sample:
     draws, which no later cut reads.  Holds no reference to its problem, so
     a dropped problem is freed at once."""
 
-    def __init__(self, problem, mean: np.ndarray, count: int, rng: np.random.Generator):
-        self.draws = sample_gaussian(mean, count, rng, problem.factor)
+    def __init__(self, problem, draws: np.ndarray):
+        self.draws = draws
         self.draws.setflags(write=False)
         self.lo, self.hi = problem.statistic.bracket(self.draws)
 
@@ -314,22 +317,48 @@ def _cut(
     return kappa, int(np.count_nonzero(count.lo > kappa)) + math.floor((1.0 - share) * ties)
 
 
-def _samples(problem, mc: McConfig, seed: int, first: int) -> tuple[_Sample, _Sample]:
+def _samples(
+    problem, mc: McConfig, seed: int, first: int, normals: dict | None = None
+) -> tuple[_Sample, _Sample]:
     """The pair a procedure cuts, by the module's seed rule: the threshold
     sample of mc.n2 draws from child ``first`` and the count sample of mc.n3
     draws from child ``first + 1``.  Drawn on the first call for (n2, n3,
     seed, first) and kept in the problem's ``statistic_samples`` until
-    another key is drawn."""
+    another key is drawn.
+
+    ``normals`` is a dict that a caller keeps across problems read at one
+    seed (a p_min grid's cells).  The pair of standard normals behind the
+    draws is then drawn into it on the first call, read-only, and every
+    problem maps it through its own factor and means with
+    ``sample_gaussian``'s arithmetic: its draws are bit for bit those it
+    would draw alone.  A new key, or another factor width, replaces it."""
     key = (mc.n2, mc.n3, seed, first)
     if key not in problem.statistic_samples:
-        # a child does not depend on how many are spawned: spawn(2) gives
-        # the first two children of spawn(3)
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(first + 2)]
-        means = (problem.mean_perturbed, problem.mean_clean, problem.mean_perturbed)
-        threshold = _Sample(problem, means[first], mc.n2, rngs[first])
-        count = _Sample(problem, means[first + 1], mc.n3, rngs[first + 1])
+        means = (problem.mean_perturbed, problem.mean_clean, problem.mean_perturbed)[first:]
+        counts = (mc.n2, mc.n3)
+        shared = (key, problem.factor.shape[1])
+        if normals is None or shared not in normals:
+            # a child does not depend on how many are spawned: spawn(2) gives
+            # the first two children of spawn(3)
+            children = np.random.SeedSequence(seed).spawn(first + 2)[first:]
+            rngs = [np.random.default_rng(child) for child in children]
+        if normals is not None and shared not in normals:
+            normals.clear()
+            normals[shared] = tuple(
+                rng.standard_normal((n, shared[1])) for rng, n in zip(rngs, counts)
+            )
+            for standard in normals[shared]:
+                standard.setflags(write=False)
+        pair = []
+        for k, n in enumerate(counts):
+            if normals is None:
+                draws = sample_gaussian(means[k], n, rngs[k], problem.factor)
+            else:  # sample_gaussian's arithmetic on the shared normals
+                draws = normals[shared][k] @ problem.factor.T
+                draws += means[k]
+            pair.append(_Sample(problem, draws))
         problem.statistic_samples.clear()
-        problem.statistic_samples[key] = (threshold, count)
+        problem.statistic_samples[key] = tuple(pair)
     return problem.statistic_samples[key]
 
 
@@ -399,18 +428,24 @@ def prob_certify_upper_reduced(
     return clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 3.0)
 
 
-def inverse_certify_reduced(problem, mc: McConfig, seed: int) -> float:
+def inverse_certify_reduced(
+    problem, mc: McConfig, seed: int, *, normals: dict | None = None
+) -> float:
     """Upper bound on the smallest certifiable clean prediction probability.
 
     The threshold is an upper confidence bound on the median of the statistic
     under the perturbed distribution (significance alpha); the clean-side
     probability of falling below it is then upper-bounded at confidence
     1 - alpha/2.  Returns the vacuous 1.0 when the median index is undefined.
+    ``normals``, a dict kept across calls at one seed, shares the standard
+    normals behind the draws between problems (see ``_samples``); the value
+    is the same with or without it.
     """
     n_star = upper_quantile_index(mc.n2, 0.5, mc.alpha)
     if n_star is None:
         return 1.0
-    _, count = _cut(problem, *_samples(problem, mc, seed, first=0), n_star, below=True)
+    pair = _samples(problem, mc, seed, first=0, normals=normals)
+    _, count = _cut(problem, *pair, n_star, below=True)
     p_min = clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 2.0)
     # any certificate needs p > 1/2, so 1/2 is a free lower bound on p_min
     return min(max(p_min, 0.5), 1.0)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -797,11 +796,6 @@ class PminGrid:
     loci: tuple[EpsilonParams, ...]
 
 
-def _cell_fraction(index: int, resolution: int) -> tuple[int, int]:
-    frac = Fraction(index, resolution - 1) if index else Fraction(0, 1)
-    return frac.numerator, frac.denominator
-
-
 def pmin_grid(
     group: GroupKind | None,
     norm_x: float,
@@ -812,8 +806,12 @@ def pmin_grid(
     seed: int,
 ) -> PminGrid:
     """p_min over the (eps1~, eps2~) square; cells outside the unit disc are
-    infeasible.  Cell seeds derive from the reduced fraction of each node so
-    coarse grids subsample fine ones exactly.
+    infeasible.  Every SO(2) cell is ``inverse_certify_reduced`` of its own
+    problem at the grid's seed, and so an upper bound on its p_min at
+    confidence 1 - alpha; the cells share the standard normals behind their
+    draws, which are drawn once per grid.  Node k is k / (res - 1), the
+    correctly rounded quotient, so a node of a coarse grid has the bits of
+    the same fraction's node in a fine grid, and its cell the same value.
     """
     check_sigma(sigma, "pmin_grid")
     if norm_x < 0 or norm_delta < 0:
@@ -823,14 +821,14 @@ def pmin_grid(
     if group not in (None, GroupKind.ROTATION):
         raise ValueError("pmin_grid: group must be blackbox (None) or SO(2)")
     res = grid_resolution
-    fractions = [_cell_fraction(k, res) for k in range(res)]
-    nodes = np.array([p / q for p, q in fractions])
+    nodes = np.arange(res) / (res - 1)
     values = np.full((res, res), np.nan)
     infeasible = np.zeros((res, res), dtype=bool)
     blackbox_value = std_normal_cdf(norm_delta / sigma)
     scale = norm_x * norm_delta
-    for i, (p2, q2) in enumerate(fractions):
-        for j, (p1, q1) in enumerate(fractions):
+    normals: dict = {}
+    for i in range(res):
+        for j in range(res):
             e1, e2 = nodes[j], nodes[i]
             if math.hypot(e1, e2) > 1.0 + 1e-12:
                 infeasible[i, j] = True
@@ -838,12 +836,11 @@ def pmin_grid(
             if group is None:
                 values[i, j] = blackbox_value
                 continue
-            cell_seed = np.random.SeedSequence((seed, p1, q1, p2, q2))
             problem = so2_problem_from_params(
                 norm_x, norm_delta, e1 * scale, e2 * scale, sigma
             )
             values[i, j] = mc_engine.inverse_certify_reduced(
-                problem, mc, int(cell_seed.generate_state(1)[0])
+                problem, mc, seed, normals=normals
             )
     loci = tuple(adversarial_rotation_locus(norm_x, norm_delta))
     return PminGrid(nodes=nodes, values=values, infeasible=infeasible, loci=loci)

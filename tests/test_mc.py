@@ -271,6 +271,26 @@ class TestInverseReduced:
         ]
         assert all(a <= b + 1e-12 for a, b in zip(pmins, pmins[1:]))
 
+    def test_shared_normals_change_no_draw(self):
+        # one dict kept across problems of two factor widths: each reads the
+        # draws it would read alone, and the dict holds only the latest
+        # pair of standard normals, read-only
+        mc = McConfig(n2=300, n3=200, alpha=0.01)
+        normals = {}
+        for problem in (
+            so2_problem_from_params(0.5, 0.3, 0.05, 0.02, 0.5),
+            blackbox_reduced_problem(1.0, 1.0),
+            so2_problem_from_params(0.5, 0.3, 0.0, 0.1, 0.5),
+        ):
+            shared = _samples(problem, mc, 4, 0, normals)
+            alone = _samples(dataclasses.replace(problem), mc, 4, 0)
+            for a, b in zip(shared, alone):
+                assert a.draws.tobytes() == b.draws.tobytes()
+            (pair,) = normals.values()
+            width = problem.factor.shape[1]
+            assert [z.shape for z in pair] == [(300, width), (200, width)]
+            assert not any(z.flags.writeable for z in pair)
+
 
 class TestOrderStatisticBounds:
     def test_lower_quantile_index_validity(self):

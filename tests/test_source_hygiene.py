@@ -99,8 +99,8 @@ def misattributed_imports(tree: ast.Module, package: str) -> list[str]:
 
 
 # the functions that may create generators or seed sequences: the engine's
-# sample pair, smoothed prediction, the p_min grid's cell seeds, fixtures
-RANDOM_STREAM_OWNERS = {"mc._samples", "mc.smooth_predict", "tight.pmin_grid", "cli.cmd_fixture"}
+# sample pair (a p_min grid's cells included), smoothed prediction, fixtures
+RANDOM_STREAM_OWNERS = {"mc._samples", "mc.smooth_predict", "cli.cmd_fixture"}
 
 
 def _top_level_functions(tree: ast.Module):

@@ -4,6 +4,7 @@ multi-class combination, inverse certificates and the parameter grid."""
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -1146,6 +1147,67 @@ class TestPminGrid:
                     assert fine.infeasible[fi, fj]
                     continue
                 assert coarse.values[ic, jc] == fine.values[fi, fj]
+
+    def test_nodes_are_the_reduced_fractions(self):
+        # k / (res - 1) and the reduced fraction are correctly rounded
+        # quotients of one rational, so a node keeps its bits in every grid
+        for res in range(2, 257):
+            fractions = np.array([float(Fraction(k, res - 1)) for k in range(res)])
+            assert (np.arange(res) / (res - 1)).tobytes() == fractions.tobytes(), res
+            if res in (2, 3, 4, 7, 10, 33):
+                grid = pmin_grid(None, 1.0, 0.5, 0.5, res, FAST_MC, seed=1)
+                assert grid.nodes.tobytes() == fractions.tobytes(), res
+
+    def test_cells_read_the_inverse_procedure_at_the_grid_seed(self):
+        mc = McConfig(n2=300, n3=200, alpha=0.01)
+        nx, nd, sigma = 0.5, 0.3, 0.4
+        grid = pmin_grid(SO2, nx, nd, sigma, 5, mc, seed=6)
+        scale = nx * nd
+        for i, e2 in enumerate(grid.nodes):
+            for j, e1 in enumerate(grid.nodes):
+                if grid.infeasible[i, j]:
+                    continue
+                alone = so2_problem_from_params(nx, nd, e1 * scale, e2 * scale, sigma)
+                assert grid.values[i, j] == inverse_certify_reduced(alone, mc, 6)
+
+    def _count_draws(self, monkeypatch):
+        """Record every sample_gaussian call of the engine and every
+        standard-normal draw of a generator it makes."""
+        sampled, drawn = [], []
+        real_rng, real_sample = np.random.default_rng, mc_engine.sample_gaussian
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def standard_normal(self, shape):
+                drawn.append(shape)
+                return self.rng.standard_normal(shape)
+
+        def counting_sample(mean, count, rng, factor):
+            sampled.append(count)
+            return real_sample(mean, count, rng.rng, factor)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        monkeypatch.setattr(mc_engine, "sample_gaussian", counting_sample)
+        return sampled, drawn
+
+    def test_grid_draws_once_per_child(self, monkeypatch):
+        sampled, drawn = self._count_draws(monkeypatch)
+        grid = pmin_grid(SO2, 0.5, 0.3, 0.5, 4, McConfig(n2=300, n3=200, alpha=0.01), seed=3)
+        assert np.count_nonzero(~grid.infeasible) > 2
+        assert (sampled, drawn) == ([], [(300, 4), (200, 4)])
+
+    def test_lone_problem_draws_through_sample_gaussian(self, monkeypatch):
+        sampled, drawn = self._count_draws(monkeypatch)
+        problem = so2_problem_from_params(0.5, 0.3, 0.05, 0.02, 0.5)
+        inverse_certify_reduced(problem, McConfig(n2=300, n3=200, alpha=0.01), 3)
+        assert (sampled, drawn) == ([300, 200], [])
+
+    def test_blackbox_grid_draws_nothing(self, monkeypatch):
+        sampled, drawn = self._count_draws(monkeypatch)
+        pmin_grid(None, 0.5, 0.3, 0.5, 4, McConfig(n2=300, n3=200, alpha=0.01), seed=3)
+        assert (sampled, drawn) == ([], [])
 
     def test_loci_normalization(self):
         grid = pmin_grid(None, 1.0, math.sqrt(2.0), 0.5, 4, FAST_MC, seed=4)
