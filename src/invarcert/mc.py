@@ -342,13 +342,13 @@ def _samples(
             # the first two children of spawn(3)
             children = np.random.SeedSequence(seed).spawn(first + 2)[first:]
             rngs = [np.random.default_rng(child) for child in children]
-        if normals is not None and shared not in normals:
-            normals.clear()
-            normals[shared] = tuple(
-                rng.standard_normal((n, shared[1])) for rng, n in zip(rngs, counts)
-            )
-            for standard in normals[shared]:
-                standard.setflags(write=False)
+            if normals is not None:
+                normals.clear()
+                normals[shared] = tuple(
+                    rng.standard_normal((n, shared[1])) for rng, n in zip(rngs, counts)
+                )
+                for standard in normals[shared]:
+                    standard.setflags(write=False)
         pair = []
         for k, n in enumerate(counts):
             if normals is None:
