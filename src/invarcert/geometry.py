@@ -8,7 +8,6 @@ row-broadcast vector.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -143,29 +142,45 @@ def adversarial_rotation_locus(norm_x: float, norm_delta: float) -> list[Epsilon
 def load_points_csv(path, data: bytes | None = None) -> PointCloud:
     """Read the shared CSV point format: one row per point, no header, UTF-8
     with or without a byte-order mark.  ``data``, when given, is the file's
-    content already read, and ``path`` only names it in error messages."""
+    content already read, and ``path`` only names it in error messages.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r`` (universal newlines, not
+    ``str.splitlines``), blank lines are skipped but counted, and a field is
+    anything ``float()`` reads; numpy's string cast follows it."""
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
-    rows = []
-    width = None
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+    text = data.decode("utf-8-sig")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    rows = list(filter(None, map(str.strip, lines)))
+    if not rows:
+        raise ValueError(f"{path}: no points")
+    width = rows[0].count(",")
+    if {row.count(",") for row in rows} != {width}:
+        _raise_at_first_bad_line(path, lines, width)
+    try:
+        values = np.array(",".join(rows).split(","), dtype=float)
+    except ValueError:
+        _raise_at_first_bad_line(path, lines, width)
+        raise
+    return PointCloud(values.reshape(len(rows), width + 1))
+
+
+def _raise_at_first_bad_line(path, lines: list[str], width: int) -> None:
+    """Name the first ragged or non-numeric line, counting blank lines."""
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
+        if len(fields) != width + 1:
             raise ValueError(f"{path}: ragged row at line {lineno}")
         try:
-            rows.append([float(f) for f in fields])
+            np.array(fields, dtype=float)
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric field at line {lineno}") from exc
-    if not rows:
-        raise ValueError(f"{path}: no points")
-    return PointCloud(np.array(rows))
 
 
 def save_points_csv(path, x: PointCloud) -> None:
