@@ -185,8 +185,10 @@ def smooth_predict(
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        noise = rng.standard_normal((m,) + x.data.shape) * sigma
-        labels = np.asarray(g.predict_batch(x.data + noise))
+        batch = rng.standard_normal((m,) + x.data.shape)
+        batch *= sigma
+        batch += x.data
+        labels = np.asarray(g.predict_batch(batch))
         values, freq = np.unique(labels, return_counts=True)
         for v, f in zip(values, freq):
             counts[int(v)] = counts.get(int(v), 0) + int(f)

@@ -157,14 +157,18 @@ def project_permutation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     range, NumericalFailure is raised."""
     check_same_shape(x, x_prime)
     # one coordinate plane at a time, summed in coordinate order: the same
-    # bits as summing an (N, N, D) difference array over its last axis
+    # bits as summing an (N, N, D) difference array over its last axis.  Each
+    # later plane is squared in one reused buffer, so at most two N x N
+    # arrays are alive.
     xp, xd = x_prime.data, x.data
     with np.errstate(over="ignore"):
-        cost = (xp[:, 0, None] - xd[None, :, 0]) ** 2
+        cost = np.subtract.outer(xp[:, 0], xd[:, 0])
+        cost *= cost
+        plane = np.empty_like(cost)
         for k in range(1, x.dim):
-            d = xp[:, k, None] - xd[None, :, k]
-            d *= d
-            cost += d
+            np.subtract.outer(xp[:, k], xd[:, k], out=plane)
+            plane *= plane
+            cost += plane
     try:
         rows, cols = linear_sum_assignment(cost)
     except ValueError as exc:  # scipy: "cost matrix is infeasible"
