@@ -96,12 +96,25 @@ def shift_bound(p: float, residual: float, sigma: float) -> float:
     return std_normal_cdf(std_normal_quantile(p) - residual / sigma)
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a.  Where the plain sum of squares overflows, the
+    norm of a / max|a|, scaled back; every finite plain norm keeps its bits."""
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(a))
+    if np.isfinite(plain):
+        return plain
+    scale = float(np.max(np.abs(a)))
+    if not np.isfinite(scale):  # an entry itself overflowed
+        return plain
+    return scale * float(np.linalg.norm(a / scale))
+
+
 def project_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     """Optimal translation is minus the column-mean of Delta."""
     check_same_shape(x, x_prime)
     delta = x_prime.data - x.data
     mean = delta.mean(axis=0)
-    residual = float(np.linalg.norm(delta - mean))
+    residual = _norm(delta - mean)
     return OrbitProjection(residual=residual, translation=-mean)
 
 
@@ -197,7 +210,7 @@ def project_registration_upper(
     if max_iters < 1:
         raise ValueError("project_registration_upper: max_iters must be >= 1")
     current = x_prime.data.copy()
-    best = float(np.linalg.norm(current - x.data))
+    best = _norm(current - x.data)
     perm_total = np.arange(x.n_points)
     rot_total = np.eye(x.dim)
     trans_total = np.zeros(x.dim)

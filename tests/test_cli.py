@@ -723,6 +723,34 @@ class TestNonFinite:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
+    @pytest.mark.parametrize("group", ["T", "SxSE"])
+    def test_overflowing_norm_falls_back_to_a_scaled_norm(self, tmp_path, group, warnings):
+        # ||X' - X||^2 overflows although ||X' - X|| is finite; a child process,
+        # because the suite's warning filter does not reach one
+        clean, perturbed = _write_pair(
+            tmp_path, np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            np.array([[-1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        )
+        out = tmp_path / "out.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", warnings, "-m", "invarcert.cli", "project", "--group", group,
+             "--clean", clean, "--perturbed", perturbed, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert "RuntimeWarning" not in proc.stderr
+        if group == "T":
+            assert proc.returncode == 0, proc.stderr
+            # sqrt(2) * 1e200, correctly rounded
+            assert json.loads(out.read_text())["results"]["residual"] == math.hypot(1e200, 1e200)
+        else:
+            assert proc.returncode == 3, proc.stderr
+            assert "assignment: every assignment's cost overflows" in proc.stderr
+            assert not out.exists()
+
+
 class TestProject:
     def test_permuted_pair(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
