@@ -15,13 +15,11 @@ MIB = 2**20
 
 
 def traced_peak(call) -> int:
-    """Bytes allocated at the peak of call(), above what was live before it."""
+    """Peak bytes allocated while call() runs."""
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
         call()
-        return tracemalloc.get_traced_memory()[1] - before
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
