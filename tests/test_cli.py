@@ -722,7 +722,6 @@ class TestNonFinite:
         assert "assignment: every assignment's cost overflows" in capsys.readouterr().err
         assert not out.exists()
 
-
     @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
     @pytest.mark.parametrize("group", ["T", "SxSE"])
     def test_overflowing_norm_falls_back_to_a_scaled_norm(self, tmp_path, group, warnings):
