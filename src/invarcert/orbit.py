@@ -109,13 +109,25 @@ def _norm(a: np.ndarray) -> float:
     return scale * float(np.linalg.norm(a / scale))
 
 
+def _difference(x: PointCloud, x_prime: PointCloud) -> np.ndarray:
+    """Delta = X' - X; NumericalFailure where an entry overflows."""
+    check_same_shape(x, x_prime)
+    with np.errstate(over="ignore"):
+        delta = x_prime.data - x.data
+    if not np.isfinite(delta).all():
+        raise NumericalFailure("orbit: the difference X' - X is not finite")
+    return delta
+
+
 def project_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     """Optimal translation is minus the column-mean of Delta."""
-    check_same_shape(x, x_prime)
-    delta = x_prime.data - x.data
-    mean = delta.mean(axis=0)
-    residual = _norm(delta - mean)
-    return OrbitProjection(residual=residual, translation=-mean)
+    delta = _difference(x, x_prime)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = delta.mean(axis=0)
+        centred = delta - mean
+    if not np.isfinite(centred).all():
+        raise NumericalFailure("translation: X' - X minus its mean is not finite")
+    return OrbitProjection(residual=_norm(centred), translation=-mean)
 
 
 def _procrustes(x: PointCloud, x_prime: PointCloud, proper: bool) -> OrbitProjection:
@@ -204,13 +216,14 @@ def project_registration_upper(
     assignment and Kabsch steps until the residual stalls.
 
     The residual is monotonically nonincreasing and starts at ||X' - X||, so
-    the identity transform is always a valid fallback.
+    the identity transform is always a valid fallback; where X' - X
+    overflows, NumericalFailure is raised.
     """
     check_same_shape(x, x_prime)
     if max_iters < 1:
         raise ValueError("project_registration_upper: max_iters must be >= 1")
+    best = _norm(_difference(x, x_prime))
     current = x_prime.data.copy()
-    best = _norm(current - x.data)
     perm_total = np.arange(x.n_points)
     rot_total = np.eye(x.dim)
     trans_total = np.zeros(x.dim)
@@ -255,8 +268,7 @@ def project(
     trivial group of the black-box certificate, whose orbit distance is
     ||X' - X||."""
     if group is None:
-        check_same_shape(x, x_prime)
-        return OrbitProjection(residual=float(np.linalg.norm(x_prime.data - x.data)))
+        return OrbitProjection(residual=_norm(_difference(x, x_prime)))
     projector = _PROJECTORS.get(group)
     if projector is None:
         raise ValueError(f"project: unsupported group {group}")

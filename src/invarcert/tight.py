@@ -582,9 +582,29 @@ def _rotation_problem(
 # at least 0.02 for noisy ones.
 _FLOOR_SKIP = 1e-9
 
+# An orbit distance at most this multiple of eps_mach (|X| + |X'|) is rounding
+# noise of an orbit member.  On the coverage audit's exact rotations (30 seeds,
+# SO and SE, |X||X'| / sigma^2 from 10 to 1e20), d / (eps_mach (|X| + |X'|))
+# read at most 1.55 in 2-D and 5.79 in 3-D.
+_MEMBER_ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def _orbit_distance(group: GroupKind, x: PointCloud, x_prime: PointCloud) -> tuple[float, bool]:
+    """The orbit distance d, and whether X' is taken for an orbit member:
+    d <= _MEMBER_ROUNDING (|X| + |X'|), the clouds centred for
+    roto-translation.  A cloud norm that overflows makes it one, which is
+    sound: a member gets the orbit floor and ceiling alone."""
+    residual = project(group, x, x_prime).residual
+    if group is GroupKind.ROTO_TRANSLATION:
+        x, x_prime = center(x), center(x_prime)
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(x.data) + np.linalg.norm(x_prime.data)
+    return residual, bool(residual <= _MEMBER_ROUNDING * size)
+
 
 def _floored_lower(
-    problem: RotationCertProblem, mc: McConfig, seed: int, p_lower: float, residual: float
+    problem: RotationCertProblem, mc: McConfig, seed: int, p_lower: float, residual: float,
+    member: bool,
 ) -> CertificateOutcome:
     """``prob_certify_reduced``'s outcome, never below the orbit floor
     shift_bound(p, residual, sigma): the worst case over every invariant
@@ -592,15 +612,16 @@ def _floored_lower(
 
     The tight value never exceeds p, because a randomized constant
     classifier attains p, so where p - floor <= _FLOOR_SKIP the Monte-Carlo
-    stage could add at most _FLOOR_SKIP: the outcome is then the floor,
-    drawn from no sample, with ``kappa_log`` None and the notes
-    "orbit-floor" and "mc-skipped".  Otherwise the bound is max(Monte-Carlo
-    bound, floor), with the note "orbit-floor" where the floor is the
-    larger.  The floor spends no alpha.
+    stage could add at most _FLOOR_SKIP; on an orbit member (see
+    ``_orbit_distance``) the tight value is p and the statistic rounding
+    noise.  In both cases the outcome is the floor, drawn from no sample,
+    with ``kappa_log`` None and the notes "orbit-floor" and "mc-skipped".
+    Otherwise the bound is max(Monte-Carlo bound, floor), with the note
+    "orbit-floor" where the floor is the larger.  The floor spends no alpha.
     """
     p_eff, clamped = clamp_probability(p_lower)
     floor = shift_bound(p_eff, residual, problem.sigma)
-    if p_eff - floor <= _FLOOR_SKIP:
+    if member or p_eff - floor <= _FLOOR_SKIP:
         notes = ("p-lower-supplied",) + ("p-lower-clamped",) * clamped
         return CertificateOutcome(
             certified=floor > 0.5,
@@ -621,15 +642,16 @@ def _floored_lower(
 
 
 def _capped_upper(
-    problem: RotationCertProblem, mc: McConfig, seed: int, p_upper: float, residual: float
+    problem: RotationCertProblem, mc: McConfig, seed: int, p_upper: float, residual: float,
+    member: bool,
 ) -> float:
     """``prob_certify_upper_reduced``'s bound, never above the orbit ceiling
     shift_bound(p_upper, -residual, sigma), the best case over the orbit
     ball.  The best case over invariant classifiers is never below p_upper,
-    so where the ceiling lies within _FLOOR_SKIP of p_upper it is returned
-    with no draws."""
+    so where the ceiling lies within _FLOOR_SKIP of p_upper, or X' is an
+    orbit member, it is returned with no draws."""
     ceiling = shift_bound(p_upper, -residual, problem.sigma)
-    if ceiling - p_upper <= _FLOOR_SKIP:
+    if member or ceiling - p_upper <= _FLOOR_SKIP:
         return ceiling
     return min(mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=p_upper), ceiling)
 
@@ -681,7 +703,7 @@ def certify_tight_and_multiclass(
         tight, problem = replace(outcome, certified=outcome.bound_value > 0.5), None
     else:
         problem = _rotation_problem(group, x, x_prime, sigma)
-        lower = _floored_lower(problem, mc, seed, p_lower, project(group, x, x_prime).residual)
+        lower = _floored_lower(problem, mc, seed, p_lower, *_orbit_distance(group, x, x_prime))
         tight = replace(lower, method=f"tight-{group.value}{x.dim}")
     if p_upper is None:
         return tight, None
@@ -757,9 +779,9 @@ def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=
     if group in _ROTATION_KINDS:
         if problem is None:
             problem = _rotation_problem(group, x, x_prime, sigma)
-        residual = project(group, x, x_prime).residual
-        lower = _floored_lower(problem, mc, seed, pa_lower, residual)
-        upper = _capped_upper(problem, mc, seed, pb, residual)
+        distance = _orbit_distance(group, x, x_prime)
+        lower = _floored_lower(problem, mc, seed, pa_lower, *distance)
+        upper = _capped_upper(problem, mc, seed, pb, *distance)
         # a clamped pa is reported once, by the multiclass "p-clamped" note
         lower_notes = tuple(note for note in lower.notes if note != "p-lower-clamped")
         return replace(

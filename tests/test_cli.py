@@ -749,6 +749,45 @@ class TestNonFinite:
             assert "assignment: every assignment's cost overflows" in proc.stderr
             assert not out.exists()
 
+    @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
+    @pytest.mark.parametrize(
+        "command, clean, perturbed, message",
+        [
+            (["project", "--group", group], [[-1e308, 0, 0], [0, 0, 0]],
+             [[1e308, 0, 0], [0, 0, 0]], "the difference X' - X is not finite")
+            for group in ("T", "SxSE")
+        ] + [
+            (["certify", "--group", "T", "--sigma", "1", "--p-lower", "0.9", "--seed", "1",
+              "--method", "both", "--multiclass", "--p-upper", "0.05"],
+             [[-1e308, 0, 0], [0, 0, 0]], [[1e308, 0, 0], [0, 0, 0]],
+             "the difference X' - X is not finite"),
+            # each difference is finite, their column sum is not
+            (["project", "--group", "T"], [[0, 0, 0], [0, 0, 0]],
+             [[1e308, 0, 0], [1e308, 0, 0]], "X' - X minus its mean is not finite"),
+            # the mean is finite, one difference minus it is not
+            (["project", "--group", "T"], [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+             [[1.7e308, 0, 0], [-1.7e308, 0, 0], [-1.7e308, 0, 0]],
+             "X' - X minus its mean is not finite"),
+        ],
+    )
+    def test_overflowing_difference_is_numerical_failure(
+        self, tmp_path, command, clean, perturbed, message, warnings
+    ):
+        # a child process, because the suite's warning filter does not reach one
+        clean, perturbed = _write_pair(tmp_path, np.array(clean, float), np.array(perturbed, float))
+        out = tmp_path / "out.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", warnings, "-m", "invarcert.cli", *command,
+             "--clean", clean, "--perturbed", perturbed, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.returncode == 3, proc.stderr
+        assert message in proc.stderr
+        assert not out.exists()
+
 
 class TestProject:
     def test_permuted_pair(self, tmp_path, capsys):

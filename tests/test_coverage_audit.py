@@ -74,23 +74,20 @@ CASES = [
 ]
 # From |X||X'| / sigma^2 = 1e16 the residual d of an exact rotation is
 # rounding noise above 1e-8 sigma, so the orbit floor lies further than
-# _FLOOR_SKIP below p and the Monte-Carlo stage runs on a statistic that is
-# rounding noise too: on 2-D rotations 12-18 of 30 seeds violate each bound.
+# _FLOOR_SKIP below p; the orbit-member test on d / (|X| + |X'|) skips the
+# Monte-Carlo stage, whose statistic is rounding noise too there.
 FAR_CASES = [
-    (kind, group, 2, scale, 1e-3)
+    (kind, group, dim, scale, 1e-3)
     for kind in ("same", "rotation")
     for group in (GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION)
+    for dim in (2, 3)
     for scale in (1e16, 1e20)
 ]
-_FAULT = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 9: the statistic of a near-orbit problem is rounding noise",
-)
 
 
 @pytest.mark.parametrize(
     "kind, group, dim, scale, alpha",
-    CASES + [pytest.param(*case, marks=[_FAULT] * (case[0] == "rotation")) for case in FAR_CASES],
+    CASES + FAR_CASES,
     ids=[f"{k}-{g.value}{d}-{s:g}-{a:g}" for k, g, d, s, a in CASES + FAR_CASES],
 )
 def test_orbit_member_coverage(kind, group, dim, scale, alpha):

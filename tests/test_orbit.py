@@ -7,6 +7,7 @@ import pytest
 
 import invarcert.orbit
 from invarcert.geometry import GroupKind, PointCloud, center, rot2
+from invarcert.numerics import NumericalFailure
 from invarcert.orbit import (
     blackbox_radius,
     certify_orbit,
@@ -394,3 +395,14 @@ class TestCertifyOrbit:
         assert proj.exact and proj.transform_description() == {}
         with pytest.raises(ValueError, match="different shapes"):
             project(None, x, PointCloud(xp.data[:4]))
+
+
+@pytest.mark.parametrize(
+    "group", [None, GroupKind.TRANSLATION, GroupKind.PERMUTATION_ROTO_TRANSLATION]
+)
+def test_overflowing_difference_is_numerical_failure(group):
+    # 1e308 - (-1e308) overflows; the suite makes a RuntimeWarning an error
+    x = PointCloud(np.array([[-1e308, 0.0], [0.0, 0.0]]))
+    x_prime = PointCloud(np.array([[1e308, 0.0], [0.0, 0.0]]))
+    with pytest.raises(NumericalFailure, match="the difference X' - X is not finite"):
+        project(group, x, x_prime)
