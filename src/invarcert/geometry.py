@@ -23,6 +23,18 @@ class GroupKind(enum.Enum):
     PERMUTATION_ROTO_TRANSLATION = "SxSE"
 
 
+def frobenius_norm(a: np.ndarray) -> float:
+    """Frobenius norm of a finite array a.  Where the plain sum of squares
+    overflows, the norm of a / max|a|, scaled back; every finite plain norm
+    keeps its bits."""
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(a))
+    if np.isfinite(plain):
+        return plain
+    scale = float(np.max(np.abs(a)))
+    return scale * float(np.linalg.norm(a / scale))
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """N x D matrix of point coordinates, one row per point."""
@@ -48,8 +60,8 @@ class PointCloud:
         return self.data.shape[1]
 
     def norm(self) -> float:
-        """Frobenius norm of the coordinate matrix."""
-        return float(np.linalg.norm(self.data))
+        """Frobenius norm of the coordinate matrix (see ``frobenius_norm``)."""
+        return frobenius_norm(self.data)
 
 
 def check_same_shape(x: PointCloud, x_prime: PointCloud) -> None:

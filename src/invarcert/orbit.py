@@ -12,7 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import GroupKind, PointCloud, center_matrix, check_same_shape
+from .geometry import (
+    GroupKind,
+    PointCloud,
+    center_matrix,
+    check_same_shape,
+    frobenius_norm,
+)
 from .numerics import (
     NumericalFailure,
     check_sigma,
@@ -96,19 +102,6 @@ def shift_bound(p: float, residual: float, sigma: float) -> float:
     return std_normal_cdf(std_normal_quantile(p) - residual / sigma)
 
 
-def _norm(a: np.ndarray) -> float:
-    """Frobenius norm of a.  Where the plain sum of squares overflows, the
-    norm of a / max|a|, scaled back; every finite plain norm keeps its bits."""
-    with np.errstate(over="ignore"):
-        plain = float(np.linalg.norm(a))
-    if np.isfinite(plain):
-        return plain
-    scale = float(np.max(np.abs(a)))
-    if not np.isfinite(scale):  # an entry itself overflowed
-        return plain
-    return scale * float(np.linalg.norm(a / scale))
-
-
 def _difference(x: PointCloud, x_prime: PointCloud) -> np.ndarray:
     """Delta = X' - X; NumericalFailure where an entry overflows."""
     check_same_shape(x, x_prime)
@@ -127,7 +120,7 @@ def project_translation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
         centred = delta - mean
     if not np.isfinite(centred).all():
         raise NumericalFailure("translation: X' - X minus its mean is not finite")
-    return OrbitProjection(residual=_norm(centred), translation=-mean)
+    return OrbitProjection(residual=frobenius_norm(centred), translation=-mean)
 
 
 def _procrustes(x: PointCloud, x_prime: PointCloud, proper: bool) -> OrbitProjection:
@@ -150,7 +143,7 @@ def _procrustes(x: PointCloud, x_prime: PointCloud, proper: bool) -> OrbitProjec
         r = v @ np.diag(s_hat) @ u.T
     else:
         r = v @ u.T
-    residual = float(np.linalg.norm(x_prime.data @ r.T - x.data))
+    residual = frobenius_norm(x_prime.data @ r.T - x.data)
     return OrbitProjection(residual=residual, rotation=r)
 
 
@@ -222,7 +215,7 @@ def project_registration_upper(
     check_same_shape(x, x_prime)
     if max_iters < 1:
         raise ValueError("project_registration_upper: max_iters must be >= 1")
-    best = _norm(_difference(x, x_prime))
+    best = frobenius_norm(_difference(x, x_prime))
     current = x_prime.data.copy()
     perm_total = np.arange(x.n_points)
     rot_total = np.eye(x.dim)
@@ -268,7 +261,7 @@ def project(
     trivial group of the black-box certificate, whose orbit distance is
     ||X' - X||."""
     if group is None:
-        return OrbitProjection(residual=_norm(_difference(x, x_prime)))
+        return OrbitProjection(residual=frobenius_norm(_difference(x, x_prime)))
     projector = _PROJECTORS.get(group)
     if projector is None:
         raise ValueError(f"project: unsupported group {group}")

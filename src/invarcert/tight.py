@@ -592,14 +592,12 @@ _MEMBER_ROUNDING = 64.0 * np.finfo(float).eps
 def _orbit_distance(group: GroupKind, x: PointCloud, x_prime: PointCloud) -> tuple[float, bool]:
     """The orbit distance d, and whether X' is taken for an orbit member:
     d <= _MEMBER_ROUNDING (|X| + |X'|), the clouds centred for
-    roto-translation.  A cloud norm that overflows makes it one, which is
-    sound: a member gets the orbit floor and ceiling alone."""
+    roto-translation (``PointCloud.norm``, finite wherever |X| is)."""
     residual = project(group, x, x_prime).residual
     if group is GroupKind.ROTO_TRANSLATION:
         x, x_prime = center(x), center(x_prime)
-    with np.errstate(over="ignore"):
-        size = np.linalg.norm(x.data) + np.linalg.norm(x_prime.data)
-    return residual, bool(residual <= _MEMBER_ROUNDING * size)
+    size = x.norm() + x_prime.norm()
+    return residual, residual <= _MEMBER_ROUNDING * size
 
 
 def _floored_lower(
@@ -700,14 +698,18 @@ def certify_tight_and_multiclass(
         outcome = shift_outcome(
             p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
         )
-        tight, problem = replace(outcome, certified=outcome.bound_value > 0.5), None
+        tight = replace(outcome, certified=outcome.bound_value > 0.5)
+        problem = distance = None
     else:
         problem = _rotation_problem(group, x, x_prime, sigma)
-        lower = _floored_lower(problem, mc, seed, p_lower, *_orbit_distance(group, x, x_prime))
+        distance = _orbit_distance(group, x, x_prime)
+        lower = _floored_lower(problem, mc, seed, p_lower, *distance)
         tight = replace(lower, method=f"tight-{group.value}{x.dim}")
     if p_upper is None:
         return tight, None
-    return tight, _multiclass(group, x, x_prime, p_lower, p_upper, sigma, mc, seed, problem)
+    return tight, _multiclass(
+        group, x, x_prime, p_lower, p_upper, sigma, mc, seed, problem, distance
+    )
 
 
 def inverse_certificate(
@@ -757,11 +759,13 @@ def certify_multiclass(
     return _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed)
 
 
-def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=None):
+def _multiclass(
+    group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=None, distance=None
+):
     """``certify_multiclass``: its checks, then its verdict.  For rotation
     and roto-translation both stages read the draws of ``problem``, the
-    reduced problem when the caller already has one; otherwise it is built
-    here."""
+    reduced problem, and ``distance``, the ``_orbit_distance`` of the pair,
+    when the caller already has them; otherwise both are computed here."""
     check_sigma(sigma, "certify_multiclass")
     check_same_shape(x, x_prime)
     if group is not None and not isinstance(group, GroupKind):
@@ -779,7 +783,7 @@ def _multiclass(group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=
     if group in _ROTATION_KINDS:
         if problem is None:
             problem = _rotation_problem(group, x, x_prime, sigma)
-        distance = _orbit_distance(group, x, x_prime)
+            distance = _orbit_distance(group, x, x_prime)
         lower = _floored_lower(problem, mc, seed, pa_lower, *distance)
         upper = _capped_upper(problem, mc, seed, pb, *distance)
         # a clamped pa is reported once, by the multiclass "p-clamped" note

@@ -25,6 +25,17 @@ def _run(capsys, *args):
     return code, json.loads(out) if out.strip().startswith("{") else out
 
 
+def _run_child(*args, warnings="default"):
+    # the CLI in a child process: the suite's warning filter does not reach
+    # one, and a hang fails at the timeout instead of stalling the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", warnings, "-m", "invarcert.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def _write_pair(tmp_path, clean, perturbed):
     a, b = tmp_path / "clean.csv", tmp_path / "perturbed.csv"
     save_points_csv(a, PointCloud(clean))
@@ -677,18 +688,13 @@ class TestNonFinite:
     )
     def test_overflowing_procrustes_is_numerical_failure(self, tmp_path, command):
         # a finite coordinate of 1e200 overflows (X')^T X, and LAPACK's SVD of
-        # a matrix holding an inf does not return: the run is a child process
-        # with a timeout, so that a hang fails instead of stalling the suite
+        # a matrix holding an inf does not return, hence the child's timeout
         data = np.random.default_rng(0).standard_normal((4, 3))
         data[0, 0] = 1e200
         cloud, out = tmp_path / "cloud.csv", tmp_path / "out.json"
         save_points_csv(cloud, PointCloud(data))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "invarcert.cli", *command, "--clean", str(cloud),
-             "--perturbed", str(cloud), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = _run_child(
+            *command, "--clean", str(cloud), "--perturbed", str(cloud), "--out", str(out)
         )
         assert proc.returncode == 3, proc.stderr
         assert "Procrustes: the cross matrix (X')^T X is not finite" in proc.stderr
@@ -725,19 +731,15 @@ class TestNonFinite:
     @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
     @pytest.mark.parametrize("group", ["T", "SxSE"])
     def test_overflowing_norm_falls_back_to_a_scaled_norm(self, tmp_path, group, warnings):
-        # ||X' - X||^2 overflows although ||X' - X|| is finite; a child process,
-        # because the suite's warning filter does not reach one
+        # ||X' - X||^2 overflows although ||X' - X|| is finite
         clean, perturbed = _write_pair(
             tmp_path, np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             np.array([[-1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         )
         out = tmp_path / "out.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", warnings, "-m", "invarcert.cli", "project", "--group", group,
-             "--clean", clean, "--perturbed", perturbed, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = _run_child(
+            "project", "--group", group, "--clean", clean, "--perturbed", perturbed,
+            "--out", str(out), warnings=warnings,
         )
         assert "RuntimeWarning" not in proc.stderr
         if group == "T":
@@ -773,15 +775,11 @@ class TestNonFinite:
     def test_overflowing_difference_is_numerical_failure(
         self, tmp_path, command, clean, perturbed, message, warnings
     ):
-        # a child process, because the suite's warning filter does not reach one
         clean, perturbed = _write_pair(tmp_path, np.array(clean, float), np.array(perturbed, float))
         out = tmp_path / "out.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", warnings, "-m", "invarcert.cli", *command,
-             "--clean", clean, "--perturbed", perturbed, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = _run_child(
+            *command, "--clean", clean, "--perturbed", perturbed, "--out", str(out),
+            warnings=warnings,
         )
         assert "RuntimeWarning" not in proc.stderr
         assert proc.returncode == 3, proc.stderr

@@ -808,6 +808,25 @@ class TestOrbitFloor:
             upper = float(multi.notes[-1].partition("=")[2])
             assert 0.05 <= upper <= 0.05 + 1e-12
 
+    @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
+                             ids=["SO", "SE"])
+    def test_overflowing_cloud_norm_keeps_the_monte_carlo_stage(self, kind):
+        # |X|^2 overflows near 1e200 although |X|, d and the problem in units
+        # of sigma are finite: X' is no orbit member, and the draws are made
+        rng = np.random.default_rng(5)
+        x = PointCloud(rng.standard_normal((8, 3)) * 1e200)
+        xp = PointCloud(rng.standard_normal((8, 3)) * 1e100)
+        sigma = 1e201
+        distance, member = tight._orbit_distance(kind, x, xp)
+        assert math.isfinite(distance) and not member
+        tight_out, multi = certify_tight_and_multiclass(
+            kind, x, xp, 0.999, sigma, FAST_MC, 1, p_upper=0.001
+        )
+        assert "mc-skipped" not in tight_out.notes
+        assert tight_out.kappa_log is not None
+        assert tight_out.bound_value >= certify_orbit(kind, x, xp, 0.999, sigma).bound_value
+        assert multi.bound_value == tight_out.bound_value
+
 
 def _combined_se(a, b, mc):
     # both the threshold stage (n2) and the counting stage (n3) contribute
