@@ -128,7 +128,7 @@ def _procrustes(x: PointCloud, x_prime: PointCloud, proper: bool) -> OrbitProjec
     # optimal map V U^T, with the last singular direction sign-flipped when a
     # proper rotation is required and det(V U^T) < 0.  LAPACK's SVD of a
     # matrix holding an inf does not return, so an overflowed product is
-    # refused first.
+    # refused first, as is an aligned difference that overflows.
     check_same_shape(x, x_prime)
     with np.errstate(over="ignore", invalid="ignore"):
         cross = x_prime.data.T @ x.data
@@ -143,8 +143,11 @@ def _procrustes(x: PointCloud, x_prime: PointCloud, proper: bool) -> OrbitProjec
         r = v @ np.diag(s_hat) @ u.T
     else:
         r = v @ u.T
-    residual = frobenius_norm(x_prime.data @ r.T - x.data)
-    return OrbitProjection(residual=residual, rotation=r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        aligned = x_prime.data @ r.T - x.data
+    if not np.isfinite(aligned).all():
+        raise NumericalFailure("Procrustes: the residual X' R^T - X is not finite")
+    return OrbitProjection(residual=frobenius_norm(aligned), rotation=r)
 
 
 def project_rotation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:

@@ -406,3 +406,12 @@ def test_overflowing_difference_is_numerical_failure(group):
     x_prime = PointCloud(np.array([[1e308, 0.0], [0.0, 0.0]]))
     with pytest.raises(NumericalFailure, match="the difference X' - X is not finite"):
         project(group, x, x_prime)
+
+
+@pytest.mark.parametrize("group", [GroupKind.ROTATION, GroupKind.ORTHOGONAL])
+def test_overflowing_aligned_difference_is_numerical_failure(group):
+    # (X')^T X is finite, but the rotated 1.5e308 x 1.5e308 row is not
+    x = PointCloud(np.array([[1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0]]))
+    x_prime = PointCloud(np.array([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(NumericalFailure, match="the residual X' R\\^T - X is not finite"):
+        project(group, x, x_prime)
