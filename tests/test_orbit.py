@@ -397,21 +397,23 @@ class TestCertifyOrbit:
             project(None, x, PointCloud(xp.data[:4]))
 
 
+_DIFFERENCE = "the difference X' - X is not finite"
+_ALIGNED = "the residual X' R\\^T - X is not finite"
+
+
 @pytest.mark.parametrize(
-    "group", [None, GroupKind.TRANSLATION, GroupKind.PERMUTATION_ROTO_TRANSLATION]
+    "group, clean, perturbed, message",
+    [
+        # 1e308 - (-1e308) overflows
+        *[(g, [[-1e308, 0.0], [0.0, 0.0]], [[1e308, 0.0], [0.0, 0.0]], _DIFFERENCE)
+          for g in (None, GroupKind.TRANSLATION, GroupKind.PERMUTATION_ROTO_TRANSLATION)],
+        # (X')^T X is finite, but the rotated 1.5e308 x 1.5e308 row is not
+        *[(g, [[1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0]], [[1.5e308, 1.5e308, 0.0], [0.0] * 3],
+           _ALIGNED) for g in (GroupKind.ROTATION, GroupKind.ORTHOGONAL)],
+    ],
+    ids=["None", "T", "SxSE", "SO", "O"],
 )
-def test_overflowing_difference_is_numerical_failure(group):
-    # 1e308 - (-1e308) overflows; the suite makes a RuntimeWarning an error
-    x = PointCloud(np.array([[-1e308, 0.0], [0.0, 0.0]]))
-    x_prime = PointCloud(np.array([[1e308, 0.0], [0.0, 0.0]]))
-    with pytest.raises(NumericalFailure, match="the difference X' - X is not finite"):
-        project(group, x, x_prime)
-
-
-@pytest.mark.parametrize("group", [GroupKind.ROTATION, GroupKind.ORTHOGONAL])
-def test_overflowing_aligned_difference_is_numerical_failure(group):
-    # (X')^T X is finite, but the rotated 1.5e308 x 1.5e308 row is not
-    x = PointCloud(np.array([[1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0]]))
-    x_prime = PointCloud(np.array([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0]]))
-    with pytest.raises(NumericalFailure, match="the residual X' R\\^T - X is not finite"):
-        project(group, x, x_prime)
+def test_overflowing_difference_is_numerical_failure(group, clean, perturbed, message):
+    # the suite makes a RuntimeWarning an error
+    with pytest.raises(NumericalFailure, match=message):
+        project(group, PointCloud(np.array(clean)), PointCloud(np.array(perturbed)))
