@@ -592,12 +592,15 @@ _MEMBER_ROUNDING = 64.0 * np.finfo(float).eps
 def _orbit_distance(group: GroupKind, x: PointCloud, x_prime: PointCloud) -> tuple[float, bool]:
     """The orbit distance d, and whether X' is taken for an orbit member:
     d <= _MEMBER_ROUNDING (|X| + |X'|), the clouds centred for
-    roto-translation (``PointCloud.norm``, finite wherever |X| is)."""
+    roto-translation (``PointCloud.norm``, finite wherever |X| is).  Each
+    norm is scaled before the sum, which then cannot overflow; the scale is
+    a power of two, so this rounds as _MEMBER_ROUNDING (|X| + |X'|) wherever
+    that is finite and normal."""
     residual = project(group, x, x_prime).residual
     if group is GroupKind.ROTO_TRANSLATION:
         x, x_prime = center(x), center(x_prime)
-    size = x.norm() + x_prime.norm()
-    return residual, residual <= _MEMBER_ROUNDING * size
+    limit = _MEMBER_ROUNDING * x.norm() + _MEMBER_ROUNDING * x_prime.norm()
+    return residual, residual <= limit
 
 
 def _floored_lower(

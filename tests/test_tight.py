@@ -808,15 +808,25 @@ class TestOrbitFloor:
             upper = float(multi.notes[-1].partition("=")[2])
             assert 0.05 <= upper <= 0.05 + 1e-12
 
-    @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
-                             ids=["SO", "SE"])
-    def test_overflowing_cloud_norm_keeps_the_monte_carlo_stage(self, kind):
-        # |X|^2 overflows near 1e200 although |X|, d and the problem in units
-        # of sigma are finite: X' is no orbit member, and the draws are made
-        rng = np.random.default_rng(5)
-        x = PointCloud(rng.standard_normal((8, 3)) * 1e200)
-        xp = PointCloud(rng.standard_normal((8, 3)) * 1e100)
-        sigma = 1e201
+    _FAR = np.random.default_rng(5).standard_normal((2, 8, 3)) * np.array([[[1e200]], [[1e100]]])
+
+    @pytest.mark.parametrize(
+        "kind, clean, perturbed, sigma",
+        [
+            # |X|^2 overflows near 1e200 although |X| and d are finite
+            (GroupKind.ROTATION, *_FAR, 1e201),
+            (GroupKind.ROTO_TRANSLATION, *_FAR, 1e201),
+            # |X| + |X'| overflows although d = sqrt(2) 1e308 is finite
+            (GroupKind.ROTATION, [[1e308, 0, 0], [0, 0, 0]], [[0, 0, 0], [1e308, 0, 0]], 1e308),
+        ],
+        ids=["SO-1e200", "SE-1e200", "SO-1e308"],
+    )
+    def test_overflowing_cloud_norm_keeps_the_monte_carlo_stage(
+        self, kind, clean, perturbed, sigma
+    ):
+        # the problem in units of sigma is finite: X' is no orbit member, and
+        # the draws are made
+        x, xp = PointCloud(np.array(clean, float)), PointCloud(np.array(perturbed, float))
         distance, member = tight._orbit_distance(kind, x, xp)
         assert math.isfinite(distance) and not member
         tight_out, multi = certify_tight_and_multiclass(
