@@ -270,13 +270,14 @@ class _Sample:
     def refine(self, problem, rows: np.ndarray) -> None:
         """Evaluate the statistic, in one call, on the rows of the mask
         ``rows`` whose value is not known yet."""
-        todo = rows & (self.lo != self.hi)
-        if todo.all():  # every row (SO(3), an exact rotation): no copy of the draws
+        todo = np.flatnonzero(rows & (self.lo != self.hi))
+        if todo.size == rows.size:  # every row (SO(3), an exact rotation): no copy of the draws
             self.lo = self.hi = _statistic_values(problem, self.draws)
             self.lo.setflags(write=False)
             self.draws = None
-        elif todo.any():
-            self.lo[todo] = self.hi[todo] = _statistic_values(problem, self.draws[todo])
+        elif todo.size:
+            values = _statistic_values(problem, self.draws.take(todo, axis=0))
+            self.lo[todo] = self.hi[todo] = values
 
 
 def _cut(
@@ -357,7 +358,10 @@ def _samples(
                 draws = sample_gaussian(means[k], n, rngs[k], problem.factor)
             else:  # sample_gaussian's arithmetic on the shared normals
                 draws = normals[shared][k] @ problem.factor.T
-                draws += means[k]
+                # a column at a time: 3x faster than the broadcast on (n, 4)
+                # draws, but slower on 3-D's wide ones, so sample_gaussian keeps it
+                for j, m in enumerate(means[k]):
+                    draws[:, j] += m
             pair.append(_Sample(problem, draws))
         problem.statistic_samples.clear()
         problem.statistic_samples[key] = tuple(pair)

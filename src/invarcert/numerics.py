@@ -76,8 +76,6 @@ _BOUND_BITS = 10
 _BOUND_EXPONENTS = (-60, 40)
 _BOUND_SHIFT = 52 - _BOUND_BITS
 _BOUND_FIRST = int(np.float64(2.0 ** _BOUND_EXPONENTS[0]).view(np.int64)) >> _BOUND_SHIFT
-_BOUND_TOP = 2.0 ** _BOUND_EXPONENTS[1]
-_BOUND_LAST = 2**_BOUND_BITS * (_BOUND_EXPONENTS[1] - _BOUND_EXPONENTS[0])
 
 
 def _bound_edges() -> np.ndarray:
@@ -85,73 +83,70 @@ def _bound_edges() -> np.ndarray:
     values)."""
     binades = np.arange(*_BOUND_EXPONENTS)
     mantissas = 1.0 + np.arange(2**_BOUND_BITS) / 2**_BOUND_BITS
-    return np.concatenate(
-        [[0.0], np.ldexp(mantissas[None, :], binades[:, None]).ravel(), [_BOUND_TOP]]
-    )
+    edges = np.ldexp(mantissas[None, :], binades[:, None]).ravel()
+    return np.concatenate([[0.0], edges, [2.0 ** _BOUND_EXPONENTS[1]]])
 
 
 def _bucket(x: np.ndarray) -> np.ndarray:
-    """Index of the bucket edge at or below each x >= 0 (0 below 2^-60),
-    clipped into the table where x is not below 2^40 (NaN included)."""
-    index = (x.view(np.int64) >> _BOUND_SHIFT) - (_BOUND_FIRST - 1)
-    return np.clip(index, 0, _BOUND_LAST, out=index)
+    """Index of the bucket edge at or below each x, unclipped: negative below
+    2^-60, past the last bucket from 2^40 up and, as the bits are read
+    unsigned, for a negative x (-0.0 included) or a NaN of either sign."""
+    index = (x.view(np.uint64) >> _BOUND_SHIFT).view(np.int64)
+    index -= _BOUND_FIRST - 1
+    return index
+
+
+def _bound_tables(values: np.ndarray, ends: tuple[float, float]) -> tuple[np.ndarray, ...]:
+    """Read-only tables of ``values`` (at 0 and every bucket edge) at the
+    lower edge of bucket k - 1 (0 below 2^-60) and at its upper edge, each
+    ending in its sentinel of ``ends``, read by every index past the last."""
+    tables = np.append(values[:-1], ends[0]), np.append(values[1:], ends[1])
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 @functools.cache
 def _log_i0_edges() -> tuple[np.ndarray, np.ndarray]:
-    """log_bessel_i0 at 0 and at every bucket edge (built once), as two
-    read-only views: the lower edge of bucket k - 1 at index k (0 below
-    2^-60), and its upper edge."""
-    table = log_bessel_i0(_bound_edges())
-    table.setflags(write=False)
-    return table[:-1], table[1:]
+    """Bound tables of log_bessel_i0 (built once), ended by -inf and inf."""
+    return _bound_tables(log_bessel_i0(_bound_edges()), (-np.inf, np.inf))
 
 
 def log_bessel_i0_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log_bessel_i0 at the table edges around each x >= 0 of a float array,
-    one at or below x and one above it; (-inf, inf) where x is not below 2^40
-    (NaN included).
+    one at or below x and one above it; (-inf, inf) where x is negative
+    (-0.0 included) or NaN or not below 2^40.
 
     log I0 increases, so these enclose log_bessel_i0(x) up to its rounding
     noise, which callers add: below x = 2^-10 the cancellation in
     log(i0e(x)) + x leaves a few eps absolute (up to 6 eps measured between
     the edges); above it the noise stays inside the bucket.
     """
-    lower, upper = _log_i0_edges()
     index = _bucket(x)
-    lo, hi = lower.take(index), upper.take(index)
-    outside = ~(x < _BOUND_TOP)
-    lo[outside] = -np.inf
-    hi[outside] = np.inf
-    return lo, hi
+    return tuple(table.take(index, mode="clip") for table in _log_i0_edges())
 
 
 @functools.cache
-def _log_i0e_edges() -> np.ndarray:
-    """log(i0e) at every bucket edge (built once, read-only), taken directly,
-    not as log I0 - x, which cancels at large x."""
-    table = np.log(special.i0e(_bound_edges()))
-    table.setflags(write=False)
-    return table
+def _log_i0e_edges() -> tuple[np.ndarray, np.ndarray]:
+    """Bound tables of log(i0e) (built once), ended by inf and -inf, taken
+    directly, not as log I0 - x, which cancels at large x."""
+    return _bound_tables(np.log(special.i0e(_bound_edges())), (np.inf, -np.inf))
 
 
 def log_i0e_upper(x: np.ndarray) -> np.ndarray:
     """log(i0e) at the table edge at or below each x >= 0 of a float array,
     an upper bound on log(i0e(x)) because log i0e decreases; inf where x is
-    not below 2^40 (NaN included).  Callers add the few eps of rounding in
-    each table entry."""
-    out = _log_i0e_edges().take(_bucket(x))
-    out[~(x < _BOUND_TOP)] = np.inf
-    return out
+    negative (-0.0 included) or NaN or not below 2^40.  Callers add the few
+    eps of rounding in each table entry."""
+    return _log_i0e_edges()[0].take(_bucket(x), mode="clip")
 
 
 def log_i0e_lower(x: np.ndarray) -> np.ndarray:
     """log(i0e) at the table edge above each x >= 0 of a float array, a
-    lower bound on log(i0e(x)); -inf where x is not below 2^40 (NaN
-    included).  Callers add the few eps of rounding in each table entry."""
-    out = _log_i0e_edges().take(_bucket(x) + 1)
-    out[~(x < _BOUND_TOP)] = -np.inf
-    return out
+    lower bound on log(i0e(x)); -inf where x is negative (-0.0 included) or
+    NaN or not below 2^40.  Callers add the few eps of rounding in each
+    table entry."""
+    return _log_i0e_edges()[1].take(_bucket(x), mode="clip")
 
 
 def sample_gaussian(mean, count: int, rng: np.random.Generator,
@@ -199,16 +194,6 @@ def clopper_pearson_upper(successes: int, trials: int, confidence: float) -> flo
     return float(special.betaincinv(successes + 1, trials - successes, confidence))
 
 
-def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    return (
-        special.gammaln(n + 1)
-        - special.gammaln(k + 1)
-        - special.gammaln(n - k + 1)
-        + k * np.log(p)
-        + (n - k) * np.log1p(-p)
-    )
-
-
 def binomial_log_cdf_all(n: int, p: float) -> np.ndarray:
     """log Pr[X <= k] for k = 0..n under Bin(n, p), by log-gamma summation."""
     if n < 0 or not 0.0 <= p <= 1.0:
@@ -219,5 +204,7 @@ def binomial_log_cdf_all(n: int, p: float) -> np.ndarray:
         out = np.full(n + 1, -np.inf)
         out[n] = 0.0
         return out
-    logpmf = _binom_logpmf(np.arange(n + 1, dtype=float), n, p)
+    k = np.arange(n + 1, dtype=float)
+    logpmf = (special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+              + k * np.log(p) + (n - k) * np.log1p(-p))
     return np.minimum(np.logaddexp.accumulate(logpmf), 0.0)

@@ -122,17 +122,26 @@ def _radius_bounds(q0: np.ndarray, q1: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """log I0 table edges around sqrt(q0^2 + q1^2): inf where the squares
     overflow, and where they underflow the radius is off by under 2^-537,
     inside the bottom bucket below 2^-60."""
-    return log_bessel_i0_bounds(np.sqrt(q0 * q0 + q1 * q1))
+    radius = np.square(q0)
+    radius += np.square(q1)
+    return log_bessel_i0_bounds(np.sqrt(radius, out=radius))
 
 
 def _rho_so2_bracket(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= rho_so2(q) <= hi per row, infinite where a radius is not
-    finite or lies beyond the log I0 table."""
+    finite or lies beyond the log I0 table; in place, in the order of
+    top_lo - bot_hi - m, top_hi - bot_lo + m, m = _RHO_MARGIN (top_hi + bot_hi + 1)."""
     with np.errstate(over="ignore"):
-        top_lo, top_hi = _radius_bounds(q[:, 0], q[:, 1])
-        bot_lo, bot_hi = _radius_bounds(q[:, 2], q[:, 3])
-    margin = _RHO_MARGIN * (top_hi + bot_hi + 1.0)
-    return top_lo - bot_hi - margin, top_hi - bot_lo + margin
+        lo, hi = _radius_bounds(q[:, 0], q[:, 1])
+        bot_lo, margin = _radius_bounds(q[:, 2], q[:, 3])
+    lo -= margin
+    margin += hi
+    margin += 1.0
+    margin *= _RHO_MARGIN
+    lo -= margin
+    hi -= bot_lo
+    hi += margin
+    return lo, hi
 
 
 # Gauss-Kronrod pair on [-1, 1] (QUADPACK qk15): the 15 Kronrod abscissae,

@@ -4,6 +4,7 @@ from brackets equals the cut read from every exact value, drawing evaluates
 nothing, and a dropped reduced problem frees its kept samples."""
 
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -27,6 +28,8 @@ from invarcert.mc import (
     upper_quantile_index,
 )
 from invarcert.numerics import (
+    _log_i0_edges,
+    _log_i0e_edges,
     log_bessel_i0,
     log_bessel_i0_bounds,
     log_i0e_lower,
@@ -49,11 +52,16 @@ RHO3 = rho_so3()
 TINY = np.finfo(float).smallest_subnormal
 
 
-def _edges() -> np.ndarray:
-    """Every bucket edge of the log I0 table, with its neighbours 1 ulp away."""
+def _bucket_edges() -> np.ndarray:
+    """Every bucket edge of the bound tables, 2^-60 to 2^40 ascending."""
     binades = np.arange(-60, 40)
     edges = np.ldexp((1.0 + np.arange(1024) / 1024)[None, :], binades[:, None]).ravel()
-    edges = np.append(edges, 2.0**40)
+    return np.append(edges, 2.0**40)
+
+
+def _edges() -> np.ndarray:
+    """Every bucket edge of the log I0 table, with its neighbours 1 ulp away."""
+    edges = _bucket_edges()
     return np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
 
 
@@ -122,7 +130,9 @@ class TestSo2Bracket:
         assert (-np.inf < lo[0] and hi[0] < np.inf) == bounded
         assert (lo[0] == -np.inf and hi[0] == np.inf) == (not bounded)
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+    @pytest.mark.parametrize(
+        "bad", [np.inf, -np.inf, np.nan, pytest.param(np.copysign(np.nan, -1.0), id="-nan"), 1e200]
+    )
     @pytest.mark.parametrize("column", [0, 3])
     def test_non_finite_rows_are_unbounded(self, bad, column):
         q = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
@@ -173,6 +183,58 @@ def test_bracket_contract(statistic):
     finite = np.isfinite(q).all(axis=1)
     assert np.all(lo[~finite] == -np.inf) and np.all(hi[~finite] == np.inf)
     assert np.all(np.isfinite(lo[finite]) & np.isfinite(hi[finite]))
+
+
+def _table_reads(x: np.ndarray) -> list[np.ndarray]:
+    """log_bessel_i0_bounds, log_i0e_upper and log_i0e_lower of x."""
+    return [*log_bessel_i0_bounds(x), log_i0e_upper(x), log_i0e_lower(x)]
+
+
+@functools.cache
+def _clipped_tables() -> tuple[np.ndarray, np.ndarray]:
+    """log I0 and log i0e at 0 and at every bucket edge up to 2^40."""
+    edges = np.concatenate([[0.0], _bucket_edges()])
+    return log_bessel_i0(edges), np.log(special.i0e(edges))
+
+
+def _clipped_reads(x: np.ndarray) -> list[np.ndarray]:
+    """The four reads of ``_table_reads`` for finite x in [0, 2^40) as the
+    tables were first read: the float's bits as a signed integer, the
+    bucket index clipped into [0, 102400], and the edge above at index + 1
+    of one table without sentinels."""
+    first = int(np.float64(2.0**-60).view(np.int64)) >> 42
+    index = np.clip((x.view(np.int64) >> 42) - (first - 1), 0, 102400)
+    log_i0, log_i0e = _clipped_tables()
+    return [log_i0[index], log_i0[index + 1], log_i0e[index], log_i0e[index + 1]]
+
+
+class TestBucketTables:
+    # the bits are read unsigned: a negative x, -0.0 and a NaN of either sign
+    # index past the last bucket, as x >= 2^40 does, and read its sentinel
+    UNBOUNDED = [-1.0, -0.0, np.copysign(np.nan, -1.0), np.nan, np.inf, 2.0**40, 1e300]
+
+    def test_unbounded_inputs(self):
+        lo, hi, upper, lower = _table_reads(np.array(self.UNBOUNDED))
+        assert np.all(lo == -np.inf) and np.all(hi == np.inf)
+        assert np.all(upper == np.inf) and np.all(lower == -np.inf)
+
+    def test_bounded_inputs(self):
+        x = np.concatenate([[0.0, TINY, 2.0**-60, np.nextafter(2.0**40, 0.0)],
+                            _bucket_edges()[:-1]])
+        reads = _table_reads(x)
+        assert all(np.isfinite(read).all() for read in reads)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(reads, _clipped_reads(x)))
+
+    def test_tables_are_read_only(self):
+        assert not any(t.flags.writeable for t in (*_log_i0_edges(), *_log_i0e_edges()))
+        assert all(read.flags.writeable for read in _table_reads(np.array([1.0, 2.0**40])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, np.nextafter(2.0**40, 0.0)), min_size=1, max_size=16))
+    def test_reads_equal_clipped_reads(self, values):
+        x = np.array(values)
+        for got, want in zip(_table_reads(x), _clipped_reads(x)):
+            assert got.tobytes() == want.tobytes()
 
 
 def _assert_contains_so3(m: np.ndarray) -> None:

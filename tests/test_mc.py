@@ -11,6 +11,7 @@ from invarcert.mc import (
     ABSTAIN,
     McConfig,
     _cut,
+    _Sample,
     _samples,
     inverse_certify_reduced,
     lower_quantile_index,
@@ -198,6 +199,57 @@ class TestTwoSample:
             problem.mean_perturbed, 1000, np.random.default_rng(perturbed), problem.factor
         ))
         assert repr(got) == repr(sorted_cut(stable, counted, n_star, below))
+
+
+class TestSampleRefine:
+    # draws hold each row's index, so the spy reads which rows it is asked for
+    N = 200
+
+    def _spy(self, **bracket):
+        calls = []
+
+        def evaluator(q):
+            calls.append(q[:, 0].astype(int).tolist())
+            return 2.0 * q[:, 0]
+
+        statistic = LikelihoodStatistic(dim=1, evaluator=evaluator, **bracket)
+        problem = dataclasses.replace(blackbox_reduced_problem(0.3, 1.0), statistic=statistic)
+        return problem, _Sample(problem, np.arange(float(self.N))[:, None]), calls
+
+    def test_repeated_cuts_evaluate_no_row_twice(self):
+        problem, sample, calls = self._spy(bracket=lambda q: (2.0 * q[:, 0] - 1.0,
+                                                              2.0 * q[:, 0] + 1.0))
+        assert calls == []
+        rng = np.random.default_rng(3)
+        known = np.zeros(self.N, dtype=bool)
+        for density in (0.0, 0.3, 0.3, 0.6, 0.0, 0.9):
+            rows = rng.random(self.N) < density
+            before = len(calls)
+            sample.refine(problem, rows)
+            todo = np.flatnonzero(rows & ~known).tolist()
+            assert calls[before:] == ([todo] if todo else [])
+            known |= rows
+            sample.refine(problem, rows)   # nothing left to evaluate in this mask
+            assert len(calls) == before + bool(todo)
+        assert sorted(sum(calls, [])) == np.flatnonzero(known).tolist()
+        index = np.arange(self.N)
+        assert np.array_equal(sample.lo[known], 2.0 * index[known])
+        assert np.array_equal(sample.hi[known], 2.0 * index[known])
+        assert np.array_equal(sample.lo[~known], 2.0 * index[~known] - 1.0)
+        assert np.array_equal(sample.hi[~known], 2.0 * index[~known] + 1.0)
+        assert sample.draws is not None
+
+    def test_every_row_unknown_is_one_whole_call(self):
+        problem, sample, calls = self._spy()   # the unbounded bracket
+        sample.refine(problem, np.zeros(self.N, dtype=bool))
+        assert calls == []
+        sample.refine(problem, np.ones(self.N, dtype=bool))
+        assert calls == [list(range(self.N))]
+        assert sample.lo is sample.hi and not sample.lo.flags.writeable
+        assert np.array_equal(sample.lo, 2.0 * np.arange(self.N))
+        assert sample.draws is None
+        sample.refine(problem, np.ones(self.N, dtype=bool))
+        assert len(calls) == 1
 
 
 def _never_evaluated(q):
