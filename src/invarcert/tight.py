@@ -344,9 +344,9 @@ def rho_so3() -> LikelihoodStatistic:
     """log beta ratio on the two 3 x 3 cross matrices of an 18-dim sample.
 
     Samples already carry the 1/sigma^2 scaling (see ``build_so3_problem``), so
-    beta is evaluated at unit sigma.  The evaluator computes the X' half,
-    then the X half, on the calling thread, so if both halves fail the X'
-    half's error propagates.
+    beta is evaluated at unit sigma.  The evaluator makes one ``so3_log_beta``
+    call, on the calling thread, on both halves interleaved: bit for bit one
+    call per half, but a refusal where both fail may name the X half's row.
 
     Its bracket bounds each row's value by the same split (see
     ``_log_beta_bounds``), without the quadrature, so the Monte-Carlo engine
@@ -357,8 +357,8 @@ def rho_so3() -> LikelihoodStatistic:
     """
 
     def evaluator(q: np.ndarray) -> np.ndarray:
-        first = so3_log_beta(devec9(q[:, :9]))[0]
-        return first - so3_log_beta(devec9(q[:, 9:]))[0]
+        value = so3_log_beta(devec9(np.reshape(q, (-1, 9))))[0]
+        return value[0::2] - value[1::2]
 
     return LikelihoodStatistic(dim=18, evaluator=evaluator, bracket=_rho_so3_bracket)
 
@@ -366,12 +366,15 @@ def rho_so3() -> LikelihoodStatistic:
 # The bracket (see _log_beta_bounds and _log_mf_bounds): panels per row;
 # k U, where exp(-2ku) has fallen to exp(-12) and one last panel takes the
 # rest; the slack on each log beta, and its rounding allowance per unit of
-# its sums; the eigenvalue error of M^T M per unit of its trace.
+# its sums; Jacobi sweeps, and their and M^T M's eigenvalue error per unit
+# of tr M^T M; the least trusted |det M| per unit of |M|_F^3.
 _MF_BOUND_PANELS = 8
 _MF_BOUND_DECAY = 6.0
 _MF_BOUND_SLACK = 100.0 * _MF_MAX_ERROR
 _MF_BOUND_ROUNDING = 64.0 * np.finfo(float).eps
-_GRAM_ERROR = 64.0 * np.finfo(float).eps
+_JACOBI_SWEEPS = 3
+_JACOBI_ERROR = 256.0 * np.finfo(float).eps
+_SIGN_ERROR = 64.0 * np.finfo(float).eps
 # Exponents of the geometric panel ends: from near to U, and from near to
 # (not at) 1/2 on each side of 1/2.
 _GRADE = np.linspace(0.0, 1.0, _MF_BOUND_PANELS - 1)
@@ -382,57 +385,94 @@ _HALF_GRADE.setflags(write=False)
 
 def _rho_so3_bracket(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= rho_so3(q) <= hi per row, infinite where a half cannot be
-    bounded.  Rounding is monotone, so lo1 - hi2 and hi1 - lo2 bound the
-    evaluator's first - second."""
-    first_lo, first_hi = _log_beta_bounds(devec9(q[:, :9]))
-    second_lo, second_hi = _log_beta_bounds(devec9(q[:, 9:]))
-    return first_lo - second_hi, first_hi - second_lo
+    bounded, on the halves stacked as the evaluator stacks them.  Rounding is
+    monotone, so lo1 - hi2 and hi1 - lo2 bound the evaluator's difference."""
+    lo, hi = _log_beta_bounds(devec9(np.reshape(q, (-1, 9))))
+    return lo[0::2] - hi[1::2], hi[0::2] - lo[1::2]
+
+
+def _gram_eigenvalues(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam (3, n), descending, of the positive semidefinite 3 x 3
+    matrices gram (6, n) = a00, a11, a22, a12, a02, a01 (overwritten), and a
+    radius delta (n,) that holds each exact one, converged or not."""
+    diag, off = gram[:3], gram[3:]
+    trace = diag.sum(axis=0)
+    for _ in range(_JACOBI_SWEEPS):
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = off[r]
+            theta = (diag[q] - diag[p]) / (apq + apq)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t[apq == 0.0] = 0.0   # 0/0 where the pair is already diagonal and equal
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            diag[p] -= t * apq
+            diag[q] += t * apq
+            arp, arq = off[q], off[p]
+            off[q], off[p] = arp - s * (arq + tau * arp), arq + s * (arp - tau * arq)
+            off[r] = 0.0
+    radius = np.abs(off).sum(axis=0)
+    return np.sort(diag, axis=0)[::-1], radius + _JACOBI_ERROR * trace + np.finfo(float).tiny
 
 
 def _log_beta_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= so3_log_beta(m)[0] <= hi per matrix, (-inf, inf) where a
     matrix entry is not finite, M^T M or a singular-value sum overflows, or a
     Bessel argument reaches 2^40; those rows always reach the evaluator,
-    which raises on them as before.
+    which raises on them as before.  No LAPACK call; with F = |M|_F:
 
-    The singular values are the square roots of the eigenvalues of M^T M
-    (eigvalsh, cheaper than the SVD), with s3 signed by
-    np.linalg.slogdet as the evaluator signs it.  Rounding M^T M and eigvalsh's
-    backward error move each eigenvalue by at most _GRAM_ERROR tr(M^T M)
-    (Weyl); with underflow that makes delta, so each singular value lies
-    within 2 delta / (sqrt(lam + delta) + sqrt(lam - delta)) of the exact
-    one.  log beta moves by at most the summed moves, because |d log beta /
-    d s_i| = |E[R_ii]| <= 1 under the matrix Fisher law.  The evaluator's
-    own log of the integral lies within its error estimate of the exact log
-    J, and it refuses estimates above _MF_MAX_ERROR; each bound is widened
-    by _MF_BOUND_SLACK = 100 x _MF_MAX_ERROR, and by the rounding of the
-    sums and of the evaluator's SVD.
+    - Gram.  Each entry of M^T M, a dot product of two columns, lies within
+      gamma_3 |m_i| |m_j| of the exact one, so G within gamma_3 F^2.
+    - Jacobi (``_gram_eigenvalues``).  Each of the nine Rutishauser rotations
+      is exact for a matrix within about 11 eps |G|_F of its input (an entry
+      count after Demmel & Veselic 1992, SIAM J. Matrix Anal. Appl. 13), so
+      with the Gram they move the eigenvalues by under half of
+      _JACOBI_ERROR F^2.  The final D + E holds its eigenvalues within
+      |E|_inf <= |e01| + |e02| + |e12| of its sorted diagonal (Weyl).  Both,
+      plus the smallest normal for underflow, make delta, so each singular
+      value lies within 2 delta / (sqrt(lam + delta) + sqrt(lam - delta)).
+    - Sign of s3.  The evaluator's ``slogdet`` factors M + E, |E|_2 <=
+      gamma_3 |L|_F |U|_F < 12 eps F under partial pivoting, so it signs s3
+      as det M wherever s3 > 12 eps F.  The cofactor determinant of M scaled
+      by a power of two to F near 1 lies within gamma_5 F^3 of det M (the
+      permanent of |M| is at most F^3).  Above _SIGN_ERROR F^3 = 64 eps F^3
+      it has det M's sign, and with s1 s2 <= F^2/2, s3 > 122 eps F: the signs
+      agree.  Elsewhere (a det that is not finite too) each bound widens by
+      twice s3 plus its drift, since |d log beta / d s3| <= 1.
+    - Integral.  log beta moves by at most the summed moves of s, because
+      |d log beta / d s_i| = |E[R_ii]| <= 1 under the matrix Fisher law.
+      The evaluator's log of the integral lies within its error estimate,
+      refused above _MF_MAX_ERROR, of the exact log J; each bound widens by
+      _MF_BOUND_SLACK = 100 x _MF_MAX_ERROR and by the rounding of the sums
+      and of the evaluator's SVD.
     """
     m = np.asarray(m, dtype=float)
     lo = np.empty(m.shape[0])
     hi = np.empty(m.shape[0])
     for start in range(0, m.shape[0], _MF_CHUNK):
         rows = slice(start, start + _MF_CHUNK)
-        chunk = m[rows]
+        col = [m[rows, :, j] for j in range(3)]
         with np.errstate(all="ignore"):   # unbounded rows are replaced below
-            gram = np.matmul(chunk.transpose(0, 2, 1), chunk)
-            finite = np.isfinite(gram).all(axis=(1, 2))
-            if not finite.all():
-                chunk = np.where(finite[:, None, None], chunk, 0.0)
-                gram = np.where(finite[:, None, None], gram, 0.0)
-            lam = np.linalg.eigvalsh(gram)[:, ::-1]
-            delta = _GRAM_ERROR * np.trace(gram, axis1=1, axis2=2)[:, None] + np.finfo(float).tiny
+            gram = np.array([np.einsum("ij,ij->i", col[i], col[j])
+                             for i, j in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))])
+            trace = gram[:3].sum(axis=0)
+            lam, delta = _gram_eigenvalues(gram)
             drift = 2.0 * delta / (np.sqrt(lam + delta) + np.sqrt(np.maximum(lam - delta, 0.0)))
             s = np.sqrt(np.maximum(lam, 0.0))
-            s[:, 2] *= np.linalg.slogdet(chunk)[0]
-            log_lo, log_hi = _log_mf_bounds(s)
-            base = math.log(4.0 * math.pi) + s.sum(axis=1)
-            pad = drift.sum(axis=1) + _MF_BOUND_SLACK + _MF_BOUND_ROUNDING * (
-                np.abs(base) + np.abs(log_hi) + 1.0
-            )
+            scale = np.ldexp(1.0, -(np.frexp(trace)[1] // 2))
+            u = (m[rows] * scale[:, None, None]).transpose(1, 2, 0)
+            det = (u[0, 0] * (u[1, 1] * u[2, 2] - u[2, 1] * u[1, 2])
+                   - u[0, 1] * (u[1, 0] * u[2, 2] - u[2, 0] * u[1, 2])
+                   + u[0, 2] * (u[1, 0] * u[2, 1] - u[2, 0] * u[1, 1]))
+            sure = np.abs(det) > _SIGN_ERROR * (trace * scale * scale) ** 1.5
+            s[2] = np.copysign(s[2], det)
+            log_lo, log_hi = _log_mf_bounds(s.T)
+            base = math.log(4.0 * math.pi) + s.sum(axis=0)
+            pad = (drift.sum(axis=0) + np.where(sure, 0.0, 2.0 * (np.abs(s[2]) + drift[2]))
+                   + _MF_BOUND_SLACK + _MF_BOUND_ROUNDING * (np.abs(base) + np.abs(log_hi) + 1.0))
             lo[rows] = base + log_lo - pad
             hi[rows] = base + log_hi + pad
-        bounded = finite & np.isfinite(lo[rows]) & np.isfinite(hi[rows])
+        bounded = np.isfinite(lo[rows]) & np.isfinite(hi[rows])
         lo[rows][~bounded] = -np.inf
         hi[rows][~bounded] = np.inf
     return lo, hi

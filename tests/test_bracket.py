@@ -9,6 +9,7 @@ import gc
 import math
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -341,6 +342,130 @@ _COMPONENT3 = st.one_of(
 @example([[0.0] * 9, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 2.225073858507203e-309, 0.0]])
 def test_so3_bracket_contains_log_beta(rows):
     _assert_contains_so3(np.array(rows, dtype=float).reshape(-1, 3, 3))
+
+
+class TestSo3DeterminantSign:
+    """The bracket signs s3 by a scaled cofactor determinant, the evaluator
+    by slogdet; where the two could disagree the bracket widens."""
+
+    def test_exactly_singular(self):
+        # det is 0 in exact arithmetic; slogdet's sign is 0 or a rounding sign
+        m = np.array([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+                      [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0]],
+                      np.zeros((3, 3)), np.diag([3.0, 1.0, 0.0])])
+        _assert_contains_so3(m)
+        assert np.isfinite(tight._log_beta_bounds(m)).all()
+
+    @pytest.mark.parametrize("tiny", [1e-300, -1e-300])
+    @pytest.mark.parametrize("entry", [(2, 2), (0, 2), (1, 2)])
+    def test_rank_two_plus_a_tiny_entry(self, tiny, entry):
+        # det = -/+ 2e-300 or so: far below the cofactor's trusted size
+        m = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0]])
+        m[entry] = tiny
+        assert np.linalg.slogdet(m)[0] != 0.0
+        batch = np.stack([m, -m, m.T, np.eye(3)])
+        _assert_contains_so3(batch)
+        assert np.isfinite(tight._log_beta_bounds(batch)).all()
+
+    def test_entries_near_1e120(self):
+        # a plain cofactor determinant overflows here and M^T M does not; the
+        # Bessel arguments are beyond the table, so the rows stay unbounded,
+        # but nothing turns NaN and the bracket holds the evaluator's value
+        rng = np.random.default_rng(120)
+        m = 1e120 * (rng.standard_normal((4, 3, 3)) + 2.0 * np.eye(3))
+        assert np.isfinite(np.einsum("nki,nkj->nij", m, m)).all()
+        _assert_contains_so3(m)
+        assert np.isfinite(so3_log_beta(m)[0]).all()
+
+
+def _symmetric(entries) -> list:
+    """The mpmath matrix of one (a00, a11, a22, a12, a02, a01)."""
+    a00, a11, a22, a12, a02, a01 = (mpmath.mpf(float(v)) for v in entries)
+    return mpmath.matrix([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
+
+
+_EULER = st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3)
+
+
+@st.composite
+def _psd_entries(draw):
+    """The six entries of Q diag(lam) Q^T for a rotation Q and a spectrum
+    that is generic, repeated, triple, clustered, has a zero or is rank 1,
+    scaled by 10^-150 to 10^150."""
+    lam = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))[::-1]
+    kind = draw(st.sampled_from(["generic", "repeated", "triple", "clustered", "zero",
+                                 "rank-1"]))
+    if kind == "repeated":
+        lam[1] = lam[0]
+    elif kind == "triple":
+        lam[1:] = lam[0]
+    elif kind == "clustered":
+        lam[1] = lam[0] * (1.0 - 1e-9)
+    elif kind == "zero":
+        lam[2] = 0.0
+    elif kind == "rank-1":
+        lam[1:] = 0.0
+    a, b, c = draw(_EULER)
+    q = rot_z(a) @ rot_y(b) @ rot_z(c)
+    g = (q * (lam * 10.0 ** draw(st.floats(-150.0, 150.0)))) @ q.T
+    return [g[0, 0], g[1, 1], g[2, 2], g[1, 2], g[0, 2], g[0, 1]]
+
+
+def rot_z(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rot_y(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_psd_entries(), min_size=1, max_size=4))
+# an isotropic Gram matrix that three sweeps leave 1e-10 tr away from its
+# eigenvalues: only the off-diagonal radius covers it
+@example([[1.3051773104750541, 0.9581633438296934, 1.2412957339396329,
+           0.9875699424747096, -0.45073407164873147, 0.03536333219423393]])
+def test_jacobi_eigenvalues_enclose_mpmath(rows):
+    gram = np.array(rows, dtype=float).T.copy()
+    with np.errstate(all="ignore"):   # as _log_beta_bounds calls it: 0/0, theta^2 overflow
+        lam, delta = tight._gram_eigenvalues(gram)
+    with mpmath.workdps(50):
+        for i, entries in enumerate(rows):
+            exact = sorted(mpmath.eigsy(_symmetric(entries), eigvals_only=True), reverse=True)
+            for value, enclosed in zip(exact, lam[:, i]):
+                assert abs(value - mpmath.mpf(float(enclosed))) <= mpmath.mpf(float(delta[i])), (
+                    entries, float(value), enclosed, delta[i])
+
+
+class TestSo3BracketWithoutLapack:
+    """The speedup's mechanism, checked without timing it: the bracket calls
+    no LAPACK routine, and a row pair costs the evaluator one quadrature."""
+
+    def test_bracket_calls_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("eigvalsh", "slogdet", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        q = np.random.default_rng(9).standard_normal((300, 18)) * 30.0
+        lo, hi = tight._rho_so3_bracket(q)
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+
+    def test_evaluator_calls_the_quadrature_once(self, monkeypatch):
+        calls = []
+
+        def spy(m):
+            calls.append(m.shape[0])
+            return so3_log_beta(m)
+
+        monkeypatch.setattr(tight, "so3_log_beta", spy)
+        q = np.random.default_rng(10).standard_normal((7, 18)) * 30.0
+        value = rho_so3()(q)
+        assert calls == [14]
+        expected = so3_log_beta(tight.devec9(q[:, :9]))[0] - so3_log_beta(tight.devec9(q[:, 9:]))[0]
+        assert np.array_equal(value, expected)
 
 
 def _unbounded(q):
