@@ -378,7 +378,7 @@ class TestSo3DeterminantSign:
         assert np.isfinite(so3_log_beta(m)[0]).all()
 
 
-def _symmetric(entries) -> list:
+def _symmetric(entries):
     """The mpmath matrix of one (a00, a11, a22, a12, a02, a01)."""
     a00, a11, a22, a12, a02, a01 = (mpmath.mpf(float(v)) for v in entries)
     return mpmath.matrix([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
