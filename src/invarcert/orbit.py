@@ -28,6 +28,10 @@ from .numerics import (
 )
 
 _REGISTRATION_STOP = 1e-9
+# Elements of the assignment cost's scratch row block: 2**16 float64s is
+# 512 KiB, which stays in L2 like oracles._PROFILE_BYTES.  At N <= 256 the
+# block is the whole plane.
+_COST_BLOCK = 2**16
 
 
 def linear_sum_assignment(cost):
@@ -179,17 +183,22 @@ def project_permutation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     check_same_shape(x, x_prime)
     # one coordinate plane at a time, summed in coordinate order: the same
     # bits as summing an (N, N, D) difference array over its last axis.  Each
-    # later plane is squared in one reused buffer, so at most two N x N
-    # arrays are alive.
+    # later plane is squared a row block at a time in one scratch block, so
+    # the cost is the only N x N array alive.
     xp, xd = x_prime.data, x.data
+    n = x.n_points
+    rows = max(1, min(n, _COST_BLOCK // n))
     with np.errstate(over="ignore"):
         cost = np.subtract.outer(xp[:, 0], xd[:, 0])
         cost *= cost
-        plane = np.empty_like(cost)
-        for k in range(1, x.dim):
-            np.subtract.outer(xp[:, k], xd[:, k], out=plane)
-            plane *= plane
-            cost += plane
+        scratch = np.empty((rows, n))
+        for begin in range(0, n, rows):
+            block = cost[begin : begin + rows]
+            square = scratch[: len(block)]
+            for k in range(1, x.dim):
+                np.subtract.outer(xp[begin : begin + rows, k], xd[:, k], out=square)
+                square *= square
+                block += square
     try:
         rows, cols = linear_sum_assignment(cost)
     except ValueError as exc:  # scipy: "cost matrix is infeasible"

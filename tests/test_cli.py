@@ -15,6 +15,7 @@ import pytest
 from invarcert.cli import main
 from invarcert.geometry import PointCloud, load_points_csv, save_points_csv
 from invarcert.numerics import clopper_pearson_lower, std_normal_cdf
+from invarcert.orbit import _COST_BLOCK
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -727,6 +728,28 @@ class TestNonFinite:
         assert code == 3
         assert "assignment: every assignment's cost overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_assignment_cost_past_the_first_block(self, tmp_path, capsys):
+        # the cost's later planes are squared a row block at a time: put the
+        # overflow in plane 1 of a row past the first block, and check that
+        # it raises no RuntimeWarning there either (the suite makes one an
+        # error), that the finite identity assignment is kept, and that a
+        # pair where that row meets an overflow in every assignment exits 3
+        n, row = 300, 299
+        assert row >= _COST_BLOCK // n
+        data = np.random.default_rng(1).standard_normal((n, 3))
+        spiked = data.copy()
+        spiked[row, 1] = 1e200
+        clean, perturbed = _write_pair(tmp_path, data, spiked)
+        code, doc = _run(
+            capsys, "project", "--group", "S", "--clean", perturbed, "--perturbed", perturbed
+        )
+        assert code == 0
+        assert doc["results"]["residual"] == 0.0
+        assert doc["results"]["transform"]["permutation"] == list(range(n))
+        code = main(["project", "--group", "S", "--clean", clean, "--perturbed", perturbed])
+        assert code == 3
+        assert "assignment: every assignment's cost overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
     @pytest.mark.parametrize("group", ["T", "SxSE"])

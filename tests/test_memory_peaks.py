@@ -9,7 +9,7 @@ import numpy as np
 from invarcert.geometry import PointCloud
 from invarcert.mc import smooth_predict
 from invarcert.oracles import _PROFILE_BYTES, make_classifier
-from invarcert.orbit import project_permutation
+from invarcert.orbit import _COST_BLOCK, project_permutation, project_registration_upper
 
 MIB = 2**20
 
@@ -24,14 +24,25 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_permutation_cost_holds_two_planes():
-    # the cost and one reused difference plane; the solver adds O(N)
+def _assignment_pair():
     n = 1024
     rng = np.random.default_rng(11)
     x, x_prime = (PointCloud(rng.standard_normal((n, 3))) for _ in range(2))
     project_permutation(PointCloud(x.data[:4]), PointCloud(x_prime.data[:4]))  # imports scipy
-    slack = 1 * MIB
-    assert traced_peak(lambda: project_permutation(x, x_prime)) <= 2 * n * n * 8 + slack
+    # the cost and one scratch row block; the solver adds O(N)
+    bound = n * n * 8 + _COST_BLOCK * 8 + MIB // 2
+    return x, x_prime, bound
+
+
+def test_permutation_cost_holds_one_plane_and_a_block():
+    x, x_prime, bound = _assignment_pair()
+    assert traced_peak(lambda: project_permutation(x, x_prime)) <= bound
+
+
+def test_registration_holds_one_plane_and_a_block():
+    # each iteration's assignment frees its cost before the next one builds
+    x, x_prime, bound = _assignment_pair()
+    assert traced_peak(lambda: project_registration_upper(x, x_prime, max_iters=6)) <= bound
 
 
 def test_smooth_predict_holds_one_noise_batch():

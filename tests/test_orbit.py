@@ -233,10 +233,11 @@ class TestProjectPermutation:
             )
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    @pytest.mark.parametrize("n", [1, 2, 17, 256, 300, 1000])
     def test_cost_matches_broadcast_formula(self, monkeypatch, n, dim):
         # the plane-by-plane cost must keep the bits of the (N, N, D) formula,
-        # so the solver sees the same matrix and ties break the same way
+        # so the solver sees the same matrix and ties break the same way; 300
+        # and 1000 rows span several scratch row blocks and end in a ragged one
         seen = []
         solve = invarcert.orbit.linear_sum_assignment
 
@@ -315,6 +316,24 @@ class TestGroupNesting:
             assert r_se <= r_so + 1e-9
             assert r_o <= r_so + 1e-9
             assert r_so <= delta + 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_assignment_residual_order(self, dim):
+        # d_SxSE <= d_S, since the registration's first step is the S
+        # projection and then an SE step; d_S <= ||X' - X||, since the
+        # identity is an assignment; d_SE <= d_T, since T is a subgroup of SE
+        rng = np.random.default_rng(30 + dim)
+        n = 12
+        for trial in range(16):
+            x, xp = _random_pair(rng, n, dim, scale=0.8)
+            if trial % 2:
+                xp = PointCloud(xp.data[rng.permutation(n)])
+            delta = float(np.linalg.norm(xp.data - x.data))
+            d_s = project_permutation(x, xp).residual
+            d_t = project_translation(x, xp).residual
+            assert project_registration_upper(x, xp).residual <= d_s * (1 + 1e-9)
+            assert d_s <= delta * (1 + 1e-9)
+            assert project_roto_translation(x, xp).residual <= d_t * (1 + 1e-9)
 
 
 class TestCertifyOrbit:

@@ -411,8 +411,9 @@ def _so3_samples(rows, scale, seed):
 
 
 class TestRhoSo3Threads:
-    """rho_so3 computes its two normalizers in turn on the calling thread,
-    the X' half first."""
+    """rho_so3 evaluates its two normalizers in one so3_log_beta call on the
+    calling thread, the X' and X halves of each row interleaved; the values
+    are bit for bit those of one call per half."""
 
     @pytest.mark.parametrize("scale", [10.0, 1e3, 1e5])
     @pytest.mark.parametrize("rows", [1, 7, 1000, 2047, 2048, 2049, 4500])
