@@ -187,16 +187,16 @@ def project_permutation(x: PointCloud, x_prime: PointCloud) -> OrbitProjection:
     # the cost is the only N x N array alive.
     xp, xd = x_prime.data, x.data
     n = x.n_points
-    rows = max(1, min(n, _COST_BLOCK // n))
+    height = min(n, max(1, _COST_BLOCK // n))
     with np.errstate(over="ignore"):
         cost = np.subtract.outer(xp[:, 0], xd[:, 0])
         cost *= cost
-        scratch = np.empty((rows, n))
-        for begin in range(0, n, rows):
-            block = cost[begin : begin + rows]
+        scratch = np.empty((height, n))
+        for begin in range(0, n, height):
+            block = cost[begin : begin + height]
             square = scratch[: len(block)]
             for k in range(1, x.dim):
-                np.subtract.outer(xp[begin : begin + rows, k], xd[:, k], out=square)
+                np.subtract.outer(xp[begin : begin + height, k], xd[:, k], out=square)
                 square *= square
                 block += square
     try:
