@@ -24,7 +24,11 @@ sample orders against it.  Drawing evaluates nothing: each kept row starts
 as its statistic's ``bracket``, bounds on its value, and ``_cut`` evaluates
 the exact statistic, in one call, only on the threshold rows that can hold
 kappa's place and the count rows whose bounds hold kappa; later cuts of the
-same pair reuse those values.  Both statistics bracket cheaply: SO(2)'s
+same pair reuse those values.  The lower and the upper bound take the floor
+or ceiling their caller knows without drawing (``tight``'s orbit bounds) and
+report the better of it and the Monte-Carlo bound; where the brackets alone
+show that the count cannot reach it, the count rows are not evaluated, nor,
+for the upper bound, the threshold rows.  Both statistics bracket cheaply: SO(2)'s
 from a table of log I0, SO(3)'s from convexity bounds on its matrix Fisher
 integral, so a cut of a noisy problem evaluates a few percent of its rows.
 Where every value is rounding noise (an exact rotation, X' = X), every
@@ -266,6 +270,9 @@ class _Sample:
         self.draws = draws
         self.draws.setflags(write=False)
         self.lo, self.hi = problem.statistic.bracket(self.draws)
+        # whether every row has a finite bracket or a known value; a row
+        # that is neither must reach the evaluator, which may refuse it
+        self.bounded = bool(np.isfinite(self.lo).all() and np.isfinite(self.hi).all())
 
     def refine(self, problem, rows: np.ndarray) -> None:
         """Evaluate the statistic, in one call, on the rows of the mask
@@ -275,14 +282,16 @@ class _Sample:
             self.lo = self.hi = _statistic_values(problem, self.draws)
             self.lo.setflags(write=False)
             self.draws = None
+            self.bounded = True
         elif todo.size:
             values = _statistic_values(problem, self.draws.take(todo, axis=0))
             self.lo[todo] = self.hi[todo] = values
 
 
 def _cut(
-    problem, threshold: _Sample, count: _Sample, n_star: int, below: bool
-) -> tuple[float, int]:
+    problem, threshold: _Sample, count: _Sample, n_star: int, below: bool,
+    settled: Callable[[int], bool] | None = None,
+) -> tuple[float | None, int | None]:
     """kappa is the n_star-th smallest statistic value of the threshold
     sample; count is how many count-sample values fall strictly below kappa
     (or above it), plus kappa's tie group at the share that lies on the same
@@ -302,9 +311,22 @@ def _cut(
     tie group would overshoot the Neyman-Pearson value, so tied samples are
     counted at this share, mimicking the randomized tie-break of the optimal
     classifier.
+
+    ``settled``, when given, is asked whether a bound on the count, read
+    from the brackets alone, already decides the caller's result; if it
+    answers True, the count is None and no count row is evaluated.  Below,
+    it is asked after kappa with the upper bound #(count.lo <= kappa), which
+    holds the tie share.  Above, kappa <= k_hi, so it is asked first with
+    the lower bound #(count.lo > k_hi), and kappa is None too: no row at all
+    is evaluated.  It is asked only where every row of both samples has a
+    finite bracket or a known value, so a row whose bracket is unbounded
+    always reaches the evaluator, which may refuse it.
     """
     k_lo = np.partition(threshold.lo, n_star - 1)[n_star - 1]
     k_hi = np.partition(threshold.hi, n_star - 1)[n_star - 1]
+    lazy = settled is not None and threshold.bounded and count.bounded
+    if lazy and not below and settled(int(np.count_nonzero(count.lo > k_hi))):
+        return None, None
     below_all = int(np.count_nonzero(threshold.hi < k_lo))
     middle = (threshold.lo <= k_hi) & (threshold.hi >= k_lo)
     threshold.refine(problem, middle)
@@ -313,6 +335,8 @@ def _cut(
     lo = below_all + int(np.searchsorted(values, kappa, side="left"))
     hi = below_all + int(np.searchsorted(values, kappa, side="right"))
     share = (n_star - lo) / (hi - lo)
+    if lazy and below and settled(int(np.count_nonzero(count.lo <= kappa))):
+        return kappa, None
     count.refine(problem, (count.lo <= kappa) & (count.hi >= kappa))
     ties = int(np.count_nonzero(count.lo == kappa))
     if below:
@@ -374,6 +398,7 @@ def prob_certify_reduced(
     seed: int,
     *,
     p_lower: float,
+    floor: float = 0.0,
 ) -> CertificateOutcome:
     """Lower-bound the worst-case prediction probability of the reduced
     Gaussian pair, given a lower bound p_lower on the clean prediction
@@ -385,18 +410,33 @@ def prob_certify_reduced(
     significance ladder keeps the first stage's alpha, so the reported
     confidence stays conservative.  Every outcome carries the note
     "p-lower-supplied".
+
+    ``floor`` is a lower bound on the worst case that needs no draws, such
+    as ``tight``'s orbit floor.  The bound is max(Monte-Carlo bound, floor),
+    with the note "orbit-floor" where the floor is the larger.  kappa is
+    read in full either way, but where even every count row that the
+    brackets leave open cannot lift the Clopper-Pearson bound to the floor,
+    those rows are not evaluated (see ``_cut``).
     """
     notes = ["p-lower-supplied"]
     p_eff, clamped = clamp_probability(p_lower)
     if clamped:
         notes.append("p-lower-clamped")
     n_star = lower_quantile_index(mc.n2, p_eff, mc.alpha / 2.0)
+    confidence = 1.0 - mc.alpha / 3.0
     kappa, bound = None, 0.0
     if n_star is None:
         notes.append("threshold-undetermined")
     else:
-        kappa, count = _cut(problem, *_samples(problem, mc, seed, first=1), n_star, below=True)
-        bound = clopper_pearson_lower(count, mc.n3, 1.0 - mc.alpha / 3.0)
+        kappa, count = _cut(
+            problem, *_samples(problem, mc, seed, first=1), n_star, below=True,
+            settled=lambda most: clopper_pearson_lower(most, mc.n3, confidence) < floor,
+        )
+        # no count: its bound lies below the floor
+        bound = -math.inf if count is None else clopper_pearson_lower(count, mc.n3, confidence)
+    if bound < floor:
+        bound = floor
+        notes.append("orbit-floor")
     return CertificateOutcome(
         certified=bound > 0.5,
         bound_value=bound,
@@ -416,6 +456,7 @@ def prob_certify_upper_reduced(
     seed: int,
     *,
     p_upper: float,
+    ceiling: float = 1.0,
 ) -> float:
     """Upper-bound the perturbed probability of a class whose clean
     probability is at most p_upper.
@@ -423,15 +464,27 @@ def prob_certify_upper_reduced(
     Mirrors the lower-bound procedure with the statistic counted in the
     "greater or equal" direction.  The threshold is still bounded from below
     (at quantile level 1 - p_upper), which inflates the tail count and keeps
-    the certificate sound; returns the vacuous bound 1.0 when no order
-    statistic qualifies.
+    the certificate sound; the Monte-Carlo bound is the vacuous 1.0 when no
+    order statistic qualifies.
+
+    ``ceiling`` is an upper bound that needs no draws, such as ``tight``'s
+    orbit ceiling, and the result is min(Monte-Carlo bound, ceiling).  Where
+    the count rows the brackets already place above the threshold's upper
+    bound hold the Clopper-Pearson bound at the ceiling, no row is evaluated
+    (see ``_cut``).
     """
     p_eff, _ = clamp_probability(p_upper)
     n_star = lower_quantile_index(mc.n2, 1.0 - p_eff, mc.alpha / 2.0)
     if n_star is None:
-        return 1.0
-    _, count = _cut(problem, *_samples(problem, mc, seed, first=1), n_star, below=False)
-    return clopper_pearson_upper(count, mc.n3, 1.0 - mc.alpha / 3.0)
+        return min(1.0, ceiling)
+    confidence = 1.0 - mc.alpha / 3.0
+    _, count = _cut(
+        problem, *_samples(problem, mc, seed, first=1), n_star, below=False,
+        settled=lambda least: clopper_pearson_upper(least, mc.n3, confidence) >= ceiling,
+    )
+    if count is None:
+        return ceiling
+    return min(clopper_pearson_upper(count, mc.n3, confidence), ceiling)
 
 
 def inverse_certify_reduced(

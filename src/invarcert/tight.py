@@ -666,8 +666,11 @@ def _floored_lower(
     ``_orbit_distance``) the tight value is p and the statistic rounding
     noise.  In both cases the outcome is the floor, drawn from no sample,
     with ``kappa_log`` None and the notes "orbit-floor" and "mc-skipped".
-    Otherwise the bound is max(Monte-Carlo bound, floor), with the note
-    "orbit-floor" where the floor is the larger.  The floor spends no alpha.
+    Otherwise ``prob_certify_reduced`` takes the floor: the bound is
+    max(Monte-Carlo bound, floor), with the note "orbit-floor" where the
+    floor is the larger, and the count rows are not evaluated where their
+    brackets already keep the Monte-Carlo bound below it.  The floor spends
+    no alpha.
     """
     p_eff, clamped = clamp_probability(p_lower)
     floor = shift_bound(p_eff, residual, problem.sigma)
@@ -683,12 +686,7 @@ def _floored_lower(
             confidences=mc.confidences,
             notes=notes + ("orbit-floor", "mc-skipped"),
         )
-    lower = mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
-    if lower.bound_value >= floor:
-        return lower
-    return replace(
-        lower, certified=floor > 0.5, bound_value=floor, notes=lower.notes + ("orbit-floor",)
-    )
+    return mc_engine.prob_certify_reduced(problem, mc, seed, p_lower=p_lower, floor=floor)
 
 
 def _capped_upper(
@@ -699,11 +697,15 @@ def _capped_upper(
     shift_bound(p_upper, -residual, sigma), the best case over the orbit
     ball.  The best case over invariant classifiers is never below p_upper,
     so where the ceiling lies within _FLOOR_SKIP of p_upper, or X' is an
-    orbit member, it is returned with no draws."""
+    orbit member, it is returned with no draws.  Otherwise
+    ``prob_certify_upper_reduced`` takes the ceiling and evaluates no row
+    where the brackets already hold its bound at the ceiling."""
     ceiling = shift_bound(p_upper, -residual, problem.sigma)
     if member or ceiling - p_upper <= _FLOOR_SKIP:
         return ceiling
-    return min(mc_engine.prob_certify_upper_reduced(problem, mc, seed, p_upper=p_upper), ceiling)
+    return mc_engine.prob_certify_upper_reduced(
+        problem, mc, seed, p_upper=p_upper, ceiling=ceiling
+    )
 
 
 def certify_tight(
@@ -737,9 +739,8 @@ def certify_tight_and_multiclass(
     """``certify_tight``'s outcome and, when p_upper is given,
     ``certify_multiclass``'s with pa_lower = p_lower (else None).  For
     rotation and roto-translation both come from one reduced problem: the
-    multiclass lower stage is the tight outcome itself, read again from the
-    same draws, and its upper stage reads the same pair of statistic
-    samples.  The reduced problem is built before the orbit projection that
+    multiclass lower stage is the tight outcome itself, cut once, and its
+    upper stage reads the same pair of statistic samples.  The reduced problem is built before the orbit projection that
     gives the floor, so every refusal of its constructor still raises."""
     if group is GroupKind.TRANSLATION:
         notes = []
@@ -751,7 +752,7 @@ def certify_tight_and_multiclass(
             p_eff, blackbox_radius(p_eff, sigma), proj, sigma, "tight-translation", notes
         )
         tight = replace(outcome, certified=outcome.bound_value > 0.5)
-        problem = distance = None
+        problem = distance = lower = None
     else:
         problem = _rotation_problem(group, x, x_prime, sigma)
         distance = _orbit_distance(group, x, x_prime)
@@ -760,7 +761,7 @@ def certify_tight_and_multiclass(
     if p_upper is None:
         return tight, None
     return tight, _multiclass(
-        group, x, x_prime, p_lower, p_upper, sigma, mc, seed, problem, distance
+        group, x, x_prime, p_lower, p_upper, sigma, mc, seed, problem, distance, lower
     )
 
 
@@ -812,12 +813,14 @@ def certify_multiclass(
 
 
 def _multiclass(
-    group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=None, distance=None
+    group, x, x_prime, pa_lower, pb_upper, sigma, mc, seed, problem=None, distance=None,
+    lower=None,
 ):
     """``certify_multiclass``: its checks, then its verdict.  For rotation
     and roto-translation both stages read the draws of ``problem``, the
-    reduced problem, and ``distance``, the ``_orbit_distance`` of the pair,
-    when the caller already has them; otherwise both are computed here."""
+    reduced problem, ``distance``, the ``_orbit_distance`` of the pair, and
+    ``lower``, the ``_floored_lower`` outcome at pa_lower, when the caller
+    already has all three; otherwise they are computed here."""
     check_sigma(sigma, "certify_multiclass")
     check_same_shape(x, x_prime)
     if group is not None and not isinstance(group, GroupKind):
@@ -833,10 +836,10 @@ def _multiclass(
             method="multiclass", notes=tuple(notes) + ("pa-not-above-pb",),
         )
     if group in _ROTATION_KINDS:
-        if problem is None:
+        if lower is None:
             problem = _rotation_problem(group, x, x_prime, sigma)
             distance = _orbit_distance(group, x, x_prime)
-        lower = _floored_lower(problem, mc, seed, pa_lower, *distance)
+            lower = _floored_lower(problem, mc, seed, pa_lower, *distance)
         upper = _capped_upper(problem, mc, seed, pb, *distance)
         # a clamped pa is reported once, by the multiclass "p-clamped" note
         lower_notes = tuple(note for note in lower.notes if note != "p-lower-clamped")
