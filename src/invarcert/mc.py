@@ -24,11 +24,7 @@ sample orders against it.  Drawing evaluates nothing: each kept row starts
 as its statistic's ``bracket``, bounds on its value, and ``_cut`` evaluates
 the exact statistic, in one call, only on the threshold rows that can hold
 kappa's place and the count rows whose bounds hold kappa; later cuts of the
-same pair reuse those values.  The lower and the upper bound take the floor
-or ceiling their caller knows without drawing (``tight``'s orbit bounds) and
-report the better of it and the Monte-Carlo bound; where the brackets alone
-show that the count cannot reach it, the count rows are not evaluated, nor,
-for the upper bound, the threshold rows.  Both statistics bracket cheaply: SO(2)'s
+same pair reuse those values.  Both statistics bracket cheaply: SO(2)'s
 from a table of log I0, SO(3)'s from convexity bounds on its matrix Fisher
 integral, so a cut of a noisy problem evaluates a few percent of its rows.
 Where every value is rounding noise (an exact rotation, X' = X), every
@@ -37,6 +33,15 @@ call; the tight and multi-class certificates of ``tight`` return the orbit
 floor on such orbit members without drawing, so only the inverse procedure
 and direct callers reach that case.  Either way kappa and every count are
 byte for byte those of evaluating every row.
+
+The lower and the upper bound take the floor or ceiling that their caller
+knows without drawing (``tight``'s orbit bounds) and report the better of
+it and the Monte-Carlo bound.  Where the brackets alone show that the count
+cannot beat it, a lower cut reads kappa but evaluates no count row, and an
+upper cut evaluates no row at all; the reported value is still the one of
+the full count.  This holds only while every row of the pair has a finite
+bracket or a known value, so a row the evaluator may refuse always reaches
+it; a bounded row whose value cannot reach the output goes unchecked.
 
 A certificate combines a binomial confidence bound on the clean prediction
 probability, a distribution-free order-statistic bound on the likelihood-ratio

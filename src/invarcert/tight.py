@@ -740,8 +740,9 @@ def certify_tight_and_multiclass(
     ``certify_multiclass``'s with pa_lower = p_lower (else None).  For
     rotation and roto-translation both come from one reduced problem: the
     multiclass lower stage is the tight outcome itself, cut once, and its
-    upper stage reads the same pair of statistic samples.  The reduced problem is built before the orbit projection that
-    gives the floor, so every refusal of its constructor still raises."""
+    upper stage reads the same pair of statistic samples.  The reduced
+    problem is built before the orbit projection that gives the floor, so
+    every refusal of its constructor still raises."""
     if group is GroupKind.TRANSLATION:
         notes = []
         p_eff, clamped = clamp_probability(p_lower)

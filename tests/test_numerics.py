@@ -258,6 +258,31 @@ class TestClopperPearson:
         )
         assert violations <= 150  # 1.5% of 10000
 
+    # The Monte-Carlo count stops once a bound on the count settles the
+    # comparison with the orbit floor or ceiling, which is sound only if both
+    # bounds never decrease as the successes grow.  Confidences 1 - alpha/3
+    # (the count) and 1 - alpha/2 (the inverse procedure) at alpha = 1e-3.
+    CONFIDENCES = (1.0 - 1e-3 / 3.0, 1.0 - 1e-3 / 2.0)
+
+    @staticmethod
+    def _assert_monotone(n, ks, confidence):
+        for bound in (clopper_pearson_lower, clopper_pearson_upper):
+            values = np.array([bound(int(k), n, confidence) for k in ks])
+            assert np.all(np.diff(values) >= 0.0), (bound.__name__, n, confidence)
+
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    def test_monotone_in_successes_every_k(self, confidence):
+        for n in range(1, 1001):
+            self._assert_monotone(n, range(n + 1), confidence)
+
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_monotone_in_successes_sampled_k(self, n, confidence):
+        # each sampled k next to k + 1, both ends, and the sample in order
+        rng = np.random.default_rng(n)
+        ks = np.unique(np.concatenate([rng.integers(0, n, 400), [0, n - 1]]))
+        self._assert_monotone(n, np.sort(np.concatenate([ks, ks + 1])), confidence)
+
     def test_request_validation(self):
         for bound in (clopper_pearson_lower, clopper_pearson_upper):
             with pytest.raises(ValueError):

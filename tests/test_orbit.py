@@ -7,6 +7,7 @@ import pytest
 
 import invarcert.orbit
 from invarcert.geometry import GroupKind, PointCloud, center, rot2
+from invarcert.mc import McConfig
 from invarcert.numerics import NumericalFailure
 from invarcert.orbit import (
     blackbox_radius,
@@ -19,6 +20,7 @@ from invarcert.orbit import (
     project_roto_translation,
     project_translation,
 )
+from invarcert.tight import certify_tight
 from reference import (
     brute_force_permutation,
     brute_force_procrustes_2d,
@@ -334,6 +336,22 @@ class TestGroupNesting:
             assert project_registration_upper(x, xp).residual <= d_s * (1 + 1e-9)
             assert d_s <= delta * (1 + 1e-9)
             assert project_roto_translation(x, xp).residual <= d_t * (1 + 1e-9)
+
+    def test_flipped_planar_cloud_is_an_so3_member_only(self):
+        # a planar cloud turned by pi about an in-plane axis: in 3-D a
+        # rotation, so the tight SO(3) bound is p with no draws; in the
+        # plane a reflection, so SO(2) draws and certifies far less
+        rng = np.random.default_rng(23)
+        planar = rng.standard_normal((16, 2))
+        x = np.hstack([planar, np.zeros((16, 1))])
+        xp = x @ np.diag([1.0, -1.0, -1.0])   # pi about the x axis, exactly
+        mc = McConfig(n2=1000, n3=1000, alpha=0.001)
+        so3 = certify_tight(GroupKind.ROTATION, PointCloud(x), PointCloud(xp), 0.9, 1.0, mc, 1)
+        so2 = certify_tight(GroupKind.ROTATION, PointCloud(planar), PointCloud(xp[:, :2]), 0.9,
+                            1.0, mc, 1)
+        assert "mc-skipped" in so3.notes and 0.9 - 1e-12 <= so3.bound_value <= 0.9
+        assert "mc-skipped" not in so2.notes and so2.kappa_log is not None
+        assert so2.bound_value < 0.5 < so3.bound_value
 
 
 class TestCertifyOrbit:

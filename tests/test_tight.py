@@ -839,6 +839,196 @@ class TestOrbitFloor:
         assert multi.bound_value == tight_out.bound_value
 
 
+def _noisy_pair(rng, kind, dim, scale, noise, n=8):
+    """X and X' = X R^T plus noise of norm ``noise`` (about, in units of
+    sigma = 1), with |X|^2 = scale, so |X||X'| / sigma^2 is about scale."""
+    x = rng.standard_normal((n, dim))
+    x *= math.sqrt(scale) / np.linalg.norm(x)
+    r = rot2(rng.uniform(0.0, 2.0 * math.pi)) if dim == 2 else rot3_zyx(rng.uniform(-3, 3, 3))
+    xp = x @ r.T + noise * rng.standard_normal((n, dim)) / math.sqrt(n * dim)
+    if kind is GroupKind.ROTO_TRANSLATION:
+        xp = xp + rng.standard_normal(dim)
+    return PointCloud(x), PointCloud(xp)
+
+
+def _exact_floored(problem, mc, seed, p_lower, floor):
+    """The exact path: the full count, then max(Monte-Carlo bound, floor)."""
+    raw = prob_certify_reduced(problem, mc, seed, p_lower=p_lower)
+    if raw.bound_value >= floor:
+        return raw
+    return dataclasses.replace(
+        raw, certified=floor > 0.5, bound_value=floor, notes=raw.notes + ("orbit-floor",)
+    )
+
+
+def _edge(value, mc_value, edge):
+    """The orbit value, or the Monte-Carlo value itself, or the float just
+    below or above it: the shortcut's comparisons are strict or not there."""
+    return {"orbit": value, "mc": mc_value, "below": np.nextafter(mc_value, -1.0),
+            "above": np.nextafter(mc_value, 2.0)}[edge]
+
+
+def _assert_floor_aware_matches_exact(build, mc, seed, p, pb, edge, warm):
+    """The floor-aware lower and the ceiling-aware upper bound of a problem
+    equal (==, and repr) the exact path's; ``warm`` cuts the pair first."""
+    problem, residual = build()
+    fresh, _ = build()
+    exact_lower = prob_certify_reduced(fresh, mc, seed, p_lower=p)
+    exact_upper = prob_certify_upper_reduced(fresh, mc, seed, p_upper=pb)
+    floor = _edge(shift_bound(p, residual, problem.sigma), exact_lower.bound_value, edge)
+    ceiling = _edge(shift_bound(pb, -residual, problem.sigma), exact_upper, edge)
+    if warm is not None:
+        kind, level = warm
+        if kind == "lower":
+            prob_certify_reduced(problem, mc, seed, p_lower=level)
+        else:
+            prob_certify_upper_reduced(problem, mc, seed, p_upper=level)
+    got_lower = prob_certify_reduced(problem, mc, seed, p_lower=p, floor=floor)
+    got_upper = prob_certify_upper_reduced(problem, mc, seed, p_upper=pb, ceiling=ceiling)
+    want_lower = _exact_floored(fresh, mc, seed, p, floor)
+    want_upper = min(exact_upper, ceiling)
+    assert got_lower == want_lower and repr(got_lower) == repr(want_lower)
+    assert repr(got_upper) == repr(want_upper)
+    return got_lower, got_upper, ceiling
+
+
+def _rotation_fixture(kind, x, xp, sigma=1.0):
+    return lambda: (tight._rotation_problem(kind, x, xp, sigma),
+                    tight._orbit_distance(kind, x, xp)[0])
+
+
+def _recording(monkeypatch, dim, rows, marked=None):
+    """Replace the statistic of every reduced problem ``tight`` builds by one
+    whose evaluator records each batch it is given; rows equal to ``marked``
+    get the bracket (-inf, inf), and the evaluator refuses them, as the
+    real ones do beyond what they can bound."""
+    real = (tight.rho_so2 if dim == 2 else tight.rho_so3)()
+
+    def is_marked(q):
+        return np.zeros(q.shape[0], bool) if marked is None else np.all(q == marked, axis=1)
+
+    def evaluator(q):
+        rows.append(q.copy())
+        if is_marked(q).any():
+            raise NumericalFailure("argument beyond what the statistic can evaluate")
+        return real.evaluator(q)
+
+    def bracket(q):
+        lo, hi = real.bracket(q)
+        lo[is_marked(q)], hi[is_marked(q)] = -np.inf, np.inf
+        return lo, hi
+
+    statistic = LikelihoodStatistic(real.dim, evaluator, bracket)
+    monkeypatch.setattr(tight, "rho_so2" if dim == 2 else "rho_so3", lambda: statistic)
+
+
+class TestFloorAwareCount:
+    """The lower bound given the orbit floor, and the upper bound given the
+    orbit ceiling, leave the count rows (and, for the upper bound, every
+    row) unevaluated where the brackets show that the floor or ceiling
+    wins; their outcomes stay those of the full count followed by max or
+    min, on fresh pairs and on pairs an earlier cut already refined."""
+
+    MC = McConfig(n2=600, n3=600, alpha=0.001)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        kind=st.sampled_from([GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION]),
+        scale=st.sampled_from([0.1, 1.0, 10.0, 1e3, 1e5]),
+        noise=st.sampled_from([0.5, 1.0, 2.0]),
+        p=st.floats(0.55, 0.999),
+        pb=st.floats(0.001, 0.45),
+        edge=st.sampled_from(["orbit", "orbit", "mc", "below", "above"]),
+        warm=st.one_of(st.none(), st.tuples(st.sampled_from(["lower", "upper"]),
+                                            st.floats(0.01, 0.99))),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_exact_path(self, dim, kind, scale, noise, p, pb, edge, warm, seed):
+        x, xp = _noisy_pair(np.random.default_rng(seed), kind, dim, scale, noise)
+        _assert_floor_aware_matches_exact(
+            _rotation_fixture(kind, x, xp), self.MC, seed, p, pb, edge, warm
+        )
+
+    @pytest.mark.parametrize("edge", ["orbit", "mc", "below", "above"])
+    @pytest.mark.parametrize("warm", [None, ("lower", 0.3), ("upper", 0.2)])
+    def test_zero_covariance_ties(self, edge, warm):
+        # a zero factor makes every draw its mean: one tie group, counted at
+        # its share; the orbit floor here is p, and the ceiling p_upper
+        def build():
+            return so2_problem_from_params(0.0, 0.0, 0.0, 0.0, 0.5), 0.0
+
+        lower, upper, _ = _assert_floor_aware_matches_exact(
+            build, self.MC, 3, 0.9, 0.05, edge, warm
+        )
+        assert lower.kappa_log == 0.0
+
+    # (dim, |X||X'| / sigma^2, noise / sigma, fixture seed, floor and ceiling win)
+    @pytest.mark.parametrize("dim, scale, noise, seed, orbit_wins", [
+        (2, 0.1, 2.0, 4, False), (3, 0.1, 1.0, 0, False),
+        (2, 1e3, 1.0, 0, True), (3, 1e3, 1.0, 0, True),
+    ])
+    def test_both_winners_occur(self, dim, scale, noise, seed, orbit_wins):
+        x, xp = _noisy_pair(np.random.default_rng(seed), GroupKind.ROTATION, dim, scale, noise)
+        lower, upper, ceiling = _assert_floor_aware_matches_exact(
+            _rotation_fixture(GroupKind.ROTATION, x, xp), self.MC, 5, 0.9, 0.05, "orbit", None
+        )
+        assert ("orbit-floor" in lower.notes) == orbit_wins
+        assert (upper == ceiling) == orbit_wins
+
+    @pytest.mark.parametrize("kind", [GroupKind.ROTATION, GroupKind.ROTO_TRANSLATION],
+                             ids=["SO", "SE"])
+    def test_noisy_3d_spy(self, kind, monkeypatch):
+        # the floor and the ceiling win: the lower stage evaluates threshold
+        # rows only, and the upper stage makes no evaluator call at all
+        x, xp = _noisy_pair(np.random.default_rng(12), kind, 3, 1e3, 1.0, n=16)
+        rows = []
+        _recording(monkeypatch, 3, rows)
+        tight_alone, _ = certify_tight_and_multiclass(kind, x, xp, 0.9, 1.0, self.MC, 7)
+        alone = [batch.tobytes() for batch in rows]
+        rows.clear()
+        built = []
+        build = tight._rotation_problem
+        monkeypatch.setattr(tight, "_rotation_problem", lambda *a: built.append(build(*a))
+                            or built[-1])
+        tight_out, multi = certify_tight_and_multiclass(kind, x, xp, 0.9, 1.0, self.MC, 7,
+                                                        p_upper=0.05)
+        assert tight_out == tight_alone and tight_out.kappa_log is not None
+        assert "orbit-floor" in tight_out.notes
+        residual = tight._orbit_distance(kind, x, xp)[0]
+        assert multi.notes[-1] == f"competitor-upper={shift_bound(0.05, -residual, 1.0)!r}"
+        assert [batch.tobytes() for batch in rows] == alone
+        (pair,) = built[0].statistic_samples.values()
+        count_rows = {row.tobytes() for row in pair[1].draws}
+        evaluated = np.concatenate(rows)
+        assert 0 < len(evaluated) < self.MC.n2
+        assert not any(row.tobytes() in count_rows for row in evaluated)
+        assert not np.any(pair[1].lo == pair[1].hi)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unbounded_count_row_still_refused(self, dim, monkeypatch):
+        # where the floor would win, a count row whose bracket is unbounded
+        # still reaches the evaluator, whose refusal is raised as before
+        kind, sigma, seed = GroupKind.ROTATION, 1.0, 7
+        x, xp = _noisy_pair(np.random.default_rng(15), kind, dim, 1e3, 1.0)
+        rows = []
+        _recording(monkeypatch, dim, rows)
+        out, multi = certify_tight_and_multiclass(kind, x, xp, 0.9, sigma, self.MC, seed,
+                                                  p_upper=0.05)
+        assert "orbit-floor" in out.notes
+        pair = mc_engine._samples(tight._rotation_problem(kind, x, xp, sigma), self.MC, seed, 1)
+        count_rows = {row.tobytes() for row in pair[1].draws}
+        assert not any(row.tobytes() in count_rows for row in np.concatenate(rows))
+        _recording(monkeypatch, dim, rows, marked=pair[1].draws[17].copy())
+        message = re.escape(f"reduced problem at sigma={sigma!r}: argument beyond")
+        with pytest.raises(NumericalFailure, match=message):
+            certify_tight_and_multiclass(kind, x, xp, 0.9, sigma, self.MC, seed, p_upper=0.05)
+        # the upper stage alone, where the ceiling would win
+        problem = tight._rotation_problem(kind, x, xp, sigma)
+        with pytest.raises(NumericalFailure, match=message):
+            tight._capped_upper(problem, self.MC, seed, 0.05, *tight._orbit_distance(kind, x, xp))
+
+
 def _combined_se(a, b, mc):
     # both the threshold stage (n2) and the counting stage (n3) contribute
     sa = math.sqrt(max(a * (1 - a), 0.05)) * math.sqrt(1 / mc.n2 + 1 / mc.n3)
