@@ -265,18 +265,18 @@ def _statistic_values(problem, samples: np.ndarray) -> np.ndarray:
 class _Sample:
     """One kept statistic sample: the read-only draws and, per row, bounds
     lo <= value <= hi on the statistic, from its bracket, with lo == hi
-    where the value is known.  Drawing evaluates nothing; ``refine``
-    evaluates rows as cuts need them, and a sample evaluated whole in one
-    call keeps its values as one read-only array (lo is hi) and drops its
-    draws, which no later cut reads.  Holds no reference to its problem, so
-    a dropped problem is freed at once."""
+    where the value is known.  ``bounded`` says whether every row has a
+    finite bracket or a known value: set when drawn, and when evaluated
+    whole.  Drawing evaluates nothing; ``refine`` evaluates rows as cuts
+    need them, and a sample evaluated whole in one call keeps its values as
+    one read-only array (lo is hi) and drops its draws, which no later cut
+    reads.  Holds no reference to its problem, so a dropped problem is
+    freed at once."""
 
     def __init__(self, problem, draws: np.ndarray):
         self.draws = draws
         self.draws.setflags(write=False)
         self.lo, self.hi = problem.statistic.bracket(self.draws)
-        # whether every row has a finite bracket or a known value; a row
-        # that is neither must reach the evaluator, which may refuse it
         self.bounded = bool(np.isfinite(self.lo).all() and np.isfinite(self.hi).all())
 
     def refine(self, problem, rows: np.ndarray) -> None:
@@ -317,15 +317,14 @@ def _cut(
     counted at this share, mimicking the randomized tie-break of the optimal
     classifier.
 
-    ``settled``, when given, is asked whether a bound on the count, read
-    from the brackets alone, already decides the caller's result; if it
-    answers True, the count is None and no count row is evaluated.  Below,
-    it is asked after kappa with the upper bound #(count.lo <= kappa), which
-    holds the tie share.  Above, kappa <= k_hi, so it is asked first with
-    the lower bound #(count.lo > k_hi), and kappa is None too: no row at all
-    is evaluated.  It is asked only where every row of both samples has a
-    finite bracket or a known value, so a row whose bracket is unbounded
-    always reaches the evaluator, which may refuse it.
+    ``settled``, when given, is asked whether a bound on the count read
+    from the brackets alone already decides the caller's result; if so,
+    the count is None and no count row is evaluated.  Below, it gets the
+    upper bound #(count.lo <= kappa), tie share included, after kappa.
+    Above, kappa <= k_hi, so it gets the lower bound #(count.lo > k_hi)
+    before any row is evaluated, and kappa is None too.  It is asked only
+    where every row of both samples is bounded (see ``_Sample``), so a row
+    the evaluator may refuse always reaches it.
     """
     k_lo = np.partition(threshold.lo, n_star - 1)[n_star - 1]
     k_hi = np.partition(threshold.hi, n_star - 1)[n_star - 1]
@@ -416,12 +415,11 @@ def prob_certify_reduced(
     confidence stays conservative.  Every outcome carries the note
     "p-lower-supplied".
 
-    ``floor`` is a lower bound on the worst case that needs no draws, such
-    as ``tight``'s orbit floor.  The bound is max(Monte-Carlo bound, floor),
-    with the note "orbit-floor" where the floor is the larger.  kappa is
-    read in full either way, but where even every count row that the
-    brackets leave open cannot lift the Clopper-Pearson bound to the floor,
-    those rows are not evaluated (see ``_cut``).
+    ``floor``, a lower bound that needs no draws (``tight``'s orbit
+    floor), makes the bound max(Monte-Carlo bound, floor), noted
+    "orbit-floor" where the floor is the larger; the count rows are not
+    evaluated where their brackets already keep the Monte-Carlo bound below
+    it (see ``_cut``).
     """
     notes = ["p-lower-supplied"]
     p_eff, clamped = clamp_probability(p_lower)
@@ -472,11 +470,10 @@ def prob_certify_upper_reduced(
     the certificate sound; the Monte-Carlo bound is the vacuous 1.0 when no
     order statistic qualifies.
 
-    ``ceiling`` is an upper bound that needs no draws, such as ``tight``'s
-    orbit ceiling, and the result is min(Monte-Carlo bound, ceiling).  Where
-    the count rows the brackets already place above the threshold's upper
-    bound hold the Clopper-Pearson bound at the ceiling, no row is evaluated
-    (see ``_cut``).
+    ``ceiling``, an upper bound that needs no draws (``tight``'s orbit
+    ceiling), makes the result min(Monte-Carlo bound, ceiling); no row is
+    evaluated where the brackets already hold the Monte-Carlo bound at the
+    ceiling (see ``_cut``).
     """
     p_eff, _ = clamp_probability(p_upper)
     n_star = lower_quantile_index(mc.n2, 1.0 - p_eff, mc.alpha / 2.0)
